@@ -48,7 +48,7 @@ class Report:
 
 
 def _rat(v) -> str:
-    return str(Fraction(v))
+    return str(v if type(v) is Fraction else Fraction(v))
 
 
 def _spectrum(args) -> spectra.SpectrumSpec:
@@ -64,21 +64,23 @@ def _cmd_basis(args) -> Report:
     rows = [["n", "poly", "denominator", "monomial_coeffs", "coords_of_monomial"]]
     pretty = [f"{sp.name} basis to index {args.n} (q = {sp.q})"]
     for n in range(args.n + 1):
-        poly = C.basis_poly(n)
+        poly = C.basis_poly(n).render()
         d, lam = C.monomial_form(n)
-        coords = C.basis_coords(n)
+        d = _rat(d)
+        lam = {str(k): _rat(v) for k, v in sorted(lam.items())}
+        coords = [_rat(v) for v in C.basis_coords(n)]
         elements.append({
             "n": n,
-            "poly": poly.render(),
-            "denominator": _rat(d),
-            "monomial_coeffs": {str(k): _rat(v) for k, v in sorted(lam.items())},
-            "coords_of_monomial": [_rat(v) for v in coords],
+            "poly": poly,
+            "denominator": d,
+            "monomial_coeffs": lam,
+            "coords_of_monomial": coords,
         })
-        lam_text = " ".join(f"{k}:{_rat(v)}" for k, v in sorted(lam.items()))
-        coord_text = ",".join(_rat(v) for v in coords)
-        rows.append([n, poly.render(), _rat(d), lam_text, coord_text])
-        pretty.append(f"  c_{n} = {poly.render()}")
-        pretty.append(f"      denominator {_rat(d)}; monomial slots {lam_text}")
+        lam_text = " ".join(f"{k}:{v}" for k, v in lam.items())
+        coord_text = ",".join(coords)
+        rows.append([n, poly, d, lam_text, coord_text])
+        pretty.append(f"  c_{n} = {poly}")
+        pretty.append(f"      denominator {d}; monomial slots {lam_text}")
         pretty.append(f"      w^({sp.step}*{n}) has coordinates ({coord_text})")
     payload = {"spectrum": sp.name, "q": sp.q, "n": args.n, "basis": elements}
     return Report(0, payload, rows, pretty)
@@ -93,13 +95,13 @@ def _cmd_gamma(args) -> Report:
     rows = [["n", "i", "j", "value"]]
     pretty = [f"{sp.name} structure constants to target {args.n}"]
     for n in range(args.n + 1):
-        m = C.coproduct_matrix(n)
-        mats.append({"n": n, "matrix": [[_rat(v) for v in row] for row in m]})
+        m = [[_rat(v) for v in row] for row in C.coproduct_matrix(n)]
+        mats.append({"n": n, "matrix": m})
         pretty.append(f"  target {n}:")
         for i, row in enumerate(m):
             for j, v in enumerate(row):
-                rows.append([n, i, j, _rat(v)])
-            pretty.append("    " + " ".join(_rat(v) for v in row))
+                rows.append([n, i, j, v])
+            pretty.append("    " + " ".join(row))
     payload = {"spectrum": sp.name, "q": sp.q, "n": args.n, "gamma": mats}
     return Report(0, payload, rows, pretty)
 

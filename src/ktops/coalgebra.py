@@ -21,17 +21,28 @@ Three coefficient tables are derived from the basis and memoized:
   basis (exact rationals; regularity asks them to be integral);
 * coproduct_matrix(n): the structure constants of the comultiplication,
   i.e. the matrix G with Delta(c_n) = sum G[i][j] c_i (x) c_j.
+
+The tables are built on Python ints.  The coordinates of a monomial are
+found by fraction-free elimination and kept as integers over one
+denominator, their lcm; each Gamma table is summed as integers over one
+denominator for the whole table.  A Fraction is made once per entry
+handed out, and every zero entry is one shared Fraction(0).  The older
+route, which clears a LaurentPoly remainder one Fraction operation at a
+time, is kept in tests/oracles.py as the oracle the kernel is checked
+against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable
 
-from . import linalg
 from .laurent import LaurentPoly
 from .rationals import is_p_local_integer, is_prime
+
+
+_ZERO = Fraction(0)
 
 
 class NotRegularError(ValueError):
@@ -49,6 +60,7 @@ class CoalgebraSpec:
     name: str = ""
     _poly: dict = field(default_factory=dict, repr=False)
     _mono: dict = field(default_factory=dict, repr=False)
+    _icoords: dict = field(default_factory=dict, repr=False)
     _coords: dict = field(default_factory=dict, repr=False)
     _gamma: dict = field(default_factory=dict, repr=False)
 
@@ -137,37 +149,78 @@ class CoalgebraSpec:
             return self._mono[n]
         c = self.basis_poly(n)
         d = lcm(*(v.denominator for _, v in c.items())) if not c.is_zero else 1
-        form = (d, {e // self.step: int(v * d) for e, v in c.items()})
+        form = (d, {e // self.step: v.numerator * (d // v.denominator) for e, v in c.items()})
         self._mono[n] = form
         return form
 
     def coords_of(self, f: LaurentPoly) -> tuple[Fraction, ...]:
         """Coordinates of f in the basis, as a dense tuple from index 0.
 
-        Works by repeatedly clearing the extremal slot of the remainder,
-        which only the highest-index contributing basis element can
-        reach.  Raises NotRegularError when f is not in the span.
+        Raises NotRegularError when f is not in the span.
         """
         if f.is_zero:
             return ()
-        r = self.step
-        out: dict[int, Fraction] = {}
-        rem = f
-        top = -1
-        while not rem.is_zero:
-            slots = []
-            for e in rem.support:
-                if e % r:
-                    raise NotRegularError(f"exponent {e} is not a multiple of the step {r}")
-                slots.append(e // r)
-            n = max(self.resolving_index(k) for k in slots)
+        den = lcm(*(v.denominator for _, v in f.items()))
+        slots = {}
+        for e, v in f.items():
+            if e % self.step:
+                raise NotRegularError(f"exponent {e} is not a multiple of the step {self.step}")
+            slots[e // self.step] = v.numerator * (den // v.denominator)
+        d, nums = self._int_coords(slots, den)
+        return tuple(Fraction(a, d) if a else _ZERO for a in nums)
+
+    def _int_coords(self, slots: dict[int, int], den: int) -> tuple[int, list[int]]:
+        """Coordinates of (1/den) * sum_k slots[k] w**(rk) as (D, [A_0, ...]).
+
+        The coordinate on index n is A_n / D with D > 0 the lcm of their
+        denominators.  Fraction-free elimination: the remainder is kept
+        as integers R over one denominator, and the extremal slot of R,
+        which only the highest-index contributing basis element can
+        reach, is cleared with that element's integer monomial form.
+        """
+        rem = dict(slots)
+        out: dict[int, tuple[int, int]] = {}
+        while rem:
+            n = max(self.resolving_index(k) for k in rem)
             k = self.extending_slot(n)
-            c = self.basis_poly(n)
-            coeff = rem.coeff(r * k) / c.coeff(r * k)
-            out[n] = coeff
-            rem = rem - coeff * c
-            top = max(top, n)
-        return tuple(out.get(i, Fraction(0)) for i in range(top + 1))
+            d_n, mono = self.monomial_form(n)
+            # x = R_k d_n / (den m_k) clears slot k; with a / b = R_k / m_k
+            # in lowest terms, x c_n = (a / (den b)) M for M = d_n c_n
+            g = gcd(rem[k], mono[k])
+            a, b = rem[k] // g, mono[k] // g
+            out[n] = (a * d_n, den * b)
+            if b != 1:
+                for j in rem:
+                    rem[j] *= b
+            for j, m in mono.items():
+                v = rem.get(j, 0) - a * m
+                if v:
+                    rem[j] = v
+                else:
+                    del rem[j]
+            den *= b
+            g = gcd(den, *rem.values()) if rem else 1
+            if g != 1:
+                den //= g
+                for j in rem:
+                    rem[j] //= g
+        for n, (a, b) in out.items():
+            g = gcd(a, b)
+            out[n] = (a // g, b // g)
+        d = lcm(*(b for _, b in out.values()))
+        nums = [0] * (max(out) + 1)
+        for n, (a, b) in out.items():
+            nums[n] = a * (d // b)
+        return d, nums
+
+    def _monomial_int_coords(self, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """basis_coords(k) as (D, ((i, A_i), ...)) over the nonzero A_i."""
+        if k in self._icoords:
+            return self._icoords[k]
+        d, nums = self._int_coords({k: 1}, 1)
+        form = (d, tuple((i, a) for i, a in enumerate(nums) if a))
+        self._icoords[k] = form
+        return form
 
     def basis_coords(self, k: int) -> tuple[Fraction, ...]:
         """Coordinates of the monomial w**(rk) in the basis.
@@ -177,9 +230,11 @@ class CoalgebraSpec:
         """
         if k in self._coords:
             return self._coords[k]
-        coords = self.coords_of(LaurentPoly.monomial(self.step * k))
-        want = self.resolving_index(k) + 1
-        coords = coords + (Fraction(0),) * (want - len(coords))
+        d, nz = self._monomial_int_coords(k)
+        coords = [_ZERO] * (self.resolving_index(k) + 1)
+        for i, a in nz:
+            coords[i] = Fraction(a, d)
+        coords = tuple(coords)
         self._coords[k] = coords
         return coords
 
@@ -188,23 +243,32 @@ class CoalgebraSpec:
 
         Since w is grouplike, Delta(c_n) = (1/d) sum_k m_k w**(rk) (x) w**(rk);
         expanding each monomial through basis_coords gives
-        G[i][j] = sum_k coords_k[i] * coords_k[j] * m_k / d.
+        G[i][j] = sum_k coords_k[i] * coords_k[j] * m_k / d.  Each term is
+        symmetric in i and j, so only i <= j is summed.  With
+        coords_k = A_k / D_k and L the lcm of the D_k**2, the sum runs on
+        integers and G[i][j] = (sum_k m_k (L / D_k**2) A_ki A_kj) / (d L).
         """
         if n in self._gamma:
             return self._gamma[n]
         d, mono = self.monomial_form(n)
+        forms = [(mk, *self._monomial_int_coords(k)) for k, mk in mono.items()]
+        big = lcm(*(dk * dk for _, dk, _ in forms))
         size = n + 1
-        g = [[Fraction(0)] * size for _ in range(size)]
-        for k, mk in mono.items():
-            coords = self.basis_coords(k)
-            nz = [(i, a) for i, a in enumerate(coords) if a]
-            for i, a in nz:
-                row = g[i]
-                am = a * mk
-                for j, b in nz:
-                    row[j] += am * b
-        dd = Fraction(1, d)
-        out = tuple(tuple(v * dd for v in row) for row in g)
+        acc = [[0] * size for _ in range(size)]
+        for mk, dk, nz in forms:
+            scale = mk * (big // (dk * dk))
+            for t, (i, a) in enumerate(nz):
+                row = acc[i]
+                sa = scale * a
+                for j, b in nz[t:]:
+                    row[j] += sa * b
+        den = d * big
+        g = [[_ZERO] * size for _ in range(size)]
+        for i, row in enumerate(acc):
+            for j in range(i, size):
+                if row[j]:
+                    g[i][j] = g[j][i] = Fraction(row[j], den)
+        out = tuple(tuple(row) for row in g)
         self._gamma[n] = out
         return out
 
@@ -213,30 +277,6 @@ class CoalgebraSpec:
         if i > n or j > n:
             return Fraction(0)
         return self.coproduct_matrix(n)[i][j]
-
-    def coproduct_matrix_by_solve(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Slow independent recomputation of coproduct_matrix via a dense
-        linear solve in the two-variable monomial basis; used as an oracle."""
-        d, mono = self.monomial_form(n)
-        lo, hi = self.window(n)
-        slots = list(range(lo, hi + 1))
-        polys = [self.basis_poly(i) for i in range(n + 1)]
-        r = self.step
-        unknowns = [(i, j) for i in range(n + 1) for j in range(n + 1)]
-        rows, rhs = [], []
-        for s in slots:
-            for t in slots:
-                rows.append(
-                    [polys[i].coeff(r * s) * polys[j].coeff(r * t) for (i, j) in unknowns]
-                )
-                rhs.append(Fraction(mono.get(s, 0), d) if s == t else Fraction(0))
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
-            raise NotRegularError("basis is not a basis: tensor expansion is singular")
-        g = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-        for (i, j), v in zip(unknowns, sol):
-            g[i][j] = v
-        return tuple(tuple(row) for row in g)
 
     def monomial_slots(self, limit: int) -> list[int]:
         """All slots k whose monomial is resolvable by basis indices <= limit."""

@@ -269,12 +269,23 @@ def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int, tries: int = 
     far; a failure certifies the input is not a discrete-module table.
     Also reports the first pair of shifts with equal torsion action, in
     the spirit of the pigeonhole step of the finiteness argument.
+    Raises ValueError, naming the matrix and the entry, on a table that
+    is not square or not p-locally integral.
     """
     if s < 1:
         raise ValueError("the torsion exponent must be a positive integer")
     p = mod.prime
     lo = mod.free_rank
     d = mod.dimension
+    for i, m in enumerate(mod.matrices):
+        if len(m) != d or any(len(row) != d for row in m):
+            raise ValueError(f"matrix {i} is not {d} by {d}")
+        for r, row in enumerate(m):
+            for c, v in enumerate(row):
+                if v.denominator % p == 0:
+                    raise ValueError(
+                        f"matrix {i} entry ({r},{c}) is {v}, not {p}-locally integral"
+                    )
 
     def torsion_block(m: int) -> tuple:
         mat = mod.matrix(m)
@@ -373,14 +384,52 @@ def module_to_dict(mod: FGModule) -> dict:
 
 
 def module_from_dict(data: dict) -> FGModule:
+    """Rebuild a module table from the layout module_to_dict writes.
+
+    Raises ValueError naming the first key that is missing or ill-typed:
+    prime and free_rank are integers, torsion_orders a list of integers,
+    matrices a list of matrices, each a list of rows of rationals
+    written as strings or integers.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a module table must be an object with keys "
+                         "prime, free_rank, torsion_orders, matrices")
+
+    def get(key, parse):
+        if key not in data:
+            raise ValueError(f"module table has no {key!r} key")
+        try:
+            return parse(data[key])
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise ValueError(f"module table key {key!r} is ill-typed: {e}") from None
+
     return FGModule(
-        prime=int(data["prime"]),
-        free_rank=int(data["free_rank"]),
-        torsion_orders=tuple(int(t) for t in data["torsion_orders"]),
-        matrices=tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in m) for m in data["matrices"]
-        ),
+        prime=get("prime", _json_int),
+        free_rank=get("free_rank", _json_int),
+        torsion_orders=get("torsion_orders", lambda ts: tuple(_json_int(t) for t in _json_list(ts))),
+        matrices=get("matrices", lambda ms: tuple(
+            tuple(tuple(_json_rational(v) for v in _json_list(row)) for row in _json_list(m))
+            for m in _json_list(ms)
+        )),
     )
+
+
+def _json_int(v) -> int:
+    if type(v) is not int:
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
+def _json_list(v) -> list | tuple:
+    if type(v) not in (list, tuple):
+        raise TypeError(f"{v!r} is not a list")
+    return v
+
+
+def _json_rational(v) -> Fraction:
+    if type(v) not in (str, int, Fraction):
+        raise TypeError(f"{v!r} is not a rational written as a string or an integer")
+    return Fraction(v)
 
 
 def module_to_json(mod: FGModule) -> str:

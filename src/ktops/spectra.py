@@ -66,12 +66,19 @@ def parse_name(name: str) -> tuple[str, int]:
 
 
 def _theta_basis(step: int, b: int) -> Callable[[int], LaurentPoly]:
-    z = geometric_powers(b)
+    # integer coefficients of theta_n(x) = prod_{i<n} (x - b**i), constant
+    # term first, each one linear factor on the last
+    thetas = [[1]]
 
     def basis(n: int) -> LaurentPoly:
-        num = theta(n, z)
-        den = num(Fraction(b) ** n)
-        return num.substitute_power(step) * (1 / den)
+        while len(thetas) <= n:
+            t, z = thetas[-1], b ** (len(thetas) - 1)
+            thetas.append([u - z * v for u, v in zip([0] + t, t + [0])])
+        num = thetas[n]
+        x, den = b**n, 0
+        for c in reversed(num):
+            den = den * x + c
+        return LaurentPoly({step * e: Fraction(c, den) for e, c in enumerate(num) if c})
 
     return basis
 

@@ -150,3 +150,36 @@ def test_json_exact_strings():
     text = module_to_json(m)
     assert "." not in text  # no decimals anywhere
     assert module_from_json(text).matrices == m.matrices
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"prime": 3}', "free_rank"),
+    ('{"free_rank": 1, "torsion_orders": [], "matrices": [[["1"]]]}', "prime"),
+    ('{"prime": "three", "free_rank": 1, "torsion_orders": [], "matrices": [[["1"]]]}', "prime"),
+    ('{"prime": 3, "free_rank": 1.5, "torsion_orders": [], "matrices": [[["1"]]]}', "free_rank"),
+    ('{"prime": 3, "free_rank": 0, "torsion_orders": 3, "matrices": [[["1"]]]}', "torsion_orders"),
+    ('{"prime": 3, "free_rank": 1, "torsion_orders": [], "matrices": "11"}', "matrices"),
+    ('{"prime": 3, "free_rank": 1, "torsion_orders": [], "matrices": [[["1/0"]]]}', "matrices"),
+    ('{"prime": 3, "free_rank": 1, "torsion_orders": [], "matrices": [[[0.5]]]}', "matrices"),
+])
+def test_module_from_json_names_bad_key(text, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        module_from_json(text)
+
+
+def test_module_from_json_refuses_non_object():
+    with pytest.raises(ValueError):
+        module_from_json("[3, 1]")
+
+
+def test_torsion_annihilator_rejects_non_p_local_table():
+    # matrix 1 is never read by the search (shift 2 is past the level),
+    # yet the table holds 1/3 on a 3-torsion generator
+    mats = (((Fraction(1),),), ((Fraction(1, 3),),))
+    bad = FGModule(3, 0, (3,), mats)
+    with pytest.raises(ValueError, match=r"matrix 1 entry \(0,0\) is 1/3"):
+        torsion_annihilator(bad, K3, 1)
+    # a denominator divisible by p where the search does read
+    mats = (((Fraction(1),),), ((Fraction(0),),), ((Fraction(2, 9),),))
+    with pytest.raises(ValueError, match=r"matrix 2 entry \(0,0\)"):
+        torsion_annihilator(FGModule(3, 0, (3,), mats), K3, 1)
