@@ -11,7 +11,7 @@ from oracles import coords_by_clearing, coproduct_by_fraction_loop, monomial_coo
 
 SPECTRA = list(dict.fromkeys(spectrum_names(3) + spectrum_names(5) + ["G(7)"]))
 OTHERS = {
-    "binomial": lambda: binomial_coalgebra(),
+    "binomial": binomial_coalgebra,
     "monomial": lambda: monomial_coalgebra(step=2, prime=3),
     "monomial-periodic": lambda: monomial_coalgebra(step=2, prime=3, periodic=True),
 }
