@@ -12,18 +12,24 @@ a set of admissible shifts:
 
 For the six product-form algebras both conditions reduce to finite
 computations: (1) is periodic in the evaluation exponent mod p, and (2)
-reduces to valuations of differences of the product nodes.  The 2-local
-complex theories have no product form, so both conditions are checked
-through the coalgebra coefficient tables up to a stated bound.
+reduces to valuations of differences of the product nodes.  Both run on
+integers: the nodes z_i = b**s_i (s_i = 0, 1, 2, ... connectively and
+0, 1, -1, 2, -2, ... periodically) are scaled to y_i = b**(s_i + E),
+with E large enough to clear the negative exponents.  A value or
+coordinate computed on the y_i is the one on the z_i times a power of
+b, and b is a p-adic unit, so zeroness and p-adic valuations, the only
+facts the verdicts read, are the same.  The 2-local complex theories
+have no product form, so both conditions are checked through the
+coalgebra coefficient tables up to a stated bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .laurent import LaurentPoly, alternating_powers, geometric_powers, newton_coeffs, theta
-from .rationals import multiplicative_order, nu
+from .laurent import LaurentPoly, theta
+from .rationals import _int_valuation, multiplicative_order, nu
 from .spectra import SpectrumSpec, admissible_shifts, support_step
 
 
@@ -73,17 +79,22 @@ class ConditionVerdict:
         return f"{self.spectrum} {self.condition} {where}: {word}{tail}{ctl}"
 
 
-def _nodes(spec: SpectrumSpec) -> Callable[[int], Fraction]:
-    if spec.base is None:
+def _int_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
+    """The shift E and the integer nodes y_1..y_count, y_i = b**(s_i + E).
+
+    z_i = b**s_i are the product nodes: s_i = i - 1 connectively, with
+    E = 0, and s_i = 0, 1, -1, 2, -2, ... periodically, where
+    E = count // 2 makes every exponent non-negative.
+    """
+    b, p = spec.base, spec.prime
+    if b is None:
         raise ValueError(f"{spec.name} has no product-form basis")
-    return (alternating_powers if spec.periodic else geometric_powers)(spec.base)
-
-
-def _theta_value(count: int, z: Callable[[int], Fraction], x: Fraction) -> Fraction:
-    total = Fraction(1)
-    for i in range(1, count + 1):
-        total *= x - z(i)
-    return total
+    if b % p == 0:
+        raise ValueError(f"node base {b} of {spec.name} is not a {p}-adic unit")
+    if not spec.periodic:
+        return 0, [b**i for i in range(count)]
+    e = count // 2
+    return e, [b ** (e + (i // 2 if i % 2 == 0 else -(i // 2))) for i in range(1, count + 1)]
 
 
 def check_unit_condition(
@@ -94,21 +105,23 @@ def check_unit_condition(
     Product-form route: evaluates the degree n-m node product at b**j
     and demands the value land in p Z_(p).  The values only matter mod
     p and b**j cycles with period ord_p(b), so one period of j decides
-    every integer exponent and the verdict is exact.  Without a product
-    form the same statement is read off the monomial coordinate tables:
-    p must divide the (n-m)-th coordinate of every monomial, checked
-    for slots resolvable up to the bound.
+    every integer exponent and the verdict is exact.  On the integer
+    nodes the value is b**(-(n-m)E) times the product of the factors
+    b**(j+E) - y_i, so it is a p-adic unit exactly when p divides none
+    of them.  Without a product form the same statement is read off the
+    monomial coordinate tables: p must divide the (n-m)-th coordinate
+    of every monomial, checked for slots resolvable up to the bound.
     """
     if m >= n:
         raise ValueError("the unit condition needs m < n")
     p = spec.prime
     if spec.has_theta_form:
-        z = _nodes(spec)
+        e, ys = _int_nodes(spec, n - m)
         b = spec.base
         period = multiplicative_order(b % p, p)
         for j in range(period * periods):
-            v = _theta_value(n - m, z, Fraction(b) ** j)
-            if v and nu(p, v) < 1:
+            x = b ** (j + e)
+            if all((x - y) % p for y in ys):
                 return ConditionVerdict(
                     spec.name, "unit", False, True, m, n, witness=j, checked=period
                 )
@@ -146,15 +159,15 @@ def check_congruence_condition(
     p = spec.prime
     if not spec.has_theta_form:
         return check_product_congruence(spec, m, n, l)
-    z = _nodes(spec)
+    _, ys = _int_nodes(spec, m + n)
     min_val: int | None = None
     verdict = True
     witness = None
     for i in range(n):
-        d = z(n - i) - z(m + n - i)
+        d = ys[n - i - 1] - ys[m + n - i - 1]
         if not d:
             continue
-        v = nu(p, d)
+        v = _int_valuation(p, d)
         if min_val is None or v < min_val:
             min_val = v
         if v < l:
@@ -164,7 +177,7 @@ def check_congruence_condition(
 
     cross = None
     if m + n <= expansion_limit:
-        cross = _cross_validate_congruence(spec, z, m, n, l, expansion_cap)
+        cross = _cross_validate_congruence(spec, m, n, l, expansion_cap)
     return ConditionVerdict(
         spec.name,
         "congruence",
@@ -179,30 +192,51 @@ def check_congruence_condition(
     )
 
 
-def _cross_validate_congruence(
-    spec: SpectrumSpec,
-    z: Callable[[int], Fraction],
-    m: int,
-    n: int,
-    l: int,
-    cap: int,
-) -> dict:
+def _cross_validate_congruence(spec: SpectrumSpec, m: int, n: int, l: int, cap: int) -> dict:
     """Expand theta_m * theta_n - theta_{m+n} in the node basis.
 
     The coefficients are exactly the coordinates of a_m a_n - a_{m+n}
     in the dual topological basis, so every one must have valuation
     at least l for the congruence to hold.  Precision is capped; the
     difference has degree below m + n, so a cap of m + n is complete.
+
+    The expansion runs on the integer nodes y_i = b**E z_i.  With
+    theta'_k = prod_{i<=k} (Y - y_i) we have
+    theta_k(X) = b**(-kE) theta'_k(b**E X), so the k-th coordinate of
+    the difference is b**((k-m-n)E) times the k-th coordinate of
+    theta'_m theta'_n - theta'_{m+n} in the basis theta'_k, an integer.
+    b is a p-adic unit, so both have the same zeroness and valuation.
     """
-    diff = theta(m, z) * theta(n, z) - theta(m + n, z)
+    p = spec.prime
+    _, ys = _int_nodes(spec, m + n)
+    # integer coefficients of theta'_k, constant term first, one linear
+    # factor at a time; only theta'_m, theta'_n and theta'_{m+n} are kept
+    t = tm = tn = [1]
+    for k, y in enumerate(ys, 1):
+        t = [u - y * v for u, v in zip([0] + t, t + [0])]
+        if k == m:
+            tm = t
+        if k == n:
+            tn = t
+    diff = [-c for c in t]
+    for i, u in enumerate(tm):
+        for j, v in enumerate(tn):
+            diff[i + j] += u * v
     count = min(m + n, cap)
-    coeffs = newton_coeffs(diff, z, count)
     worst: int | None = None
     bad = None
-    for k, g in enumerate(coeffs):
+    for k in range(count):
+        # one synthetic-division pass by (Y - y_{k+1}): the last value is
+        # the remainder, the k-th coordinate; the others are the quotient
+        y, acc, quo = ys[k], 0, []
+        for a in reversed(diff):
+            acc = acc * y + a
+            quo.append(acc)
+        g = quo.pop()
+        diff = quo[::-1]
         if not g:
             continue
-        v = nu(spec.prime, g)
+        v = _int_valuation(p, g)
         if worst is None or v < worst:
             worst = v
         if v < l and bad is None:
@@ -419,9 +453,8 @@ def check_gamma_transfer(k2: SpectrumSpec, ko2: SpectrumSpec, m_max: int) -> Swe
     bad = []
     cells = 0
     ck, co = k2.coalgebra, ko2.coalgebra
-    w = LaurentPoly.variable()
     for m in range(m_max + 1):
-        lhs = w * ck.basis_poly(2 * m)
+        lhs = ck.basis_poly(2 * m).shift(1)
         rhs = ck.basis_poly(2 * m) * (3**m) - ck.basis_poly(2 * m + 1) * (2 * 3**m)
         cells += 1
         if lhs != rhs:

@@ -16,6 +16,7 @@ The default --format may be set via the KTOPS_FORMAT variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -213,15 +214,20 @@ def _add_spectrum_arg(p):
                    help="Adams parameter; defaults to the least valid choice")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    env_fmt = os.environ.get("KTOPS_FORMAT", "")
-    default_fmt = env_fmt if env_fmt in FORMATS else "pretty"
+    """The ktops argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every run shares it.  The
+    --format default depends on the environment at each call, so it is
+    None here and resolved in run.
+    """
     parser = argparse.ArgumentParser(
         prog="ktops",
         description="exact tables and discreteness checks for operation algebras",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=default_fmt)
+    common.add_argument("--format", choices=FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -281,7 +287,11 @@ def run(argv=None, out=None) -> int:
     except (ValueError, dual.NotIntegralError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return report.emit(args.format, out)
+    fmt = args.format
+    if fmt is None:
+        env_fmt = os.environ.get("KTOPS_FORMAT", "")
+        fmt = env_fmt if env_fmt in FORMATS else "pretty"
+    return report.emit(fmt, out)
 
 
 def main() -> None:

@@ -1,4 +1,4 @@
-"""Slow, independent routes to the coalgebra tables, kept as test oracles.
+"""Slow, independent routes to the tables and the cross-check, kept as test oracles.
 
 The library builds its tables on integers over one denominator per
 monomial or per table (see ktops.coalgebra).  The routes here compute
@@ -11,13 +11,23 @@ once did, so that a disagreement with the fast kernel is caught:
   over coordinates from coords_by_clearing;
 * coproduct_by_solve: structure constants from a dense linear solve in
   the two-variable monomial basis.
+
+The congruence cross-check (ktops.checks) runs on integer nodes; the
+expansion here works on the product nodes themselves, in LaurentPoly
+and Fractions:
+
+* cross_check_coefficients: Newton coordinates of
+  theta_m theta_n - theta_{m+n} over the product nodes, by newton_coeffs;
+* cross_check_record: the cross-check record those coordinates give.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from ktops.coalgebra import CoalgebraSpec, NotRegularError
-from ktops.laurent import LaurentPoly
+from ktops.laurent import LaurentPoly, alternating_powers, geometric_powers, newton_coeffs
+from ktops.rationals import nu
+from ktops.spectra import SpectrumSpec
 
 
 def solve(matrix, rhs):
@@ -116,3 +126,49 @@ def coproduct_by_solve(spec: CoalgebraSpec, n: int) -> tuple[tuple[Fraction, ...
     for (i, j), v in zip(unknowns, sol):
         g[i][j] = v
     return tuple(tuple(row) for row in g)
+
+
+def product_nodes(spec: SpectrumSpec):
+    """The Fraction product nodes z_i of a theta-form spectrum, i >= 1."""
+    return (alternating_powers if spec.periodic else geometric_powers)(spec.base)
+
+
+def theta_table(spec: SpectrumSpec, top: int) -> list[LaurentPoly]:
+    """theta_0, ..., theta_top over the product nodes, each one linear
+    factor on the last (theta_k equals ktops.laurent.theta(k, z))."""
+    z = product_nodes(spec)
+    x = LaurentPoly.variable()
+    out = [LaurentPoly.one()]
+    for i in range(1, top + 1):
+        out.append(out[-1] * (x - z(i)))
+    return out
+
+
+def cross_check_coefficients(
+    spec: SpectrumSpec, thetas: list[LaurentPoly], m: int, n: int, count: int
+) -> list[Fraction]:
+    """First `count` coordinates of theta_m theta_n - theta_{m+n} in the
+    basis theta_0, theta_1, ..., expanded one Fraction at a time by
+    newton_coeffs; thetas is theta_table(spec, top) with top >= m + n."""
+    diff = thetas[m] * thetas[n] - thetas[m + n]
+    return newton_coeffs(diff, product_nodes(spec), count)
+
+
+def cross_check_record(p: int, coeffs: list[Fraction], m: int, n: int, l: int) -> dict:
+    """The congruence cross-check record at depth l for the given coordinates."""
+    worst = bad = None
+    for k, g in enumerate(coeffs):
+        if not g:
+            continue
+        v = nu(p, g)
+        if worst is None or v < worst:
+            worst = v
+        if v < l and bad is None:
+            bad = k
+    return {
+        "coefficients": len(coeffs),
+        "complete": len(coeffs) >= m + n,
+        "min_valuation": worst,
+        "ok": bad is None,
+        "witness": bad,
+    }

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ktops.checks import (
+    _cross_validate_congruence,
     check_coalgebra_conditions,
     check_congruence_condition,
     check_gamma_transfer,
@@ -15,6 +17,7 @@ from ktops.checks import (
 from ktops.laurent import alternating_powers, geometric_powers
 from ktops.rationals import nu
 from ktops.spectra import make_spectrum
+from oracles import cross_check_coefficients, cross_check_record, theta_table
 
 K3 = make_spectrum("k(3)")
 BIG_K3 = make_spectrum("K(3)")
@@ -64,6 +67,40 @@ def test_congruence_cross_validation_recorded():
     v = check_congruence_condition(K3, 2, 3, 1)
     assert v.holds
     assert isinstance(v.checked, dict) and "cross" in v.checked
+
+
+CROSS_SPECTRA = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
+                 "KO(2)", "ko(2)", "G(7)")
+CROSS_CAP = 12  # the cap check_congruence_condition uses
+
+
+def test_cross_validation_matches_fraction_expansion():
+    # the integer kernel against the LaurentPoly expansion over the
+    # product nodes, at the cap check_congruence_condition uses, on the
+    # grid m <= 12, n <= 8 and on one cell per spectrum at the expansion
+    # limit m + n = 60; the oracle runs once per (m, n) for all three
+    # depths, and theta_m theta_n is symmetric, so (n, m) reuses it
+    spots = ((52, 8), (59, 1), (30, 30), (48, 12))
+    for i, name in enumerate(CROSS_SPECTRA):
+        sp = make_spectrum(name)
+        thetas = theta_table(sp, 60)
+        oracle = {}
+        for m, n in [(m, n) for m in range(13) for n in range(9)] + [spots[i % len(spots)]]:
+            key = (min(m, n), max(m, n))
+            if key not in oracle:
+                oracle[key] = cross_check_coefficients(sp, thetas, m, n, min(m + n, CROSS_CAP))
+            for l in (1, 2, 3):
+                want = cross_check_record(sp.prime, oracle[key], m, n, l)
+                assert _cross_validate_congruence(sp, m, n, l, CROSS_CAP) == want, (name, m, n, l)
+
+
+def test_product_nodes_need_a_unit_base():
+    # the integer scaling is exact only when b is a p-adic unit
+    bad = replace(K3, base=3)
+    with pytest.raises(ValueError):
+        check_congruence_condition(bad, 2, 1, 1)
+    with pytest.raises(ValueError):
+        check_unit_condition(bad, 2, 4)
 
 
 def test_product_identity_symbolic():

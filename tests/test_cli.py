@@ -109,3 +109,16 @@ def test_format_env_default(monkeypatch):
     assert code == 0  # bad env value falls back to pretty
     with pytest.raises(json.JSONDecodeError):
         json.loads(text)
+
+
+def test_format_env_read_per_call(monkeypatch):
+    # the parser is built once per process, but each run reads the
+    # environment default anew
+    monkeypatch.setenv("KTOPS_FORMAT", "json")
+    _, first = capture(["val2", "--max", "4"])
+    monkeypatch.setenv("KTOPS_FORMAT", "tsv")
+    _, second = capture(["val2", "--max", "4"])
+    assert json.loads(first)["holds"] is True
+    assert second.splitlines()[0].split("\t") == ["check", "holds", "cells", "mismatches"]
+    code, third = capture(["val2", "--max", "4", "--format", "json"])
+    assert code == 0 and third == first  # an explicit flag beats the environment
