@@ -387,13 +387,22 @@ def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
     bad = ""
     eps = [spec.counit_value(i) for i in range(limit + 1)]
     for n in range(limit + 1):
+        # column j sums eps_i G[i][j] (left) and eps_i G[j][i] (right); entry
+        # (i, j) meets eps_i in the one and eps_j in the other.  Both run on
+        # integers over one denominator for the table.
         g = spec.coproduct_matrix(n)
+        entries = [(i, j, v) for i, row in enumerate(g) for j, v in enumerate(row) if v]
+        den = lcm(*{eps[e].denominator * v.denominator for i, j, v in entries for e in (i, j)})
+        left, right = [0] * (n + 1), [0] * (n + 1)
+        for i, j, v in entries:
+            a, b = eps[i], eps[j]
+            left[j] += a.numerator * v.numerator * (den // (a.denominator * v.denominator))
+            right[i] += b.numerator * v.numerator * (den // (b.denominator * v.denominator))
         for j in range(n + 1):
-            left = sum(eps[i] * g[i][j] for i in range(n + 1))
-            right = sum(eps[i] * g[j][i] for i in range(n + 1))
-            want = Fraction(1 if j == n else 0)
-            if left != want or right != want:
-                bad = f"element {n}, index {j}: counit sums ({left}, {right})"
+            want = den if j == n else 0
+            if left[j] != want or right[j] != want:
+                bad = (f"element {n}, index {j}: counit sums "
+                       f"({Fraction(left[j], den)}, {Fraction(right[j], den)})")
                 break
         if bad:
             break

@@ -7,16 +7,33 @@ functionals vanishing on basis indices below N; all operations below
 are exact on that coset.  An AdamsPoly is the other way of presenting
 an element: a polynomial P evaluated at the operation that sends f(w)
 to f(beta), so that pairing with f gives sum_j p_j f(beta**j).
+
+Products, inverses and expansions run through the pairings with the
+grouplike monomials.  Since Delta(w**(rk)) = w**(rk) (x) w**(rk), pairing
+with w**(rk) is an algebra map:
+
+    <a b, w**(rk)> = <a, w**(rk)> <b, w**(rk)>,
+
+and the identity (the counit) pairs to 1 with every monomial.  At
+precision N the N pairings pi_i = <a, w**(r k_i)>, k_i = extending_slot(i),
+and the N coefficients determine each other: pi_i reads coefficients
+0..i through the coordinates of w**(r k_i), and coefficient t is the
+pairing with c_t = (1/d_t) sum_k m_{t,k} w**(rk), whose slots all have
+resolving index <= t.  So a product multiplies pairings pointwise, an
+inverse takes their reciprocals, and an AdamsPoly's pairings are its
+values at beta**(r k_i).  The Gamma-table contractions these replace are
+kept in tests/oracles.py as the reference they are checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import gcd, lcm
+from typing import Iterable, Iterator
 
 from .coalgebra import CoalgebraSpec
 from .laurent import LaurentPoly
-from .rationals import as_fraction, is_p_local_unit, multiplicative_order, nu
+from .rationals import as_fraction, is_p_local_unit, multiplicative_order
 
 
 class PrecisionError(ValueError):
@@ -60,11 +77,6 @@ class DualElement:
     @classmethod
     def one(cls, precision: int) -> "DualElement":
         return cls.unit_vector(0, precision)
-
-    def truncate(self, precision: int) -> "DualElement":
-        if precision > len(self.coeffs):
-            raise PrecisionError("cannot extend a truncated element")
-        return DualElement(self.coeffs[:precision])
 
     def __eq__(self, other):
         return isinstance(other, DualElement) and self.coeffs == other.coeffs
@@ -176,17 +188,65 @@ def pair(spec: CoalgebraSpec, a, f: LaurentPoly) -> Fraction:
     return sum((r * c for r, c in zip(a.coeffs, coords)), Fraction(0))
 
 
+def _pairings(spec: CoalgebraSpec, a: DualElement, count: int) -> list[Fraction]:
+    """The pairings pi_i = <a, w**(r k_i)> for k_i = extending_slot(i), i < count.
+
+    Slot k_i is resolved by basis indices <= i, so pi_i reads only the
+    first i + 1 coefficients of a.  With a's coefficients over one
+    denominator L and the cached monomial coordinates A_k / D_k, each
+    pairing is one integer dot product over L * D_k.
+    """
+    den, nums = _int_coeffs(a, count)
+    return [_int_pairing(spec, den, nums, spec.extending_slot(i)) for i in range(count)]
+
+
+def _int_coeffs(a: DualElement, count: int) -> tuple[int, list[int]]:
+    """The first count coefficients of a as (L, [N_0, ...]) with r_n = N_n / L."""
+    cs = a.coeffs[:count]
+    den = lcm(*(c.denominator for c in cs))
+    return den, [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _int_pairing(spec: CoalgebraSpec, den: int, nums: list[int], k: int) -> Fraction:
+    d, nz = spec._monomial_int_coords(k)
+    return Fraction(sum(nums[i] * v for i, v in nz), den * d)
+
+
+def _from_pairings(spec: CoalgebraSpec, pi: list[Fraction], count: int) -> Iterator[Fraction]:
+    """The coefficients, in index order, of the element with pairings pi.
+
+    Coefficient t is the pairing against c_t = (1/d_t) sum_k m_{t,k} w**(rk),
+    that is (1/d_t) sum_k m_{t,k} pi_{i(k)} with i(k) the resolving index
+    of slot k.  Every slot of window(t) has i(k) <= t, so the first
+    count pairings fix the first count coefficients.  The pairings read
+    so far are kept as integers over the lcm of their denominators, so
+    each coefficient is one integer sum and one Fraction.
+    """
+    den = 1
+    nums: list[int] = []
+    for t in range(count):
+        v = pi[t]
+        f = v.denominator // gcd(den, v.denominator)
+        if f != 1:
+            den *= f
+            nums = [x * f for x in nums]
+        nums.append(v.numerator * (den // v.denominator))
+        d, mono = spec.monomial_form(t)
+        yield Fraction(sum(m * nums[spec.resolving_index(k)] for k, m in mono.items()), d * den)
+
+
 def expand(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> DualElement:
     """Coefficients of an operation polynomial in the dual basis.
 
     The n-th coefficient is the pairing against basis element n.  A
     coefficient outside the ground ring means the element does not lie
     in the dual algebra over that ring, which is an error rather than a
-    value.
+    value.  The polynomial is evaluated once per monomial slot and the
+    coefficients are read off by the back transform.
     """
+    pi = [a.poly(a.beta ** (spec.step * spec.extending_slot(i))) for i in range(precision)]
     out = []
-    for n in range(precision):
-        v = a.value_on(spec.basis_poly(n))
+    for n, v in enumerate(_from_pairings(spec, pi, precision)):
         if not spec.in_ground_ring(v):
             raise NotIntegralError(
                 f"coefficient {n} is {v}, not integral over the ground ring"
@@ -198,24 +258,14 @@ def expand(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> DualElement:
 def multiply(spec: CoalgebraSpec, a: DualElement, b: DualElement) -> DualElement:
     """Product in the dual algebra, exact at the shared precision.
 
+    Pairing with a grouplike monomial is an algebra map, so the product
+    pairs with each monomial as the product of the factors' pairings.
     Coefficient n of the product only involves coefficients i, j <= n of
     the factors, so truncation commutes with multiplication.
     """
     n = min(a.precision, b.precision)
-    out = []
-    for t in range(n):
-        g = spec.coproduct_matrix(t)
-        total = Fraction(0)
-        for i in range(t + 1):
-            ai = a.coeffs[i]
-            if not ai:
-                continue
-            row = g[i]
-            for j in range(t + 1):
-                if b.coeffs[j]:
-                    total += ai * row[j] * b.coeffs[j]
-        out.append(total)
-    return DualElement(out)
+    pi = [x * y for x, y in zip(_pairings(spec, a, n), _pairings(spec, b, n))]
+    return DualElement(_from_pairings(spec, pi, n))
 
 
 def ideal_index(a: DualElement) -> int:
@@ -228,12 +278,12 @@ def ideal_index(a: DualElement) -> int:
 
 def monomial_pairing(spec: CoalgebraSpec, a: DualElement, k: int) -> Fraction:
     """The pairing of a against the monomial w**(rk), when resolvable."""
-    coords = spec.basis_coords(k)
-    if len(coords) > a.precision:
+    need = spec.resolving_index(k) + 1
+    if need > a.precision:
         raise PrecisionError(
-            f"monomial slot {k} needs {len(coords)} coefficients; only {a.precision} known"
+            f"monomial slot {k} needs {need} coefficients; only {a.precision} known"
         )
-    return sum((r * c for r, c in zip(a.coeffs, coords)), Fraction(0))
+    return _int_pairing(spec, *_int_coeffs(a, need), k)
 
 
 def is_unit(spec: CoalgebraSpec, a, mode: str = "auto", precision: int | None = None) -> UnitVerdict:
@@ -277,44 +327,33 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto", precision: int | None = 
             raise ValueError("truncated unit test on an operation polynomial needs a precision")
         a = expand(spec, a, precision)
     n = a.precision if precision is None else min(precision, a.precision)
-    for i in range(n):
-        k = spec.extending_slot(i)
-        v = monomial_pairing(spec, a.truncate(n), k)
+    for i, v in enumerate(_pairings(spec, a, n)):
         if not is_p_local_unit(p, v):
-            return UnitVerdict(unit=False, exact=False, witness=k, checked=n)
+            return UnitVerdict(unit=False, exact=False, witness=spec.extending_slot(i), checked=n)
     return UnitVerdict(unit=True, exact=False, checked=n)
 
 
 def invert(spec: CoalgebraSpec, a: DualElement, precision: int | None = None) -> DualElement:
     """The inverse of a unit, exact at the requested precision.
 
-    Builds the inverse coefficient by coefficient: at step i the
-    coefficient s_i is forced by requiring coefficient i of a * s to
-    match the identity, and the divisor involved is the pairing of a
-    against the monomial of the slot that step resolves.  A non-unit
-    pivot is reported with its step and slot.
+    The inverse pairs with each monomial as the reciprocal of a's
+    pairing.  Pairings are checked in index order: step i resolves slot
+    extending_slot(i), and a pairing there that is not a unit of the
+    ground ring is reported with its step and slot as the pivot.  This
+    is the divisor that coefficient-by-coefficient elimination meets at
+    step i, since the last column of the step-i structure constants is
+    the coordinate vector of that slot's monomial.
     """
     p = _require_prime(spec)
     n = a.precision if precision is None else min(precision, a.precision)
     for v in a.coeffs[:n]:
         if not spec.in_ground_ring(v):
             raise NotIntegralError(f"coefficient {v} is not integral over the ground ring")
-    s = [Fraction(0)] * n
-    prod = [Fraction(0)] * n  # coefficients of a * s so far
-    for i in range(n):
-        g = spec.coproduct_matrix(i)
-        pivot = sum((a.coeffs[k] * g[k][i] for k in range(i + 1)), Fraction(0))
+    pi = _pairings(spec, a, n)
+    for i, pivot in enumerate(pi):
         if not is_p_local_unit(p, pivot):
             raise NotInvertibleError(i, spec.extending_slot(i), pivot)
-        target = spec.counit_value(i)
-        s[i] = (target - prod[i]) / pivot
-        if s[i]:
-            for t in range(i, n):
-                gt = spec.coproduct_matrix(t)
-                prod[t] += s[i] * sum(
-                    (a.coeffs[k] * gt[k][i] for k in range(t + 1)), Fraction(0)
-                )
-    return DualElement(s)
+    return DualElement(_from_pairings(spec, [1 / v for v in pi], n))
 
 
 def algebra_one(spec: CoalgebraSpec, precision: int) -> DualElement:

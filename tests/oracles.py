@@ -19,14 +19,32 @@ and Fractions:
 * cross_check_coefficients: Newton coordinates of
   theta_m theta_n - theta_{m+n} over the product nodes, by newton_coeffs;
 * cross_check_record: the cross-check record those coordinates give.
+
+The dual algebra (ktops.dual) multiplies, inverts and expands through
+the pairings with grouplike monomials.  The routes here contract the
+Gamma tables coefficient by coefficient instead:
+
+* multiply_by_contraction: coefficient t of a b as sum G_t[i][j] a_i b_j;
+* invert_by_elimination: the inverse solved coefficient by coefficient,
+  with the step-i pivot taken from the last column of G_i;
+* expand_by_value_on: coefficient n as P paired with basis element n;
+* monomial_pairing_by_coords: the pairing with w**(rk) summed over the
+  Fraction coordinates from basis_coords.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from ktops.coalgebra import CoalgebraSpec, NotRegularError
+from ktops.dual import (
+    AdamsPoly,
+    DualElement,
+    NotIntegralError,
+    NotInvertibleError,
+    PrecisionError,
+)
 from ktops.laurent import LaurentPoly, alternating_powers, geometric_powers, newton_coeffs
-from ktops.rationals import nu
+from ktops.rationals import is_p_local_unit, nu
 from ktops.spectra import SpectrumSpec
 
 
@@ -172,3 +190,73 @@ def cross_check_record(p: int, coeffs: list[Fraction], m: int, n: int, l: int) -
         "ok": bad is None,
         "witness": bad,
     }
+
+
+def multiply_by_contraction(spec: CoalgebraSpec, a: DualElement, b: DualElement) -> DualElement:
+    """Product in the dual: coefficient t is sum_{i,j <= t} G_t[i][j] a_i b_j."""
+    n = min(a.precision, b.precision)
+    out = []
+    for t in range(n):
+        g = spec.coproduct_matrix(t)
+        total = Fraction(0)
+        for i in range(t + 1):
+            ai = a.coeffs[i]
+            if not ai:
+                continue
+            row = g[i]
+            for j in range(t + 1):
+                if b.coeffs[j]:
+                    total += ai * row[j] * b.coeffs[j]
+        out.append(total)
+    return DualElement(out)
+
+
+def invert_by_elimination(spec: CoalgebraSpec, a: DualElement, precision: int | None = None) -> DualElement:
+    """The inverse, coefficient s_i forced at step i so that coefficient i
+    of a * s matches the counit; the divisor is sum_k a_k G_i[k][i]."""
+    if spec.prime is None:
+        raise ValueError("this operation needs a p-local coalgebra")
+    p = spec.prime
+    n = a.precision if precision is None else min(precision, a.precision)
+    for v in a.coeffs[:n]:
+        if not spec.in_ground_ring(v):
+            raise NotIntegralError(f"coefficient {v} is not integral over the ground ring")
+    s = [Fraction(0)] * n
+    prod = [Fraction(0)] * n  # coefficients of a * s so far
+    for i in range(n):
+        g = spec.coproduct_matrix(i)
+        pivot = sum((a.coeffs[k] * g[k][i] for k in range(i + 1)), Fraction(0))
+        if not is_p_local_unit(p, pivot):
+            raise NotInvertibleError(i, spec.extending_slot(i), pivot)
+        target = spec.counit_value(i)
+        s[i] = (target - prod[i]) / pivot
+        if s[i]:
+            for t in range(i, n):
+                gt = spec.coproduct_matrix(t)
+                prod[t] += s[i] * sum(
+                    (a.coeffs[k] * gt[k][i] for k in range(t + 1)), Fraction(0)
+                )
+    return DualElement(s)
+
+
+def expand_by_value_on(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> DualElement:
+    """Coefficient n is a paired with basis element n, one monomial at a time."""
+    out = []
+    for n in range(precision):
+        v = a.value_on(spec.basis_poly(n))
+        if not spec.in_ground_ring(v):
+            raise NotIntegralError(
+                f"coefficient {n} is {v}, not integral over the ground ring"
+            )
+        out.append(v)
+    return DualElement(out)
+
+
+def monomial_pairing_by_coords(spec: CoalgebraSpec, a: DualElement, k: int) -> Fraction:
+    """The pairing of a with w**(rk), summed over the Fraction coordinates."""
+    coords = spec.basis_coords(k)
+    if len(coords) > a.precision:
+        raise PrecisionError(
+            f"monomial slot {k} needs {len(coords)} coefficients; only {a.precision} known"
+        )
+    return sum((r * c for r, c in zip(a.coeffs, coords)), Fraction(0))

@@ -113,6 +113,26 @@ def test_counit_law_on_coproduct():
                 assert total == (1 if j == n else 0)
 
 
+def test_counit_law_catches_wrong_integral_entry():
+    # an integral but wrong entry off the last column passes every other
+    # table check; (0, 1) breaks only the left sum of column 1, (1, 0) only
+    # the right one, and the report gives both sums of that column
+    n = 3
+    for name in ("k(3)", "KO(2)", "G(5)"):
+        for r, c in ((0, 1), (1, 0)):
+            C = make_spectrum(name).coalgebra
+            g = [list(row) for row in C.coproduct_matrix(n)]
+            g[r][c] += 1
+            C._gamma[n] = tuple(tuple(row) for row in g)
+            report = verify_regularity(C, 5)
+            failed = {ch.name: ch.counterexample for ch in report.checks if not ch.ok}
+            eps = [C.counit_value(i) for i in range(n + 1)]
+            left = sum(eps[i] * g[i][1] for i in range(n + 1))
+            right = sum(eps[i] * g[1][i] for i in range(n + 1))
+            want = f"element {n}, index 1: counit sums ({left}, {right})"
+            assert failed == {"counit law": want}, (name, r, c)
+
+
 def test_grouplike_monomial():
     # w^k = sum lam_n c_n and Delta w^k = w^k (x) w^k force
     # sum_n lam_n Gamma_ij^n = lam_i lam_j

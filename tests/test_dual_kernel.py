@@ -1,0 +1,163 @@
+"""The dual algebra's pairing transforms against the Gamma contractions in oracles.py."""
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ktops.coalgebra import binomial_coalgebra, monomial_coalgebra
+from ktops.dual import (
+    AdamsPoly,
+    DualElement,
+    PrecisionError,
+    algebra_one,
+    expand,
+    invert,
+    is_unit,
+    monomial_pairing,
+    multiply,
+)
+from ktops.laurent import LaurentPoly
+from ktops.rationals import is_p_local_unit
+from ktops.spectra import dual_theta_basis, make_spectrum, spectrum_names
+from oracles import (
+    expand_by_value_on,
+    invert_by_elimination,
+    monomial_pairing_by_coords,
+    multiply_by_contraction,
+)
+
+SPECTRA = list(dict.fromkeys(spectrum_names(3) + ["k(5)", "K(5)", "g(5)", "G(5)", "G(7)"]))
+OTHERS = {
+    "binomial": lambda: binomial_coalgebra(3),
+    "monomial": lambda: monomial_coalgebra(step=2, prime=3),
+    "monomial-periodic": lambda: monomial_coalgebra(step=2, prime=3, periodic=True),
+}
+THETA = [n for n in SPECTRA if make_spectrum(n).has_theta_form]
+TOP = 12
+
+
+def _algebra(name):
+    """(coalgebra, operation base, spectrum or None) for a sweep name."""
+    if name in OTHERS:
+        return OTHERS[name](), Fraction(2), None
+    sp = make_spectrum(name)
+    return sp.coalgebra, Fraction(sp.q), sp
+
+
+def _outcome(f, *args):
+    """What f returns, or the type, message and (step, slot, pivot) of its refusal."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return (type(e), str(e), getattr(e, "step", None), getattr(e, "slot", None),
+                getattr(e, "pivot", None))
+
+
+def _element(rng, prec, dens):
+    return DualElement(Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(prec))
+
+
+def _unit(rng, C, p, prec):
+    """1 + p * (small integers): every monomial pairing is 1 mod p."""
+    one = algebra_one(C, prec)
+    return DualElement(c + p * rng.randint(-2, 2) for c in one.coeffs)
+
+
+def _non_unit(rng, C, p, a, i):
+    """a with coefficient i set so that its pairing at step i is p * (small)."""
+    coeffs = list(a.coeffs)
+    coords = C.basis_coords(C.extending_slot(i))
+    base = sum(coeffs[k] * coords[k] for k in range(i))
+    coeffs[i] = (p * rng.randint(-2, 2) - base) / coords[i]
+    return DualElement(coeffs)
+
+
+def _inputs(rng, C, p):
+    local = [d for d in (1, 2, 4, 5, 7, 11) if d % p]
+    nonlocal_ = local + [p, p * p]
+    prec = rng.randint(4, TOP)
+    elements = [
+        _element(rng, prec, local),
+        _element(rng, prec, local),
+        _element(rng, rng.randint(1, prec), local),
+        _element(rng, prec, nonlocal_),
+        _unit(rng, C, p, prec),
+        _unit(rng, C, p, rng.randint(1, prec)),
+    ]
+    unit = _unit(rng, C, p, prec)
+    elements += [_non_unit(rng, C, p, unit, i) for i in rng.sample(range(prec), min(3, prec))]
+    return prec, elements
+
+
+@pytest.mark.parametrize("name", SPECTRA + list(OTHERS))
+def test_multiply_invert_match_contraction_oracles(name):
+    C, _, _ = _algebra(name)
+    p = C.prime
+    rng = random.Random(name)
+    refusals = 0
+    for _ in range(3):
+        prec, elements = _inputs(rng, C, p)
+        for a in elements:
+            b = rng.choice(elements)
+            assert multiply(C, a, b) == multiply_by_contraction(C, a, b)
+            want = _outcome(invert_by_elimination, C, a)
+            assert _outcome(invert, C, a) == want
+            refusals += not isinstance(want, DualElement)
+            cut = rng.randint(1, prec)
+            assert _outcome(invert, C, a, cut) == _outcome(invert_by_elimination, C, a, cut)
+    assert refusals
+
+
+@pytest.mark.parametrize("name", SPECTRA + list(OTHERS))
+def test_pairings_and_truncated_unit_match_coordinate_sums(name):
+    C, _, _ = _algebra(name)
+    p = C.prime
+    rng = random.Random(name)
+    prec, elements = _inputs(rng, C, p)
+    for a in elements:
+        for k in C.monomial_slots(prec):
+            assert _outcome(monomial_pairing, C, a, k) == _outcome(monomial_pairing_by_coords, C, a, k)
+        want = next(
+            ((False, k) for k in map(C.extending_slot, range(a.precision))
+             if not is_p_local_unit(p, monomial_pairing_by_coords(C, a, k))),
+            (True, None),
+        )
+        v = is_unit(C, a, mode="truncated")
+        assert (v.unit, v.witness, v.checked, v.exact) == (*want, a.precision, False)
+    with pytest.raises(PrecisionError):
+        monomial_pairing(C, DualElement((1,)), C.extending_slot(1))
+
+
+@pytest.mark.parametrize("name", SPECTRA + list(OTHERS))
+def test_expand_matches_value_on_oracle(name):
+    C, beta, sp = _algebra(name)
+    p = C.prime
+    rng = random.Random(name)
+    polys = [
+        LaurentPoly({e: rng.randint(-4, 4) for e in range(rng.randint(1, 5))}),
+        LaurentPoly({0: 1, 1: Fraction(rng.randint(1, 4), p)}),
+        LaurentPoly({e: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 7))) for e in range(3)}),
+    ]
+    cases = [AdamsPoly(beta, f) for f in polys] + [AdamsPoly(Fraction(1, 2), polys[0])]
+    if sp is not None and sp.has_theta_form:
+        cases += [dual_theta_basis(sp, n) for n in (0, 3, TOP - 1)]
+    for a in cases:
+        for prec in (1, TOP):
+            assert _outcome(expand, C, a, prec) == _outcome(expand_by_value_on, C, a, prec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(THETA),
+    f=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    g=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+)
+def test_multiply_of_expansions_is_expansion_of_product(name, f, g):
+    # two product routes: pointwise in the dual, and on the operation polynomials
+    sp = make_spectrum(name)
+    C = sp.coalgebra
+    P = AdamsPoly(sp.q, LaurentPoly(dict(enumerate(f))))
+    Q = AdamsPoly(sp.q, LaurentPoly(dict(enumerate(g))))
+    prec = 8
+    assert multiply(C, expand(C, P, prec), expand(C, Q, prec)) == expand(C, P * Q, prec)
