@@ -16,19 +16,13 @@ from .rationals import (
     multiplicative_order,
     check_primitive_root,
     least_primitive_root,
-    PAdicRational,
 )
 from .laurent import (
     LaurentPoly,
-    NotDivisibleError,
     PoleError,
-    exact_divide,
     geometric_powers,
     alternating_powers,
     theta,
-    big_theta,
-    newton_coeffs,
-    theta_coords,
 )
 from .coalgebra import (
     CoalgebraSpec,
@@ -47,7 +41,6 @@ from .dual import (
     pair,
     expand,
     multiply,
-    ideal_index,
     monomial_pairing,
     is_unit,
     invert,
@@ -68,7 +61,6 @@ from .checks import (
     check_unit_condition,
     check_congruence_condition,
     check_coalgebra_conditions,
-    check_product_congruence,
     product_identity_holds,
     check_pow3_valuations,
     check_gamma_transfer,

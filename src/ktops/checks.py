@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations, islice
 from typing import Callable
 
 from .laurent import LaurentPoly, theta
@@ -79,6 +80,12 @@ class ConditionVerdict:
         return f"{self.spectrum} {self.condition} {where}: {word}{tail}{ctl}"
 
 
+# the cross-check expands cells with m + n up to _CROSS_LIMIT and reads
+# their first _CROSS_CAP coordinates
+_CROSS_LIMIT = 60
+_CROSS_CAP = 12
+
+
 def _int_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
     """The shift E and the integer nodes y_1..y_count, y_i = b**(s_i + E).
 
@@ -97,9 +104,7 @@ def _int_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
     return e, [b ** (e + (i // 2 if i % 2 == 0 else -(i // 2))) for i in range(1, count + 1)]
 
 
-def check_unit_condition(
-    spec: SpectrumSpec, m: int, n: int, bound: int = 20, periods: int = 1
-) -> ConditionVerdict:
+def check_unit_condition(spec: SpectrumSpec, m: int, n: int, bound: int = 20) -> ConditionVerdict:
     """Condition (1) for the shift pair m < n.
 
     Product-form route: evaluates the degree n-m node product at b**j
@@ -119,7 +124,7 @@ def check_unit_condition(
         e, ys = _int_nodes(spec, n - m)
         b = spec.base
         period = multiplicative_order(b % p, p)
-        for j in range(period * periods):
+        for j in range(period):
             x = b ** (j + e)
             if all((x - y) % p for y in ys):
                 return ConditionVerdict(
@@ -136,29 +141,29 @@ def check_unit_condition(
 
 
 def check_congruence_condition(
-    spec: SpectrumSpec,
-    m: int,
-    n: int,
-    l: int,
-    expansion_cap: int = 12,
-    expansion_limit: int = 60,
+    spec: SpectrumSpec, m: int, n: int, l: int, bound: int = 20
 ) -> ConditionVerdict:
     """Condition (2) for shift m, index n, depth l.
 
-    The product a_m a_n differs from a_{m+n} by terms whose coefficients
-    are built from the node differences z_{n-i} - z_{m+n-i}; requiring
-    valuation >= l on each difference decides the congruence exactly.
-    As a guard against transcription errors, the verdict is
-    cross-validated on small cells by expanding the actual polynomial
-    difference in the node basis and checking every coefficient.
+    Product-form route: the product a_m a_n differs from a_{m+n} by
+    terms whose coefficients are built from the node differences
+    z_{n-i} - z_{m+n-i}; requiring valuation >= l on each difference
+    decides the congruence exactly.  As a guard against transcription
+    errors, cells with m + n <= 60 also record a cross-check that
+    expands the actual polynomial difference in the node basis and
+    checks its first 12 coefficients.  Without a product form the
+    structure constants with source (m, n) are read off the coalgebra
+    tables for targets up to max(bound, m + n), a bounded verdict.
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")
     if m < 0 or n < 0:
         raise ValueError("shift and index must be non-negative")
-    p = spec.prime
     if not spec.has_theta_form:
-        return check_product_congruence(spec, m, n, l)
+        return _gamma_congruence(
+            spec, "congruence", m, n, l, max(bound, m + n), spec.coalgebra.coproduct_entry
+        )
+    p = spec.prime
     _, ys = _int_nodes(spec, m + n)
     min_val: int | None = None
     verdict = True
@@ -176,19 +181,11 @@ def check_congruence_condition(
             break
 
     cross = None
-    if m + n <= expansion_limit:
-        cross = _cross_validate_congruence(spec, m, n, l, expansion_cap)
+    if m + n <= _CROSS_LIMIT:
+        cross = _cross_validate_congruence(spec, m, n, l, _CROSS_CAP)
     return ConditionVerdict(
-        spec.name,
-        "congruence",
-        verdict,
-        True,
-        m,
-        n,
-        level=l,
-        witness=witness,
-        min_valuation=min_val,
-        checked={"cross": cross} if cross is not None else None,
+        spec.name, "congruence", verdict, True, m, n, level=l, witness=witness,
+        min_valuation=min_val, checked={"cross": cross} if cross is not None else None,
     )
 
 
@@ -264,17 +261,22 @@ def _monomial_divisibility(spec: SpectrumSpec, index: int, bound: int) -> tuple[
 
 def _gamma_congruence(
     spec: SpectrumSpec,
+    condition: str,
     m: int,
     n: int,
     l: int,
     bound: int,
     gamma: Callable[[int, int, int], Fraction],
-) -> tuple[bool, object, int | None]:
-    """Product-side table check: returns (ok, witness, min valuation)."""
-    p = spec.prime
+) -> ConditionVerdict:
+    """Product-side table check for targets up to the bound; a bounded verdict."""
+
+    def verdict(ok, witness=None, min_val=None):
+        return ConditionVerdict(spec.name, condition, ok, False, m, n, level=l,
+                                witness=witness, min_valuation=min_val, checked=bound)
+
     diag = gamma(m, n, m + n)
     if diag != 1:
-        return False, {"part": "product", "target": m + n, "value": str(diag)}, None
+        return verdict(False, {"part": "product", "target": m + n, "value": str(diag)})
     min_val: int | None = None
     for t in range(bound + 1):
         if t == m + n:
@@ -282,12 +284,12 @@ def _gamma_congruence(
         v = gamma(m, n, t)
         if not v:
             continue
-        val = nu(p, v)
+        val = nu(spec.prime, v)
         if min_val is None or val < min_val:
             min_val = val
         if val < l:
-            return False, {"part": "product", "target": t, "value": str(v)}, min_val
-    return True, None, min_val
+            return verdict(False, {"part": "product", "target": t, "value": str(v)}, min_val)
+    return verdict(True, None, min_val)
 
 
 def check_coalgebra_conditions(
@@ -319,53 +321,10 @@ def check_coalgebra_conditions(
         ok, slot = _monomial_divisibility(spec, n - m, bound)
         if not ok:
             return ConditionVerdict(
-                spec.name,
-                "coalgebra",
-                False,
-                False,
-                m,
-                n,
-                level=l,
-                witness={"part": "unit", "slot": slot},
-                checked=bound,
+                spec.name, "coalgebra", False, False, m, n, level=l,
+                witness={"part": "unit", "slot": slot}, checked=bound,
             )
-    ok, witness, min_val = _gamma_congruence(spec, m, n, l, bound, gamma)
-    return ConditionVerdict(
-        spec.name,
-        "coalgebra",
-        ok,
-        False,
-        m,
-        n,
-        level=l,
-        witness=witness,
-        min_valuation=min_val,
-        checked=bound,
-    )
-
-
-def check_product_congruence(
-    spec: SpectrumSpec, m: int, n: int, l: int, bound: int = 20
-) -> ConditionVerdict:
-    """Condition (2) by whichever route the algebra admits."""
-    if spec.has_theta_form:
-        return check_congruence_condition(spec, m, n, l)
-    bound = max(bound, m + n)
-    ok, witness, min_val = _gamma_congruence(
-        spec, m, n, l, bound, spec.coalgebra.coproduct_entry
-    )
-    return ConditionVerdict(
-        spec.name,
-        "congruence",
-        ok,
-        False,
-        m,
-        n,
-        level=l,
-        witness=witness,
-        min_valuation=min_val,
-        checked=bound,
-    )
+    return _gamma_congruence(spec, "coalgebra", m, n, l, bound, gamma)
 
 
 def product_identity_holds(z: Callable[[int], Fraction], m: int, n: int) -> bool:
@@ -404,14 +363,6 @@ class SweepReport:
 
     def __bool__(self):
         return self.holds
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": "holds" if self.holds else "fails",
-            "cells": self.cells,
-            "mismatches": list(self.mismatches),
-        }
 
 
 def check_pow3_valuations(i_max: int) -> SweepReport:
@@ -554,23 +505,21 @@ def condition_report(
     """
     if l_max < 1:
         raise ValueError("the depth must be a positive integer")
+    if sample_size < 1:
+        raise ValueError("the sample size must be a positive integer")
     rows: list[ConditionVerdict] = []
     for l in range(1, l_max + 1):
-        shifts = []
-        gen = admissible_shifts(spec, l)
-        for _ in range(sample_size):
-            shifts.append(next(gen))
-        for a in range(len(shifts)):
-            for b in range(a + 1, len(shifts)):
-                v = check_unit_condition(spec, shifts[a], shifts[b], bound=bound)
-                rows.append(replace(v, level=l))
+        shifts = list(islice(admissible_shifts(spec, l), sample_size))
+        for a, b in combinations(shifts, 2):
+            v = check_unit_condition(spec, a, b, bound=bound)
+            rows.append(replace(v, level=l))
         for m in shifts:
             for n in range(n_range):
-                rows.append(check_product_congruence(spec, m, n, l, bound=bound))
+                rows.append(check_congruence_condition(spec, m, n, l, bound=bound))
         if include_controls:
             c = _control_shift(spec, l)
             if c is not None:
                 for n in (1, 2):
-                    v = check_product_congruence(spec, c, n, l, bound=bound)
+                    v = check_congruence_condition(spec, c, n, l, bound=bound)
                     rows.append(replace(v, control=True))
     return ConditionReport(spec.name, l_max, tuple(rows))

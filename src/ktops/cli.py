@@ -20,36 +20,44 @@ import functools
 import json
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import checks, dual, spectra
 
 FORMATS = ("json", "tsv", "pretty")
 
+# Python's int-to-str digit limit as this process started with it, where
+# Python has one (3.10.7 and later); 0 means no limit
+_INPUT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
+
+@dataclass
 class Report:
-    """One subcommand's output in all three shapes."""
+    """One subcommand's exit code and JSON record, with its renderers.
 
-    def __init__(self, code: int, payload: dict, rows: list[list], pretty: list[str]):
-        self.code = code
-        self.payload = payload
-        self.rows = rows
-        self.pretty = pretty
+    The record holds exact values; Fractions and polynomials are written
+    with str in every format.  tsv and pretty are functions of the
+    record, called only when their format is asked for.
+    """
+
+    code: int
+    record: dict
+    tsv: Callable[[dict], list[list]]
+    pretty: Callable[[dict], list[str]]
 
     def emit(self, fmt: str, out) -> int:
         if fmt == "json":
-            print(json.dumps(self.payload, sort_keys=True), file=out)
+            lines = [json.dumps(self.record, sort_keys=True, default=str)]
         elif fmt == "tsv":
-            for row in self.rows:
-                print("\t".join(str(v) for v in row), file=out)
+            lines = ["\t".join(str(v) for v in row) for row in self.tsv(self.record)]
         else:
-            for line in self.pretty:
-                print(line, file=out)
+            lines = self.pretty(self.record)
+        for line in lines:
+            print(line, file=out)
         return self.code
-
-
-def _rat(v) -> str:
-    return str(v if type(v) is Fraction else Fraction(v))
 
 
 def _spectrum(args) -> spectra.SpectrumSpec:
@@ -62,29 +70,40 @@ def _cmd_basis(args) -> Report:
     if args.n < 0:
         raise ValueError("--n must be non-negative")
     elements = []
-    rows = [["n", "poly", "denominator", "monomial_coeffs", "coords_of_monomial"]]
-    pretty = [f"{sp.name} basis to index {args.n} (q = {sp.q})"]
     for n in range(args.n + 1):
-        poly = C.basis_poly(n).render()
         d, lam = C.monomial_form(n)
-        d = _rat(d)
-        lam = {str(k): _rat(v) for k, v in sorted(lam.items())}
-        coords = [_rat(v) for v in C.basis_coords(n)]
         elements.append({
             "n": n,
-            "poly": poly,
-            "denominator": d,
-            "monomial_coeffs": lam,
-            "coords_of_monomial": coords,
+            "poly": C.basis_poly(n),
+            # monomial_form is on ints; Fractions print as strings in JSON too
+            "denominator": Fraction(d),
+            "monomial_coeffs": {str(k): Fraction(v) for k, v in sorted(lam.items())},
+            "coords_of_monomial": C.basis_coords(n),
         })
-        lam_text = " ".join(f"{k}:{v}" for k, v in lam.items())
-        coord_text = ",".join(coords)
-        rows.append([n, poly, d, lam_text, coord_text])
-        pretty.append(f"  c_{n} = {poly}")
-        pretty.append(f"      denominator {d}; monomial slots {lam_text}")
-        pretty.append(f"      w^({sp.step}*{n}) has coordinates ({coord_text})")
-    payload = {"spectrum": sp.name, "q": sp.q, "n": args.n, "basis": elements}
-    return Report(0, payload, rows, pretty)
+    record = {"spectrum": sp.name, "q": sp.q, "n": args.n, "basis": elements}
+    return Report(0, record, _basis_tsv, functools.partial(_basis_pretty, sp.step))
+
+
+def _monomial_text(e: dict) -> tuple[str, str]:
+    return (" ".join(f"{k}:{v}" for k, v in e["monomial_coeffs"].items()),
+            ",".join(map(str, e["coords_of_monomial"])))
+
+
+def _basis_tsv(rec: dict) -> list[list]:
+    rows = [["n", "poly", "denominator", "monomial_coeffs", "coords_of_monomial"]]
+    for e in rec["basis"]:
+        rows.append([e["n"], e["poly"], e["denominator"], *_monomial_text(e)])
+    return rows
+
+
+def _basis_pretty(step: int, rec: dict) -> list[str]:
+    lines = [f"{rec['spectrum']} basis to index {rec['n']} (q = {rec['q']})"]
+    for e in rec["basis"]:
+        lam_text, coord_text = _monomial_text(e)
+        lines += [f"  c_{e['n']} = {e['poly']}",
+                  f"      denominator {e['denominator']}; monomial slots {lam_text}",
+                  f"      w^({step}*{e['n']}) has coordinates ({coord_text})"]
+    return lines
 
 
 def _cmd_gamma(args) -> Report:
@@ -92,36 +111,50 @@ def _cmd_gamma(args) -> Report:
     C = sp.coalgebra
     if args.n < 0:
         raise ValueError("--n must be non-negative")
-    mats = []
+    mats = [{"n": n, "matrix": C.coproduct_matrix(n)} for n in range(args.n + 1)]
+    record = {"spectrum": sp.name, "q": sp.q, "n": args.n, "gamma": mats}
+    return Report(0, record, _gamma_tsv, _gamma_pretty)
+
+
+def _gamma_tsv(rec: dict) -> list[list]:
     rows = [["n", "i", "j", "value"]]
-    pretty = [f"{sp.name} structure constants to target {args.n}"]
-    for n in range(args.n + 1):
-        m = [[_rat(v) for v in row] for row in C.coproduct_matrix(n)]
-        mats.append({"n": n, "matrix": m})
-        pretty.append(f"  target {n}:")
-        for i, row in enumerate(m):
-            for j, v in enumerate(row):
-                rows.append([n, i, j, v])
-            pretty.append("    " + " ".join(row))
-    payload = {"spectrum": sp.name, "q": sp.q, "n": args.n, "gamma": mats}
-    return Report(0, payload, rows, pretty)
+    for m in rec["gamma"]:
+        for i, row in enumerate(m["matrix"]):
+            rows.extend([m["n"], i, j, v] for j, v in enumerate(row))
+    return rows
+
+
+def _gamma_pretty(rec: dict) -> list[str]:
+    lines = [f"{rec['spectrum']} structure constants to target {rec['n']}"]
+    for m in rec["gamma"]:
+        lines.append(f"  target {m['n']}:")
+        lines.extend("    " + " ".join(map(str, row)) for row in m["matrix"])
+    return lines
+
+
+def _coeff_report(code: int, record: dict, title: str) -> Report:
+    """A report on a dual element's coefficients; title is formatted with the record."""
+
+    def tsv(rec):
+        return [["n", "coeff"]] + [[n, c] for n, c in enumerate(rec["coeffs"])]
+
+    def pretty(rec):
+        terms = " ".join(f"{c}*a_{n}" for n, c in enumerate(rec["coeffs"]) if c)
+        return [title.format(**rec), "  " + terms]
+
+    return Report(code, record, tsv, pretty)
 
 
 def _cmd_product(args) -> Report:
     sp = _spectrum(args)
-    C = sp.coalgebra
     if args.prec <= max(args.i, args.j):
         raise ValueError("--prec must exceed both indices")
     a = dual.DualElement.unit_vector(args.i, args.prec)
     b = dual.DualElement.unit_vector(args.j, args.prec)
-    prod = dual.multiply(C, a, b)
-    coeffs = [_rat(v) for v in prod.coeffs]
-    payload = {"spectrum": sp.name, "q": sp.q, "i": args.i, "j": args.j,
-               "precision": args.prec, "coeffs": coeffs}
-    rows = [["n", "coeff"]] + [[n, c] for n, c in enumerate(coeffs)]
-    pretty = [f"{sp.name}: a_{args.i} * a_{args.j} at precision {args.prec}",
-              "  " + " ".join(f"{c}*a_{n}" for n, c in enumerate(coeffs) if c != "0")]
-    return Report(0, payload, rows, pretty)
+    prod = dual.multiply(sp.coalgebra, a, b)
+    record = {"spectrum": sp.name, "q": sp.q, "i": args.i, "j": args.j,
+              "precision": args.prec, "coeffs": prod.coeffs}
+    return _coeff_report(0, record, "{spectrum}: a_{i} * a_{j} at precision {precision}")
 
 
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
@@ -133,30 +166,25 @@ def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
 
 def _cmd_invert(args) -> Report:
     sp = _spectrum(args)
-    C = sp.coalgebra
     coeffs = _parse_coeffs(args.coeffs)
     prec = args.prec if args.prec is not None else len(coeffs)
     if prec < len(coeffs):
         raise ValueError("--prec must cover the given coefficients")
-    padded = coeffs + (Fraction(0),) * (prec - len(coeffs))
-    a = dual.DualElement(padded)
+    a = dual.DualElement(coeffs + (Fraction(0),) * (prec - len(coeffs)))
     try:
-        inv = dual.invert(C, a)
+        inv = dual.invert(sp.coalgebra, a)
     except dual.NotInvertibleError as e:
-        payload = {"spectrum": sp.name, "q": sp.q, "invertible": False,
-                   "step": e.step, "slot": e.slot, "pivot": _rat(e.pivot)}
-        rows = [["invertible", "step", "slot", "pivot"],
-                [False, e.step, e.slot, _rat(e.pivot)]]
-        pretty = [f"{sp.name}: not invertible; step {e.step} pivot {_rat(e.pivot)} "
-                  f"(slot {e.slot}) is not a unit"]
-        return Report(1, payload, rows, pretty)
-    out = [_rat(v) for v in inv.coeffs]
-    payload = {"spectrum": sp.name, "q": sp.q, "invertible": True,
-               "precision": prec, "coeffs": out}
-    rows = [["n", "coeff"]] + [[n, c] for n, c in enumerate(out)]
-    pretty = [f"{sp.name}: inverse at precision {prec}",
-              "  " + " ".join(f"{c}*a_{n}" for n, c in enumerate(out) if c != "0")]
-    return Report(0, payload, rows, pretty)
+        record = {"spectrum": sp.name, "q": sp.q, "invertible": False,
+                  "step": e.step, "slot": e.slot, "pivot": e.pivot}
+        keys = ["invertible", "step", "slot", "pivot"]
+        return Report(
+            1, record, lambda rec: [keys, [rec[k] for k in keys]],
+            lambda rec: [f"{rec['spectrum']}: not invertible; step {rec['step']} "
+                         f"pivot {rec['pivot']} (slot {rec['slot']}) is not a unit"],
+        )
+    record = {"spectrum": sp.name, "q": sp.q, "invertible": True,
+              "precision": prec, "coeffs": inv.coeffs}
+    return _coeff_report(0, record, "{spectrum}: inverse at precision {precision}")
 
 
 def _cmd_check(args) -> Report:
@@ -165,47 +193,48 @@ def _cmd_check(args) -> Report:
         sp, args.l, sample_size=args.sample,
         include_controls=args.include_negative_controls,
     )
-    bad = report.failing + report.failing_controls
-    code = 1 if bad else 0
-    payload = report.as_dict()
-    rows = [["spectrum", "condition", "m", "n", "l", "verdict", "control",
-             "min_valuation", "witness"]]
-    for r in report.rows:
-        d = r.as_dict()
-        rows.append([d["spectrum"], d["condition"], d["m"], d["n"], d["l"],
-                     d["verdict"], d["control"], d["min_valuation"], d["witness"]])
-    pretty = [report.summary()]
-    if report.failing_controls:
-        pretty.append(f"  {len(report.failing_controls)} negative control cell(s) failed, as they should")
-    return Report(code, payload, rows, pretty)
+    code = 1 if report.failing or report.failing_controls else 0
+    cols = ["spectrum", "condition", "m", "n", "l", "verdict", "control",
+            "min_valuation", "witness"]
+
+    def pretty(rec):
+        lines = [report.summary()]
+        if report.failing_controls:
+            lines.append(f"  {len(report.failing_controls)} negative control cell(s) "
+                         "failed, as they should")
+        return lines
+
+    return Report(
+        code, report.as_dict(),
+        lambda rec: [cols] + [[r[k] for k in cols] for r in rec["rows"]], pretty,
+    )
+
+
+def _sweep_report(sweep: checks.SweepReport, agree: str) -> Report:
+    """val2 and gamma-transfer: one sweep, its cell count and mismatches."""
+    record = {"check": sweep.name, "holds": sweep.holds, "cells": sweep.cells,
+              "mismatches": list(sweep.mismatches)}
+
+    def tsv(rec):
+        return [["check", "holds", "cells", "mismatches"],
+                [rec["check"], rec["holds"], rec["cells"], len(rec["mismatches"])]]
+
+    def pretty(rec):
+        verdict = agree if rec["holds"] else "MISMATCH"
+        return ([f"{rec['check']}: {rec['cells']} cells, {verdict}"]
+                + [f"  {m}" for m in rec["mismatches"]])
+
+    return Report(0 if sweep.holds else 1, record, tsv, pretty)
 
 
 def _cmd_val2(args) -> Report:
-    sweep = checks.check_pow3_valuations(args.max)
-    payload = {"check": sweep.name, "holds": sweep.holds, "cells": sweep.cells,
-               "mismatches": list(sweep.mismatches)}
-    rows = [["check", "holds", "cells", "mismatches"],
-            [sweep.name, sweep.holds, sweep.cells, len(sweep.mismatches)]]
-    pretty = [f"{sweep.name}: {sweep.cells} cells, "
-              f"{'all match the closed form' if sweep.holds else 'MISMATCH'}"]
-    for m in sweep.mismatches:
-        pretty.append(f"  {m}")
-    return Report(0 if sweep.holds else 1, payload, rows, pretty)
+    return _sweep_report(checks.check_pow3_valuations(args.max), "all match the closed form")
 
 
 def _cmd_gamma_transfer(args) -> Report:
     k2 = spectra.make_spectrum("k(2)")
     ko2 = spectra.make_spectrum("ko(2)")
-    sweep = checks.check_gamma_transfer(k2, ko2, args.max)
-    payload = {"check": sweep.name, "holds": sweep.holds, "cells": sweep.cells,
-               "mismatches": list(sweep.mismatches)}
-    rows = [["check", "holds", "cells", "mismatches"],
-            [sweep.name, sweep.holds, sweep.cells, len(sweep.mismatches)]]
-    pretty = [f"{sweep.name}: {sweep.cells} cells, "
-              f"{'all transfers agree' if sweep.holds else 'MISMATCH'}"]
-    for m in sweep.mismatches:
-        pretty.append(f"  {m}")
-    return Report(0 if sweep.holds else 1, payload, rows, pretty)
+    return _sweep_report(checks.check_gamma_transfer(k2, ko2, args.max), "all transfers agree")
 
 
 def _add_spectrum_arg(p):
@@ -277,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
+    # input such as --coeffs is parsed under the process's digit limit
+    _set_digit_limit(_INPUT_DIGIT_LIMIT)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -291,6 +322,10 @@ def run(argv=None, out=None) -> int:
     if fmt is None:
         env_fmt = os.environ.get("KTOPS_FORMAT", "")
         fmt = env_fmt if env_fmt in FORMATS else "pretty"
+    # exact values of any size are printed in full, so the digit limit is
+    # lifted for rendering; it stays lifted on return, for the caller to
+    # read the printed values back
+    _set_digit_limit(0)
     return report.emit(fmt, out)
 
 

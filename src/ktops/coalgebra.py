@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Callable
 
 from .laurent import LaurentPoly
@@ -424,7 +424,7 @@ def binomial_coalgebra(prime: int | None = None) -> CoalgebraSpec:
         w = LaurentPoly.variable()
         for i in range(n):
             out = out * (w - i)
-        return out * Fraction(1, _factorial(n))
+        return out * Fraction(1, factorial(n))
 
     return CoalgebraSpec(step=1, basis=basis, prime=prime, name="binomial")
 
@@ -439,9 +439,3 @@ def monomial_coalgebra(step: int = 1, prime: int | None = None, periodic: bool =
 
     return CoalgebraSpec(step=step, basis=basis, prime=prime, periodic=periodic, name="monomial")
 
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

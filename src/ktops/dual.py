@@ -74,10 +74,6 @@ class DualElement:
             raise ValueError("unit vector index must sit below the precision")
         return cls(tuple(1 if i == n else 0 for i in range(precision)))
 
-    @classmethod
-    def one(cls, precision: int) -> "DualElement":
-        return cls.unit_vector(0, precision)
-
     def __eq__(self, other):
         return isinstance(other, DualElement) and self.coeffs == other.coeffs
 
@@ -266,14 +262,6 @@ def multiply(spec: CoalgebraSpec, a: DualElement, b: DualElement) -> DualElement
     n = min(a.precision, b.precision)
     pi = [x * y for x, y in zip(_pairings(spec, a, n), _pairings(spec, b, n))]
     return DualElement(_from_pairings(spec, pi, n))
-
-
-def ideal_index(a: DualElement) -> int:
-    """Index of the first nonzero coefficient; the precision if all vanish."""
-    for i, v in enumerate(a.coeffs):
-        if v:
-            return i
-    return a.precision
 
 
 def monomial_pairing(spec: CoalgebraSpec, a: DualElement, k: int) -> Fraction:

@@ -9,17 +9,14 @@ written down.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .rationals import as_fraction
 
 
 class PoleError(ZeroDivisionError):
-    pass
-
-
-class NotDivisibleError(ValueError):
     pass
 
 
@@ -184,50 +181,10 @@ class LaurentPoly:
         return f"LaurentPoly({dict(sorted(self._c.items()))!r})"
 
 
-def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """The quotient f/g when g divides f exactly; NotDivisibleError otherwise."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero:
-        return LaurentPoly.zero()
-    # Shift both into ordinary polynomials, divide, shift back.
-    sf, sg = f.low, g.low
-    num = {e - sf: v for e, v in f.items()}
-    den = {e - sg: v for e, v in g.items()}
-    dg = max(den)
-    lead = den[dg]
-    quo = {}
-    while num:
-        dn = max(num)
-        if dn < dg:
-            raise NotDivisibleError("polynomials do not divide exactly")
-        q = num[dn] / lead
-        quo[dn - dg] = q
-        for e, v in den.items():
-            e2 = e + dn - dg
-            r = num.get(e2, Fraction(0)) - q * v
-            if r:
-                num[e2] = r
-            else:
-                num.pop(e2, None)
-    return LaurentPoly(quo).shift(sf - sg)
-
-
-def memoized_sequence(fn: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
-    cache: dict[int, Fraction] = {}
-
-    def get(i: int) -> Fraction:
-        if i not in cache:
-            cache[i] = as_fraction(fn(i))
-        return cache[i]
-
-    return get
-
-
 def geometric_powers(base) -> Callable[[int], Fraction]:
     """The root sequence z_i = base**(i-1), i >= 1."""
     b = as_fraction(base)
-    return memoized_sequence(lambda i: b ** (i - 1))
+    return functools.cache(lambda i: b ** (i - 1))
 
 
 def alternating_powers(base) -> Callable[[int], Fraction]:
@@ -237,66 +194,15 @@ def alternating_powers(base) -> Callable[[int], Fraction]:
     always form a block of consecutive integers.
     """
     b = as_fraction(base)
-    return memoized_sequence(lambda i: b ** ((i // 2) if i % 2 == 0 else -(i // 2)))
+    return functools.cache(lambda i: b ** ((i // 2) if i % 2 == 0 else -(i // 2)))
 
 
-def _as_sequence(z) -> Callable[[int], Fraction]:
-    if callable(z):
-        return z
-    if isinstance(z, Sequence):
-        seq = [as_fraction(v) for v in z]
-
-        def get(i: int) -> Fraction:
-            return seq[i - 1]
-
-        return get
-    raise TypeError("root sequence must be a callable i -> rational or a sequence")
-
-
-def theta(n: int, z) -> LaurentPoly:
-    """The monic degree-n product prod_{i=1..n} (X - z_i)."""
+def theta(n: int, z: Callable[[int], Fraction]) -> LaurentPoly:
+    """The monic degree-n product prod_{i=1..n} (X - z_i) over the nodes i -> z_i."""
     if n < 0:
         raise ValueError("theta is defined for n >= 0")
-    zs = _as_sequence(z)
     out = LaurentPoly.one()
     x = LaurentPoly.variable()
     for i in range(1, n + 1):
-        out = out * (x - LaurentPoly({0: zs(i)}))
+        out = out * (x - LaurentPoly({0: z(i)}))
     return out
-
-
-def big_theta(n: int, q) -> LaurentPoly:
-    """theta with the balanced root sequence q**0, q**1, q**-1, q**2, ..."""
-    if as_fraction(q) == 0:
-        raise ValueError("the balanced root sequence needs q != 0")
-    return theta(n, alternating_powers(q))
-
-
-def newton_coeffs(f: LaurentPoly, z, count: int) -> list[Fraction]:
-    """First `count` coordinates of f in the basis theta_0, theta_1, ....
-
-    Extracted bottom-up: the coordinate of theta_k is the value at
-    z_{k+1} of the running quotient, which is then divided by
-    (X - z_{k+1}).  Exact at every step.
-    """
-    zs = _as_sequence(z)
-    x = LaurentPoly.variable()
-    out = []
-    cur = f
-    for k in range(count):
-        v = cur(zs(k + 1))
-        out.append(v)
-        cur = exact_divide(cur - LaurentPoly({0: v}), x - LaurentPoly({0: zs(k + 1)}))
-        if cur.is_zero:
-            out.extend([Fraction(0)] * (count - k - 1))
-            break
-    return out
-
-
-def theta_coords(f: LaurentPoly, z) -> list[Fraction]:
-    """All coordinates of a polynomial f in the basis theta_0, theta_1, ...."""
-    if f.is_zero:
-        return []
-    if f.low < 0:
-        raise ValueError("theta coordinates are defined for ordinary polynomials")
-    return newton_coeffs(f, z, f.degree + 1)

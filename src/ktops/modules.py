@@ -21,10 +21,13 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 from .coalgebra import CoalgebraSpec
-from .rationals import as_fraction, is_prime, nu
+from .rationals import _int_valuation, as_fraction, is_prime, nu
 from .spectra import SpectrumSpec, admissible_shifts
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+# admissible shifts torsion_annihilator tries before it gives up
+_ANNIHILATOR_TRIES = 10
 
 
 def _freeze(rows: Iterable[Iterable]) -> Matrix:
@@ -64,8 +67,7 @@ class FGModule:
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
         for t in self.torsion_orders:
-            e = _power_exponent(t, self.prime)
-            if e is None or e < 1:
+            if t < 2 or self.prime ** _int_valuation(self.prime, t) != t:
                 raise ValueError(f"torsion order {t} is not a positive power of {self.prime}")
         if not self.matrices:
             raise ValueError("an action table needs at least the identity matrix")
@@ -91,23 +93,32 @@ class FGModule:
         return self.torsion_orders[r - self.free_rank]
 
 
-def _power_exponent(t: int, p: int) -> int | None:
-    if t < 1:
-        return None
-    e = 0
-    while t % p == 0:
-        t //= p
-        e += 1
-    return e if t == 1 else None
-
-
 def _entries_congruent(x: Fraction, y: Fraction, p: int, modulus: int | None) -> bool:
     d = x - y
     if not d:
         return True
     if modulus is None:
         return False
-    return nu(p, d) >= _power_exponent(modulus, p)
+    return nu(p, d) >= _int_valuation(p, modulus)
+
+
+def _malformed(mod: FGModule) -> tuple[int, int | None, int | None] | None:
+    """The first flaw in the shape or integrality of an action table.
+
+    (i, None, None) when matrix i is not square of the module's
+    dimension, (i, r, c) when its entry (r, c) is not p-locally
+    integral, None when every matrix is well formed.  Matrices are
+    scanned in order, each for its shape before its entries.
+    """
+    d, p = mod.dimension, mod.prime
+    for i, m in enumerate(mod.matrices):
+        if len(m) != d or any(len(row) != d for row in m):
+            return i, None, None
+        for r, row in enumerate(m):
+            for c, v in enumerate(row):
+                if v.denominator % p == 0:
+                    return i, r, c
+    return None
 
 
 @dataclass(frozen=True)
@@ -133,17 +144,16 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     if spec.prime not in (None, p):
         return ModuleVerdict(False, "prime mismatch between module and coalgebra")
     d = mod.dimension
-    for i, m in enumerate(mod.matrices):
-        if len(m) != d or any(len(row) != d for row in m):
+    bad = _malformed(mod)
+    if bad is not None:
+        i, r, c = bad
+        if r is None:
             return ModuleVerdict(False, f"matrix {i} is not {d} by {d}", {"i": i})
-        for r in range(d):
-            for c in range(d):
-                if m[r][c].denominator % p == 0:
-                    return ModuleVerdict(
-                        False,
-                        f"matrix {i} entry ({r},{c}) is not p-locally integral",
-                        {"i": i, "row": r, "col": c},
-                    )
+        return ModuleVerdict(
+            False,
+            f"matrix {i} entry ({r},{c}) is not p-locally integral",
+            {"i": i, "row": r, "col": c},
+        )
     if mod.matrices[0] != _identity(d):
         return ModuleVerdict(False, "the index-0 matrix must be the identity")
 
@@ -151,7 +161,7 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     # free component and its torsion components respect the orders
     for i, m in enumerate(mod.matrices):
         for c in range(mod.free_rank, d):
-            e_c = _power_exponent(mod.torsion_orders[c - mod.free_rank], p)
+            e_c = _int_valuation(p, mod.torsion_orders[c - mod.free_rank])
             for r in range(d):
                 v = m[r][c]
                 if not v:
@@ -162,7 +172,7 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
                         f"matrix {i} sends torsion generator {c} into the free part",
                         {"i": i, "row": r, "col": c},
                     )
-                e_r = _power_exponent(mod.torsion_orders[r - mod.free_rank], p)
+                e_r = _int_valuation(p, mod.torsion_orders[r - mod.free_rank])
                 if e_r > e_c and nu(p, v) < e_r - e_c:
                     return ModuleVerdict(
                         False,
@@ -259,14 +269,15 @@ class AnnihilatorSearch:
         return self.witness is not None
 
 
-def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int, tries: int = 10) -> AnnihilatorSearch:
+def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> AnnihilatorSearch:
     """Search the depth-s admissible shifts for one killing the torsion.
 
-    Walks m through the admissible set in increasing order and returns
-    the first m whose matrix vanishes on the torsion block (mod the row
-    orders).  Past the table's level everything acts as zero, so for a
-    valid table the search succeeds as soon as the shifts reach that
-    far; a failure certifies the input is not a discrete-module table.
+    Walks m through the first ten admissible shifts in increasing order
+    and returns the first m whose matrix vanishes on the torsion block
+    (mod the row orders).  Past the table's level everything acts as
+    zero, so for a valid table the search succeeds as soon as the shifts
+    reach that far; a failure certifies the input is not a
+    discrete-module table.
     Also reports the first pair of shifts with equal torsion action, in
     the spirit of the pigeonhole step of the finiteness argument.
     Raises ValueError, naming the matrix and the entry, on a table that
@@ -277,35 +288,29 @@ def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int, tries: int = 
     p = mod.prime
     lo = mod.free_rank
     d = mod.dimension
-    for i, m in enumerate(mod.matrices):
-        if len(m) != d or any(len(row) != d for row in m):
+    bad = _malformed(mod)
+    if bad is not None:
+        i, r, c = bad
+        if r is None:
             raise ValueError(f"matrix {i} is not {d} by {d}")
-        for r, row in enumerate(m):
-            for c, v in enumerate(row):
-                if v.denominator % p == 0:
-                    raise ValueError(
-                        f"matrix {i} entry ({r},{c}) is {v}, not {p}-locally integral"
-                    )
+        v = mod.matrices[i][r][c]
+        raise ValueError(f"matrix {i} entry ({r},{c}) is {v}, not {p}-locally integral")
 
     def torsion_block(m: int) -> tuple:
         mat = mod.matrix(m)
         out = []
         for r in range(lo, d):
-            e_r = _power_exponent(mod.torsion_orders[r - lo], p)
+            e_r = _int_valuation(p, mod.torsion_orders[r - lo])
             for c in range(lo, d):
                 v = mat[r][c]
                 out.append(_reduce_mod(v, p, e_r))
         return tuple(out)
 
-    zero = tuple(
-        Fraction(0)
-        for r in range(lo, d)
-        for _ in range(lo, d)
-    )
+    zero = (Fraction(0),) * (d - lo) ** 2
     seen: dict[tuple, int] = {}
     tried = []
     pigeonhole = None
-    for m in islice(admissible_shifts(spec, s), tries):
+    for m in islice(admissible_shifts(spec, s), _ANNIHILATOR_TRIES):
         tried.append(m)
         block = torsion_block(m)
         if block == zero:

@@ -5,7 +5,6 @@ fractions.Fraction; no floating point is used anywhere in the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -110,23 +109,3 @@ def least_primitive_root(p: int) -> int:
             return q
         q += 1
 
-
-@dataclass(frozen=True)
-class PAdicRational:
-    """A rational number carried together with the prime it is localized at."""
-
-    value: Fraction
-    prime: int
-
-    def __post_init__(self):
-        _check_prime(self.prime)
-        object.__setattr__(self, "value", as_fraction(self.value))
-
-    def valuation(self) -> int:
-        return nu(self.prime, self.value)
-
-    def is_integer(self) -> bool:
-        return is_p_local_integer(self.prime, self.value)
-
-    def is_unit(self) -> bool:
-        return is_p_local_unit(self.prime, self.value)

@@ -16,6 +16,8 @@ The congruence cross-check (ktops.checks) runs on integer nodes; the
 expansion here works on the product nodes themselves, in LaurentPoly
 and Fractions:
 
+* exact_divide, newton_coeffs, theta_coords: polynomial division and
+  coordinates in the basis theta_0, theta_1, ... over a node sequence;
 * cross_check_coefficients: Newton coordinates of
   theta_m theta_n - theta_{m+n} over the product nodes, by newton_coeffs;
 * cross_check_record: the cross-check record those coordinates give.
@@ -43,7 +45,7 @@ from ktops.dual import (
     NotInvertibleError,
     PrecisionError,
 )
-from ktops.laurent import LaurentPoly, alternating_powers, geometric_powers, newton_coeffs
+from ktops.laurent import LaurentPoly, alternating_powers, geometric_powers
 from ktops.rationals import is_p_local_unit, nu
 from ktops.spectra import SpectrumSpec
 
@@ -144,6 +146,68 @@ def coproduct_by_solve(spec: CoalgebraSpec, n: int) -> tuple[tuple[Fraction, ...
     for (i, j), v in zip(unknowns, sol):
         g[i][j] = v
     return tuple(tuple(row) for row in g)
+
+
+class NotDivisibleError(ValueError):
+    pass
+
+
+def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """The quotient f/g when g divides f exactly; NotDivisibleError otherwise."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero:
+        return LaurentPoly.zero()
+    # Shift both into ordinary polynomials, divide, shift back.
+    sf, sg = f.low, g.low
+    num = {e - sf: v for e, v in f.items()}
+    den = {e - sg: v for e, v in g.items()}
+    dg = max(den)
+    lead = den[dg]
+    quo = {}
+    while num:
+        dn = max(num)
+        if dn < dg:
+            raise NotDivisibleError("polynomials do not divide exactly")
+        q = num[dn] / lead
+        quo[dn - dg] = q
+        for e, v in den.items():
+            e2 = e + dn - dg
+            r = num.get(e2, Fraction(0)) - q * v
+            if r:
+                num[e2] = r
+            else:
+                num.pop(e2, None)
+    return LaurentPoly(quo).shift(sf - sg)
+
+
+def newton_coeffs(f: LaurentPoly, z, count: int) -> list[Fraction]:
+    """First `count` coordinates of f in the basis theta_0, theta_1, ....
+
+    z is the node sequence i -> z_i, i >= 1.  Extracted bottom-up: the
+    coordinate of theta_k is the value at z_{k+1} of the running
+    quotient, which is then divided by (X - z_{k+1}).  Exact at every step.
+    """
+    x = LaurentPoly.variable()
+    out = []
+    cur = f
+    for k in range(count):
+        v = cur(z(k + 1))
+        out.append(v)
+        cur = exact_divide(cur - LaurentPoly({0: v}), x - LaurentPoly({0: z(k + 1)}))
+        if cur.is_zero:
+            out.extend([Fraction(0)] * (count - k - 1))
+            break
+    return out
+
+
+def theta_coords(f: LaurentPoly, z) -> list[Fraction]:
+    """All coordinates of a polynomial f in the basis theta_0, theta_1, ...."""
+    if f.is_zero:
+        return []
+    if f.low < 0:
+        raise ValueError("theta coordinates are defined for ordinary polynomials")
+    return newton_coeffs(f, z, f.degree + 1)
 
 
 def product_nodes(spec: SpectrumSpec):

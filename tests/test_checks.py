@@ -9,7 +9,6 @@ from ktops.checks import (
     check_congruence_condition,
     check_gamma_transfer,
     check_pow3_valuations,
-    check_product_congruence,
     check_unit_condition,
     condition_report,
     product_identity_holds,
@@ -198,3 +197,19 @@ def test_condition_report_min_valuations_monotone():
     rep = condition_report(K3, 3, sample_size=3, n_range=4)
     vals = rep.min_valuations()
     assert vals[1] >= 1 and vals[2] >= 2 and vals[3] >= 3
+
+
+def test_condition_report_needs_a_positive_sample():
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="sample size"):
+            condition_report(K3, 1, sample_size=size)
+
+
+def test_congruence_condition_reads_tables_without_product_form():
+    # the 2-local complex theories go through the structure constants,
+    # for targets up to max(bound, m + n), and the verdict is bounded
+    v = check_congruence_condition(K2, 4, 2, 1)
+    assert not v.exact and v.checked == 20 and v.condition == "congruence"
+    assert check_congruence_condition(K2, 12, 10, 1).checked == 22
+    with pytest.raises(ValueError):
+        check_congruence_condition(K2, 4, 2, 0)

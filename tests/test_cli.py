@@ -1,8 +1,11 @@
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
+from ktops import cli
 from ktops.cli import run
 
 
@@ -122,3 +125,30 @@ def test_format_env_read_per_call(monkeypatch):
     assert second.splitlines()[0].split("\t") == ["check", "holds", "cells", "mismatches"]
     code, third = capture(["val2", "--max", "4", "--format", "json"])
     assert code == 0 and third == first  # an explicit flag beats the environment
+
+
+def test_huge_table_prints_in_full():
+    # coordinates of c_12 reach 5,015 digits, past Python's default
+    # int-to-str limit of 4,300; the output still prints them exactly
+    code, text = capture(["basis", "G(7)", "--q", "38", "--n", "12", "--format", "json"])
+    assert code == 0
+    coords = [v for e in json.loads(text)["basis"] for v in e["coords_of_monomial"]]
+    assert max(len(v) for v in coords) > 4300
+    # read back with the limit lifted, as run leaves it
+    assert all(Fraction(v).denominator % 7 for v in coords)
+
+
+@pytest.mark.skipif(not cli._INPUT_DIGIT_LIMIT, reason="this Python has no int-to-str limit")
+def test_coeffs_parsed_under_digit_limit():
+    huge = "1" * 5000
+    code, _ = capture(["basis", "k(3)", "--n", "1"])  # lifts the limit for rendering
+    assert code == 0 and sys.get_int_max_str_digits() == 0
+    code, text = capture(["invert", "k(3)", "--coeffs", f"1,{huge}", "--format", "json"])
+    assert code == 2 and text == ""
+
+
+def test_check_needs_a_positive_sample(capsys):
+    for sample in ("0", "-2"):
+        code, text = capture(["check", "k(3)", "--l", "1", "--sample", sample])
+        assert code == 2 and text == ""
+        assert "sample size must be a positive integer" in capsys.readouterr().err

@@ -1,0 +1,66 @@
+"""Every `ktops` subcommand's stdout, in all three formats, pinned by SHA-256 digest.
+
+The digests were captured while each subcommand still built its JSON
+payload, its tsv rows and its pretty lines side by side, so they pin that
+rendering tsv and pretty from the one JSON record changes no byte of any
+format, and that the exit codes stay the same.
+"""
+import hashlib
+import io
+
+import pytest
+
+from ktops.cli import run
+
+GOLDEN = {
+    ("basis k(3) --n 6", "json"): (0, "d69cc20f7174945aeb11112ddcb599338c296c9660cfc5ae3e9c821db396cdf1"),
+    ("basis k(3) --n 6", "tsv"): (0, "fe79dfe06e2434434ff3f405ada9f716da70c77262bf726ce439d0d4f7390809"),
+    ("basis k(3) --n 6", "pretty"): (0, "3fc76a69fb92cb612a8fbeeae5ab7189ef284802578eb155a8e27823aa96e7c7"),
+    ("basis KO(2) --n 6", "json"): (0, "90d7e48368bbb986e0f24906e03790ecff67ea340bf3683960a26f5ea692ec78"),
+    ("basis KO(2) --n 6", "tsv"): (0, "55bd62b9ffd5c587520cd86d39e41ffdbd494400f5fc36756c26590f41b44b90"),
+    ("basis KO(2) --n 6", "pretty"): (0, "437e146917fd79001a49bd3e53c772c53d49aa3b7da006813b7f6aa4d5121c0e"),
+    ("basis K(2) --n 5", "json"): (0, "e9830cf26dc027a2dc01bc8a1b6ec40af1c9212df95a6433435a317677ec1fdc"),
+    ("basis K(2) --n 5", "tsv"): (0, "9654ca73b1bab81fefc9b0ce9eaba72f572bbf6b6f44435baed70de10a43cb7e"),
+    ("basis K(2) --n 5", "pretty"): (0, "a63dafaeab299a4d14c79c5ca870fd8b6ccf921600fe18aad549e1381a14a814"),
+    ("gamma k(3) --n 4", "json"): (0, "c20894d9cc38c8ecb1373bbeb7b3682ffbe12d5c3c19223eddf2bda41550805d"),
+    ("gamma k(3) --n 4", "tsv"): (0, "867a25ac432e3f4fa9e79636af00b9ae5599c87e7970d1115ce15ced1f50f034"),
+    ("gamma k(3) --n 4", "pretty"): (0, "2d51c5bd8c3347b2d6cab84db47c5b0098fcc7409d2e50bdc5a84b808e59e555"),
+    ("gamma KO(2) --n 4", "json"): (0, "3ff812ce4c875876ff4ba2d19100de8fc2253cd856c6a2045135f16001b055e3"),
+    ("gamma KO(2) --n 4", "tsv"): (0, "fae870dea2b833c499372d7b13672bf6388d1b03f7990b8a74495b05cb432347"),
+    ("gamma KO(2) --n 4", "pretty"): (0, "cbad1180bd374328e5e347f7713231443e891bb4c304f1d10e50a53535d27761"),
+    ("gamma K(2) --n 5", "json"): (0, "502c1dea2e35f93ad4517b6d3d83d016d650ade1e117d51e060f11438a6e2218"),
+    ("gamma K(2) --n 5", "tsv"): (0, "aac217289b0f58f172f656984a8829fc223e73ca932556973f508f048f008225"),
+    ("gamma K(2) --n 5", "pretty"): (0, "30135dd32dfffde86080622811d633b02d4717feaed5600fa287baad91c43fd5"),
+    ("val2 --max 16", "json"): (0, "31cfdf901372706fffa1a8064d6d73c8bf6cc8ae50cb77586b36ad0be69820c9"),
+    ("val2 --max 16", "tsv"): (0, "53c2564be0e9a56855a54fe2125f4df93c7989e158a40c902b0bd960c784104e"),
+    ("val2 --max 16", "pretty"): (0, "08607a1c560423e1ecf02ee9575288eaaafbec216d24840c08de8b4c95016c8c"),
+    ("gamma-transfer --max 3", "json"): (0, "624bd0b700096b5e62ec99e9232f4a4a6d46a4c4f8ea062374595e4374dd0090"),
+    ("gamma-transfer --max 3", "tsv"): (0, "523ee817e6e4757899b68f30e76122ea1a11f00e4fac55e56c534ff017a48b40"),
+    ("gamma-transfer --max 3", "pretty"): (0, "49bc23fdacff80be7cd5783cb4eab656c8e13871453310f6a30dd6cca9ea67d8"),
+    ("check k(3) --l 1 --sample 3 --include-negative-controls", "json"): (1, "42e2712ec388f672b189cc433e7f3bc0f5adb3459b99c83a0a81ae37f6b3d662"),
+    ("check k(3) --l 1 --sample 3 --include-negative-controls", "tsv"): (1, "aa03f845b903ef6fc20ab767010f084aa1f6af431d572ac482c3390dbbfd283f"),
+    ("check k(3) --l 1 --sample 3 --include-negative-controls", "pretty"): (1, "bd1a7ae1bbaed6547e1797f46a6d02b681e59512f6b29c64a6f2a6aa76795976"),
+    ("check K(2) --l 1 --sample 3 --include-negative-controls", "json"): (1, "24126c95f0e058033be1cb7e71c9bdc6b6af59c5bc71f2de5b71c1d9f43b02a9"),
+    ("check K(2) --l 1 --sample 3 --include-negative-controls", "tsv"): (1, "97c5ee0b8a0dfebaadbc591ea2075716ff2c9cf32484d30475c0aea4b7c61240"),
+    ("check K(2) --l 1 --sample 3 --include-negative-controls", "pretty"): (1, "e88b150bb54760740d3dbc1f9c74d1c71d57704d79af530ac86c43bf877d298e"),
+    ("product k(3) --i 2 --j 3 --prec 7", "json"): (0, "876609b0333262cc25039580e37b1d55950e0b7839bec34538d7e7f8ed2ae6ed"),
+    ("product k(3) --i 2 --j 3 --prec 7", "tsv"): (0, "1fb8d7a0234650d1fb4752d56c09e1b5f3616b6064fe0913c2174896936e92f2"),
+    ("product k(3) --i 2 --j 3 --prec 7", "pretty"): (0, "3be46f6089d5a8dd65a713d20739c7e1bd148d480cadf02bca4a8affd80a178e"),
+    ("product K(2) --i 1 --j 2 --prec 6", "json"): (0, "7b871fb62215dcc65da25d1409d234673c9eebb10a252478bc68958a21cc66a8"),
+    ("product K(2) --i 1 --j 2 --prec 6", "tsv"): (0, "cb01fa72a9fa5b8d0a723326ec819ee29629ccb652cf05b87a8d34efe3acbbe6"),
+    ("product K(2) --i 1 --j 2 --prec 6", "pretty"): (0, "e5462531bafc01084957b841bdd7eb2dd72ec5c4a4571a3b0ed2d20173e6cc47"),
+    ("invert KO(2) --coeffs 1,2,0,-2 --prec 6", "json"): (0, "7b54061913eb77d4be3bcfc80a20b608942812bdf1d949a05e3470a733dfcd3b"),
+    ("invert KO(2) --coeffs 1,2,0,-2 --prec 6", "tsv"): (0, "2b417f99226b7e6d79d4a64c4cd00762f91cc5f0f96950aa0525927b1c1a7a26"),
+    ("invert KO(2) --coeffs 1,2,0,-2 --prec 6", "pretty"): (0, "8514aa761dd84263ba74c1c9cf8c4e6c503e8b54a8236f403908556199abf6ef"),
+    ("invert k(3) --coeffs 1,-1", "json"): (1, "3f8cd9395b9197d661f64fd5206327d724146c3441a8344d263b997f795ac684"),
+    ("invert k(3) --coeffs 1,-1", "tsv"): (1, "19d57d53ec23652d05b5df90e1de865040d46ed31045d49a335d6c9f0c7797d8"),
+    ("invert k(3) --coeffs 1,-1", "pretty"): (1, "dd0f51fae2ba646c4913a5c37e5f7f96850bdc51b17e17344923489acf58a631"),
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(GOLDEN))
+def test_cli_output_matches_golden(command, fmt):
+    buf = io.StringIO()
+    code = run(command.split() + ["--format", fmt], out=buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert (code, digest) == GOLDEN[command, fmt]

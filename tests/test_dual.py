@@ -10,7 +10,6 @@ from ktops.dual import (
     NotInvertibleError,
     algebra_one,
     expand,
-    ideal_index,
     invert,
     is_unit,
     monomial_pairing,
@@ -77,12 +76,6 @@ def test_algebra_one_is_identity():
     a = DualElement(tuple(Fraction(i + 1, 1) for i in range(8)))
     assert multiply(K3, one, a) == a
     assert multiply(K3, a, one) == a
-
-
-def test_ideal_index():
-    assert ideal_index(DualElement((0, 0, 5, 1))) == 2
-    assert ideal_index(DualElement((1, 0))) == 0
-    assert ideal_index(DualElement((0, 0, 0))) == 3
 
 
 def test_unit_verdict_exact_mode():

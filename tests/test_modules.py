@@ -130,7 +130,7 @@ def test_torsion_annihilator_no_witness_control():
     # unit scalars throughout the bound: certifies a non-discrete table
     mats = tuple(((Fraction(1),),) for _ in range(40))
     fake = FGModule(3, 0, (3,), mats)
-    res = torsion_annihilator(fake, K3, 1, tries=10)
+    res = torsion_annihilator(fake, K3, 1)
     assert res.witness is None
     assert len(res.tried) == 10
     assert res.pigeonhole == (2, 4)

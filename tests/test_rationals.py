@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ktops.rationals import (
-    PAdicRational,
     as_fraction,
     check_primitive_root,
     is_p_local_integer,
@@ -109,15 +108,3 @@ def test_least_primitive_root_generates(p):
     q = least_primitive_root(p)
     assert multiplicative_order(q, p * p) == p * (p - 1)
 
-
-def test_padic_rational():
-    x = PAdicRational(Fraction(5, 2), 3)
-    assert x.valuation() == 0
-    assert x.is_integer() and x.is_unit()
-    y = PAdicRational(Fraction(1, 3), 3)
-    assert y.valuation() == -1
-    assert not y.is_integer()
-    z = PAdicRational(Fraction(6), 3)
-    assert z.is_integer() and not z.is_unit()
-    with pytest.raises(ValueError):
-        PAdicRational(Fraction(0), 3).valuation()
