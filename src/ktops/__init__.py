@@ -17,13 +17,7 @@ from .rationals import (
     check_primitive_root,
     least_primitive_root,
 )
-from .laurent import (
-    LaurentPoly,
-    PoleError,
-    geometric_powers,
-    alternating_powers,
-    theta,
-)
+from .laurent import LaurentPoly, PoleError
 from .coalgebra import (
     CoalgebraSpec,
     RegularityReport,

@@ -13,25 +13,26 @@ a set of admissible shifts:
 For the six product-form algebras both conditions reduce to finite
 computations: (1) is periodic in the evaluation exponent mod p, and (2)
 reduces to valuations of differences of the product nodes.  Both run on
-integers: the nodes z_i = b**s_i (s_i = 0, 1, 2, ... connectively and
-0, 1, -1, 2, -2, ... periodically) are scaled to y_i = b**(s_i + E),
-with E large enough to clear the negative exponents.  A value or
-coordinate computed on the y_i is the one on the z_i times a power of
-b, and b is a p-adic unit, so zeroness and p-adic valuations, the only
-facts the verdicts read, are the same.  The 2-local complex theories
-have no product form, so both conditions are checked through the
-coalgebra coefficient tables up to a stated bound.
+the integer nodes of ktops.spectra.product_nodes, z_i = b**s_i
+(s_i = 0, 1, 2, ... connectively and 0, 1, -1, 2, -2, ... periodically)
+scaled to y_i = b**(s_i + E) to clear the negative exponents, and node
+products grow by ktops.spectra.times_linear.  A value or coordinate
+computed on the y_i is the one on the z_i times a power of b, and b is
+a p-adic unit, so zeroness and p-adic valuations, the only facts the
+verdicts read, are the same.  The 2-local complex theories have no
+product form, so both conditions are checked through the coalgebra
+coefficient tables up to a stated bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, islice
+from functools import reduce
+from itertools import accumulate, combinations, islice
 from typing import Callable
 
-from .laurent import LaurentPoly, theta
 from .rationals import _int_valuation, multiplicative_order, nu
-from .spectra import SpectrumSpec, admissible_shifts, support_step
+from .spectra import SpectrumSpec, admissible_shifts, product_nodes, support_step, times_linear
 
 
 @dataclass(frozen=True)
@@ -86,24 +87,6 @@ _CROSS_LIMIT = 60
 _CROSS_CAP = 12
 
 
-def _int_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
-    """The shift E and the integer nodes y_1..y_count, y_i = b**(s_i + E).
-
-    z_i = b**s_i are the product nodes: s_i = i - 1 connectively, with
-    E = 0, and s_i = 0, 1, -1, 2, -2, ... periodically, where
-    E = count // 2 makes every exponent non-negative.
-    """
-    b, p = spec.base, spec.prime
-    if b is None:
-        raise ValueError(f"{spec.name} has no product-form basis")
-    if b % p == 0:
-        raise ValueError(f"node base {b} of {spec.name} is not a {p}-adic unit")
-    if not spec.periodic:
-        return 0, [b**i for i in range(count)]
-    e = count // 2
-    return e, [b ** (e + (i // 2 if i % 2 == 0 else -(i // 2))) for i in range(1, count + 1)]
-
-
 def check_unit_condition(spec: SpectrumSpec, m: int, n: int, bound: int = 20) -> ConditionVerdict:
     """Condition (1) for the shift pair m < n.
 
@@ -121,7 +104,7 @@ def check_unit_condition(spec: SpectrumSpec, m: int, n: int, bound: int = 20) ->
         raise ValueError("the unit condition needs m < n")
     p = spec.prime
     if spec.has_theta_form:
-        e, ys = _int_nodes(spec, n - m)
+        e, ys = product_nodes(spec, n - m)
         b = spec.base
         period = multiplicative_order(b % p, p)
         for j in range(period):
@@ -164,7 +147,7 @@ def check_congruence_condition(
             spec, "congruence", m, n, l, max(bound, m + n), spec.coalgebra.coproduct_entry
         )
     p = spec.prime
-    _, ys = _int_nodes(spec, m + n)
+    _, ys = product_nodes(spec, m + n)
     min_val: int | None = None
     verdict = True
     witness = None
@@ -205,12 +188,12 @@ def _cross_validate_congruence(spec: SpectrumSpec, m: int, n: int, l: int, cap: 
     b is a p-adic unit, so both have the same zeroness and valuation.
     """
     p = spec.prime
-    _, ys = _int_nodes(spec, m + n)
+    _, ys = product_nodes(spec, m + n)
     # integer coefficients of theta'_k, constant term first, one linear
     # factor at a time; only theta'_m, theta'_n and theta'_{m+n} are kept
     t = tm = tn = [1]
     for k, y in enumerate(ys, 1):
-        t = [u - y * v for u, v in zip([0] + t, t + [0])]
+        t = times_linear(t, y)
         if k == m:
             tm = t
         if k == n:
@@ -327,29 +310,33 @@ def check_coalgebra_conditions(
     return _gamma_congruence(spec, "coalgebra", m, n, l, bound, gamma)
 
 
-def product_identity_holds(z: Callable[[int], Fraction], m: int, n: int) -> bool:
+def product_identity_holds(spec: SpectrumSpec, m: int, n: int) -> bool:
     """The exact polynomial identity behind the congruence reduction.
 
     The product of the degree-m and degree-n node polynomials differs
     from the degree-(m+n) one by a sum of corrections, each carrying a
-    node difference z_{n-i} - z_{m+n-i} as a factor:
+    node difference y_{n-i} - y_{m+n-i} as a factor:
 
-        T_{m+n} = T_m T_n + sum_{i<n} (z_{n-i} - z_{m+n-i})
-                  * prod_{k=n-i+1..n} (X - z_k) * T_{m+n-i-1}
+        T_{m+n} = T_m T_n + sum_{i<n} (y_{n-i} - y_{m+n-i})
+                  * prod_{k=n-i+1..n} (X - y_k) * T_{m+n-i-1}
 
-    Checked symbolically over the given node sequence.
+    Checked on integer coefficient lists over the spectrum's nodes from
+    product_nodes, built by times_linear as the verdicts build them; the
+    identity is homogeneous of degree m + n, so scaling the nodes by b**E
+    does not change it.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
-    x = LaurentPoly.variable()
-    lhs = theta(m + n, z)
-    rhs = theta(m, z) * theta(n, z)
+    _, ys = product_nodes(spec, m + n)
+    thetas = list(accumulate(ys, times_linear, initial=[1]))
+    # T_m T_n is T_m times the n linear factors of T_n
+    rhs = reduce(times_linear, ys[:n], thetas[m])
     for i in range(n):
-        cofactor = LaurentPoly.one()
-        for k in range(n - i + 1, n + 1):
-            cofactor = cofactor * (x - z(k))
-        rhs = rhs + (z(n - i) - z(m + n - i)) * cofactor * theta(m + n - i - 1, z)
-    return lhs == rhs
+        term = reduce(times_linear, ys[n - i:n], thetas[m + n - i - 1])
+        d = ys[n - i - 1] - ys[m + n - i - 1]
+        for k, c in enumerate(term):
+            rhs[k] += d * c
+    return rhs == thetas[m + n]
 
 
 @dataclass(frozen=True)
@@ -492,7 +479,6 @@ def condition_report(
     l_max: int,
     sample_size: int = 5,
     n_range: int = 6,
-    bound: int = 20,
     include_controls: bool = True,
 ) -> ConditionReport:
     """Sample both conditions over admissible shifts up to depth l_max.
@@ -511,15 +497,15 @@ def condition_report(
     for l in range(1, l_max + 1):
         shifts = list(islice(admissible_shifts(spec, l), sample_size))
         for a, b in combinations(shifts, 2):
-            v = check_unit_condition(spec, a, b, bound=bound)
+            v = check_unit_condition(spec, a, b)
             rows.append(replace(v, level=l))
         for m in shifts:
             for n in range(n_range):
-                rows.append(check_congruence_condition(spec, m, n, l, bound=bound))
+                rows.append(check_congruence_condition(spec, m, n, l))
         if include_controls:
             c = _control_shift(spec, l)
             if c is not None:
                 for n in (1, 2):
-                    v = check_congruence_condition(spec, c, n, l, bound=bound)
+                    v = check_congruence_condition(spec, c, n, l)
                     rows.append(replace(v, control=True))
     return ConditionReport(spec.name, l_max, tuple(rows))

@@ -10,7 +10,8 @@ Subcommands
     gamma-transfer --max M      interleaved ko/k structure-constant transfer sweep
 
 Every number is printed as an exact rational, never a decimal.  Exit
-codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
+codes: 0 all checks pass, 1 a check failed or stdout was closed early,
+2 usage or input error.
 The default --format may be set via the KTOPS_FORMAT variable.
 """
 from __future__ import annotations
@@ -330,7 +331,15 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`ktops ... | head`); point it at
+        # devnull so the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,17 +1,14 @@
-"""Sparse Laurent polynomials over Q, and monic root-product families.
+"""Sparse Laurent polynomials over Q.
 
 A LaurentPoly is an immutable map exponent -> Fraction with zero
 coefficients stripped.  Exponents may be negative; evaluation at 0 of a
-polynomial with negative exponents raises PoleError.  The theta
-constructors build the monic products prod_{i=1..n} (X - z_i) for a
-root sequence z, which is how every operation basis in this package is
-written down.
+polynomial with negative exponents raises PoleError.  The monic node
+products prod (X - y_i) that the operation bases are written in are
+built on integer coefficient lists by ktops.spectra.times_linear.
 """
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from typing import Callable
 
 from .rationals import as_fraction
 
@@ -179,30 +176,3 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({dict(sorted(self._c.items()))!r})"
-
-
-def geometric_powers(base) -> Callable[[int], Fraction]:
-    """The root sequence z_i = base**(i-1), i >= 1."""
-    b = as_fraction(base)
-    return functools.cache(lambda i: b ** (i - 1))
-
-
-def alternating_powers(base) -> Callable[[int], Fraction]:
-    """The root sequence z_i = base**((-1)**i * floor(i/2)).
-
-    The exponents run 0, 1, -1, 2, -2, ... so that the first n of them
-    always form a block of consecutive integers.
-    """
-    b = as_fraction(base)
-    return functools.cache(lambda i: b ** ((i // 2) if i % 2 == 0 else -(i // 2)))
-
-
-def theta(n: int, z: Callable[[int], Fraction]) -> LaurentPoly:
-    """The monic degree-n product prod_{i=1..n} (X - z_i) over the nodes i -> z_i."""
-    if n < 0:
-        raise ValueError("theta is defined for n >= 0")
-    out = LaurentPoly.one()
-    x = LaurentPoly.variable()
-    for i in range(1, n + 1):
-        out = out * (x - LaurentPoly({0: z(i)}))
-    return out

@@ -12,11 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterator
 
 from .coalgebra import CoalgebraSpec
 from .dual import AdamsPoly
-from .laurent import LaurentPoly, alternating_powers, geometric_powers, theta
+from .laurent import LaurentPoly
 from .rationals import check_primitive_root, is_prime, least_primitive_root
 
 _NAME = re.compile(r"^(KO|ko|K|k|G|g)(?:\((\d+)\))?$")
@@ -65,6 +66,29 @@ def parse_name(name: str) -> tuple[str, int]:
     return family, p
 
 
+def times_linear(t: list[int], y: int) -> list[int]:
+    """The integer coefficients of t(X) * (X - y), constant term first."""
+    return [u - y * v for u, v in zip([0] + t, t + [0])]
+
+
+def product_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
+    """The shift E and the integer nodes y_1..y_count, y_i = b**(E + s_i).
+
+    z_i = b**s_i are the product nodes, s_i = extending_slot(i - 1): i - 1
+    connectively, with E = 0, and 0, 1, -1, 2, -2, ... periodically, with
+    E = count // 2.  Scaling by b**E keeps valuations only for a p-adic unit b.
+    """
+    b, p = spec.base, spec.prime
+    if b is None:
+        raise ValueError(f"{spec.name} has no product-form basis; work through the coalgebra tables")
+    if b % p == 0:
+        raise ValueError(f"node base {b} of {spec.name} is not a {p}-adic unit")
+    if not spec.periodic:
+        return 0, [b**i for i in range(count)]
+    e = count // 2
+    return e, [b ** (e + (i // 2 if i % 2 == 0 else -(i // 2))) for i in range(1, count + 1)]
+
+
 def _theta_basis(step: int, b: int) -> Callable[[int], LaurentPoly]:
     # integer coefficients of theta_n(x) = prod_{i<n} (x - b**i), constant
     # term first, each one linear factor on the last
@@ -72,8 +96,7 @@ def _theta_basis(step: int, b: int) -> Callable[[int], LaurentPoly]:
 
     def basis(n: int) -> LaurentPoly:
         while len(thetas) <= n:
-            t, z = thetas[-1], b ** (len(thetas) - 1)
-            thetas.append([u - z * v for u, v in zip([0] + t, t + [0])])
+            thetas.append(times_linear(thetas[-1], b ** (len(thetas) - 1)))
         num = thetas[n]
         x, den = b**n, 0
         for c in reversed(num):
@@ -188,20 +211,17 @@ def dual_theta_basis(spec: SpectrumSpec, n: int) -> AdamsPoly:
     degree-raising operation T; in the periodic case the nodes walk
     outward through 0, 1, -1, 2, -2, ... and the product is rescaled by
     b**(n * floor(n/2)) so that pairing against the coalgebra basis is
-    the identity matrix.
+    the identity matrix.  On the nodes y_i = b**E z_i of product_nodes,
+    b**(nE) theta_n(T) = theta'_n(b**E T) with theta'_n = prod (Y - y_i),
+    so the coefficient of T**k is theta'_n[k] * b**(Ek)  (E = floor(n/2)
+    periodically, 0 connectively).
     """
-    if spec.base is None:
-        raise ValueError(
-            f"{spec.name} has no product-form dual basis; work through the coalgebra tables"
-        )
     if n < 0:
         raise ValueError("basis indices start at 0")
-    b = spec.base
-    if spec.periodic:
-        poly = theta(n, alternating_powers(b)) * (Fraction(b) ** (n * (n // 2)))
-    else:
-        poly = theta(n, geometric_powers(b))
-    return AdamsPoly(Fraction(spec.q), poly)
+    e, ys = product_nodes(spec, n)
+    t = reduce(times_linear, ys, [1])
+    scale = spec.base**e
+    return AdamsPoly(Fraction(spec.q), LaurentPoly({k: c * scale**k for k, c in enumerate(t)}))
 
 
 def support_step(spec: SpectrumSpec, l: int) -> int:

@@ -12,6 +12,14 @@ once did, so that a disagreement with the fast kernel is caught:
 * coproduct_by_solve: structure constants from a dense linear solve in
   the two-variable monomial basis.
 
+The product nodes and node products (ktops.spectra.product_nodes and
+times_linear) run on integers scaled by a power of b; the reference
+here is the Fraction form they replace:
+
+* geometric_powers, alternating_powers: the Fraction nodes z_i = b**(i-1)
+  and b**0, b**1, b**-1, b**2, ...;
+* theta: the monic product prod_{i=1..n} (X - z_i) as a LaurentPoly.
+
 The congruence cross-check (ktops.checks) runs on integer nodes; the
 expansion here works on the product nodes themselves, in LaurentPoly
 and Fractions:
@@ -35,6 +43,7 @@ Gamma tables coefficient by coefficient instead:
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from ktops.coalgebra import CoalgebraSpec, NotRegularError
@@ -45,7 +54,7 @@ from ktops.dual import (
     NotInvertibleError,
     PrecisionError,
 )
-from ktops.laurent import LaurentPoly, alternating_powers, geometric_powers
+from ktops.laurent import LaurentPoly
 from ktops.rationals import is_p_local_unit, nu
 from ktops.spectra import SpectrumSpec
 
@@ -148,6 +157,33 @@ def coproduct_by_solve(spec: CoalgebraSpec, n: int) -> tuple[tuple[Fraction, ...
     return tuple(tuple(row) for row in g)
 
 
+def geometric_powers(base):
+    """The root sequence z_i = base**(i-1), i >= 1."""
+    b = Fraction(base)
+    return functools.cache(lambda i: b ** (i - 1))
+
+
+def alternating_powers(base):
+    """The root sequence z_i = base**((-1)**i * floor(i/2)).
+
+    The exponents run 0, 1, -1, 2, -2, ... so that the first n of them
+    always form a block of consecutive integers.
+    """
+    b = Fraction(base)
+    return functools.cache(lambda i: b ** ((i // 2) if i % 2 == 0 else -(i // 2)))
+
+
+def theta(n: int, z) -> LaurentPoly:
+    """The monic degree-n product prod_{i=1..n} (X - z_i) over the nodes i -> z_i."""
+    if n < 0:
+        raise ValueError("theta is defined for n >= 0")
+    out = LaurentPoly.one()
+    x = LaurentPoly.variable()
+    for i in range(1, n + 1):
+        out = out * (x - LaurentPoly({0: z(i)}))
+    return out
+
+
 class NotDivisibleError(ValueError):
     pass
 
@@ -217,7 +253,7 @@ def product_nodes(spec: SpectrumSpec):
 
 def theta_table(spec: SpectrumSpec, top: int) -> list[LaurentPoly]:
     """theta_0, ..., theta_top over the product nodes, each one linear
-    factor on the last (theta_k equals ktops.laurent.theta(k, z))."""
+    factor on the last (theta_k equals theta(k, product_nodes(spec)))."""
     z = product_nodes(spec)
     x = LaurentPoly.variable()
     out = [LaurentPoly.one()]

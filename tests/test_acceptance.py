@@ -26,7 +26,7 @@ from ktops.dual import (
     invert,
     multiply,
 )
-from ktops.laurent import LaurentPoly, alternating_powers, geometric_powers
+from ktops.laurent import LaurentPoly
 from ktops.modules import (
     character_module,
     comodule_on_basis,
@@ -76,14 +76,12 @@ def test_criterion_3_two_adic_valuation_closed_form():
 
 
 def test_criterion_4_product_identity_symbolic():
-    sequences = []
-    for base in (2, 4, 9, 16):
-        sequences.append(geometric_powers(base))
-        sequences.append(alternating_powers(base))
-    for z in sequences:
+    # node bases 2, 4, 9 and 16, each with geometric and alternating nodes
+    for name in THETA_SPECS + ("g(5)", "G(5)"):
+        sp = make_spectrum(name)
         for m in range(9):
             for n in range(9):
-                assert product_identity_holds(z, m, n)
+                assert product_identity_holds(sp, m, n), (name, m, n)
     print("criterion 4 PASS: factorization identity holds for m, n <= 8 over eight node sequences")
 
 

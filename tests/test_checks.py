@@ -13,7 +13,6 @@ from ktops.checks import (
     condition_report,
     product_identity_holds,
 )
-from ktops.laurent import alternating_powers, geometric_powers
 from ktops.rationals import nu
 from ktops.spectra import make_spectrum
 from oracles import cross_check_coefficients, cross_check_record, theta_table
@@ -103,15 +102,14 @@ def test_product_nodes_need_a_unit_base():
 
 
 def test_product_identity_symbolic():
-    for base in (2, 4, 9):
-        z = geometric_powers(base)
+    # node bases 2, 4 and 9, each with geometric and alternating nodes
+    for name in ("k(3)", "K(3)", "g(3)", "G(3)", "ko(2)", "KO(2)"):
+        sp = make_spectrum(name)
         for m in range(5):
             for n in range(5):
-                assert product_identity_holds(z, m, n)
-        za = alternating_powers(base)
-        for m in range(5):
-            for n in range(5):
-                assert product_identity_holds(za, m, n)
+                assert product_identity_holds(sp, m, n), (name, m, n)
+    with pytest.raises(ValueError):
+        product_identity_holds(K2, 1, 1)
 
 
 def test_pow3_valuations_closed_form():

@@ -1,7 +1,10 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +155,18 @@ def test_check_needs_a_positive_sample(capsys):
         code, text = capture(["check", "k(3)", "--l", "1", "--sample", sample])
         assert code == 2 and text == ""
         assert "sample size must be a positive integer" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_quietly():
+    # about 156 kB of tsv, more than the pipe and the stdout buffer hold,
+    # so the process is still writing when the reader closes after a line
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ktops.cli", "gamma", "k(3)", "--n", "24", "--format", "tsv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

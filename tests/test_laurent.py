@@ -3,14 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ktops.laurent import (
-    LaurentPoly,
-    PoleError,
+from ktops.laurent import LaurentPoly, PoleError
+from oracles import (
+    NotDivisibleError,
     alternating_powers,
+    exact_divide,
     geometric_powers,
+    newton_coeffs,
     theta,
+    theta_coords,
 )
-from oracles import NotDivisibleError, exact_divide, newton_coeffs, theta_coords
 
 COEFF = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 

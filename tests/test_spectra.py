@@ -3,16 +3,18 @@ from itertools import islice
 
 import pytest
 
-from ktops.dual import expand
+from ktops.dual import AdamsPoly, expand
 from ktops.laurent import LaurentPoly
 from ktops.spectra import (
     admissible_shifts,
     dual_theta_basis,
     make_spectrum,
     parse_name,
+    product_nodes,
     spectrum_names,
     support_step,
 )
+from oracles import product_nodes as fraction_nodes, theta
 
 W = LaurentPoly.variable()
 
@@ -109,6 +111,24 @@ def test_dual_theta_basis_duality_spot():
         for n in range(4):
             e = expand(sp.coalgebra, dual_theta_basis(sp, n), 5)
             assert e.coeffs == tuple(Fraction(1 if m == n else 0) for m in range(5)), name
+
+
+THETA_FORMS = [f"{f}({p})" for p in (3, 5, 7) for f in "kKgG"] + ["ko(2)", "KO(2)"]
+
+
+@pytest.mark.parametrize("name", THETA_FORMS)
+def test_integer_nodes_and_dual_basis_match_fraction_oracle(name):
+    sp = make_spectrum(name)
+    b, z = sp.base, fraction_nodes(sp)
+    for count in range(41):
+        e, ys = product_nodes(sp, count)
+        assert e == (count // 2 if sp.periodic else 0)
+        assert ys == [b**e * z(i) for i in range(1, count + 1)], count
+        assert ys == [b ** (e + sp.coalgebra.extending_slot(i - 1)) for i in range(1, count + 1)]
+    for n in range(25):
+        scale = Fraction(b) ** (n * (n // 2)) if sp.periodic else 1
+        want = AdamsPoly(Fraction(sp.q), theta(n, z) * scale)
+        assert dual_theta_basis(sp, n) == want, n
 
 
 def test_dual_theta_basis_refused_off_theta_form():

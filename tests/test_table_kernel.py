@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktops.coalgebra import NotRegularError, binomial_coalgebra, monomial_coalgebra
-from ktops.laurent import LaurentPoly, geometric_powers, theta
+from ktops.laurent import LaurentPoly
 from ktops.spectra import make_spectrum, spectrum_names
-from oracles import coords_by_clearing, coproduct_by_fraction_loop, monomial_coords_by_clearing
+from oracles import (
+    coords_by_clearing,
+    coproduct_by_fraction_loop,
+    geometric_powers,
+    monomial_coords_by_clearing,
+    theta,
+)
 
 SPECTRA = list(dict.fromkeys(spectrum_names(3) + spectrum_names(5) + ["G(7)"]))
 OTHERS = {
