@@ -103,29 +103,10 @@ class AdamsPoly:
         if not self.poly.is_zero and self.poly.low < 0:
             raise ValueError("an operation polynomial has no negative powers")
 
-    def __add__(self, other):
-        if isinstance(other, AdamsPoly):
-            if other.beta != self.beta:
-                raise ValueError("cannot mix operation bases")
-            return AdamsPoly(self.beta, self.poly + other.poly)
-        return AdamsPoly(self.beta, self.poly + as_fraction(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rsub__(self, other):
-        return AdamsPoly(self.beta, -self.poly + as_fraction(other))
-
-    def __mul__(self, other):
-        if isinstance(other, AdamsPoly):
-            if other.beta != self.beta:
-                raise ValueError("cannot mix operation bases")
-            return AdamsPoly(self.beta, self.poly * other.poly)
-        return AdamsPoly(self.beta, self.poly * as_fraction(other))
-
-    __rmul__ = __mul__
+    def __mul__(self, other: AdamsPoly) -> AdamsPoly:
+        if other.beta != self.beta:
+            raise ValueError("cannot mix operation bases")
+        return AdamsPoly(self.beta, self.poly * other.poly)
 
     def value_on(self, f: LaurentPoly) -> Fraction:
         """Pair with a Laurent polynomial: sum over monomials of P(beta**e)."""

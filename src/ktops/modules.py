@@ -5,8 +5,10 @@ part plus cyclic torsion summands.  We present an action of the dual
 algebra on such a module by square matrices M_0 .. M_{K-1}, one per
 topological basis element, with everything from index K onward acting
 as zero.  Such a table is discrete by construction; validity means the
-matrices satisfy the same relations as the basis elements themselves,
-with congruences read against each row's torsion modulus.
+unit acts as the identity (the counit law sum_n eps(c_n) M_n = 1) and
+the matrices satisfy the same relations as the basis elements
+themselves, both read against each row's torsion modulus.  Everything
+is checked by validate_module; to_comodule only validates and wraps.
 
 Columns index source generators and rows index targets, so column g of
 M_i is the image of generator g.  Free generators come first, then the
@@ -15,10 +17,10 @@ torsion generators in the order of torsion_orders.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coalgebra import CoalgebraSpec
 from .rationals import _int_valuation, as_fraction, is_prime, nu
@@ -52,12 +54,17 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class FGModule:
-    """An action table on a finitely generated p-local module."""
+    """An action table on a finitely generated p-local module.
+
+    row_exponents[r] is e with torsion order p**e on a torsion row r,
+    None on a free row.
+    """
 
     prime: int
     free_rank: int
     torsion_orders: tuple[int, ...]
     matrices: tuple[Matrix, ...]
+    row_exponents: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "torsion_orders", tuple(int(t) for t in self.torsion_orders))
@@ -69,6 +76,8 @@ class FGModule:
         for t in self.torsion_orders:
             if t < 2 or self.prime ** _int_valuation(self.prime, t) != t:
                 raise ValueError(f"torsion order {t} is not a positive power of {self.prime}")
+        exps = tuple(_int_valuation(self.prime, t) for t in self.torsion_orders)
+        object.__setattr__(self, "row_exponents", (None,) * self.free_rank + exps)
         if not self.matrices:
             raise ValueError("an action table needs at least the identity matrix")
 
@@ -86,38 +95,49 @@ class FGModule:
             return self.matrices[i]
         return _zero(self.dimension)
 
-    def row_modulus(self, r: int) -> int | None:
-        """Torsion modulus of row r; None on the free part."""
-        if r < self.free_rank:
-            return None
-        return self.torsion_orders[r - self.free_rank]
 
-
-def _entries_congruent(x: Fraction, y: Fraction, p: int, modulus: int | None) -> bool:
-    d = x - y
-    if not d:
-        return True
-    if modulus is None:
-        return False
-    return nu(p, d) >= _int_valuation(p, modulus)
-
-
-def _malformed(mod: FGModule) -> tuple[int, int | None, int | None] | None:
+def _malformed(mod: FGModule) -> tuple[str, dict] | None:
     """The first flaw in the shape or integrality of an action table.
 
-    (i, None, None) when matrix i is not square of the module's
-    dimension, (i, r, c) when its entry (r, c) is not p-locally
-    integral, None when every matrix is well formed.  Matrices are
-    scanned in order, each for its shape before its entries.
+    (reason, cell) naming matrix i when it is not square of the module's
+    dimension, or its entry (r, c) when that is not p-locally integral;
+    None when every matrix is well formed.  Matrices are scanned in
+    order, each for its shape before its entries.
     """
     d, p = mod.dimension, mod.prime
     for i, m in enumerate(mod.matrices):
         if len(m) != d or any(len(row) != d for row in m):
-            return i, None, None
+            return f"matrix {i} is not {d} by {d}", {"i": i}
         for r, row in enumerate(m):
             for c, v in enumerate(row):
                 if v.denominator % p == 0:
-                    return i, r, c
+                    return (f"matrix {i} entry ({r},{c}) is {v}, not {p}-locally integral",
+                            {"i": i, "row": r, "col": c})
+    return None
+
+
+def _combination(mod: FGModule, weight: Callable[[int], Fraction]) -> list[list[Fraction]]:
+    """sum_n weight(n) M_n over the table, skipping the zero weights."""
+    d = mod.dimension
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for n, m in enumerate(mod.matrices):
+        w = weight(n)
+        if w:
+            for r in range(d):
+                out[r] = [x + w * y for x, y in zip(out[r], m[r])]
+    return out
+
+
+def _first_mismatch(mod: FGModule, lhs, rhs) -> tuple[int, int] | None:
+    """The first entry (r, c) where lhs and rhs differ as maps of the module.
+
+    Free rows must agree exactly, torsion rows modulo the row's order.
+    """
+    p = mod.prime
+    for r, e in enumerate(mod.row_exponents):
+        for c, (x, y) in enumerate(zip(lhs[r], rhs[r])):
+            if x != y and (e is None or nu(p, x - y) < e):
+                return r, c
     return None
 
 
@@ -132,12 +152,14 @@ class ModuleVerdict:
 
 
 def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
-    """Check the action table invariants against a coalgebra's constants.
+    """Check the module axioms of an action table against a coalgebra.
 
-    Shape and integrality first, then the torsion-column constraints,
-    then every relation M_i M_j = sum_n G[i,j -> n] M_n for i, j below
-    the level, compared exactly on free rows and modulo the row's
-    torsion order on torsion rows.  The first violated relation is
+    In order: shape and integrality; the counit law
+    sum_n eps(c_n) M_n = 1, which says the unit of the dual algebra acts
+    as the identity; the torsion-column constraints; then every relation
+    M_i M_j = sum_n G[i,j -> n] M_n for i, j below the level.  The counit
+    law and the relations are compared exactly on free rows and modulo
+    the row's torsion order on torsion rows.  The first failure is
     reported with its cell.
     """
     p = mod.prime
@@ -146,34 +168,29 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     d = mod.dimension
     bad = _malformed(mod)
     if bad is not None:
-        i, r, c = bad
-        if r is None:
-            return ModuleVerdict(False, f"matrix {i} is not {d} by {d}", {"i": i})
-        return ModuleVerdict(
-            False,
-            f"matrix {i} entry ({r},{c}) is not p-locally integral",
-            {"i": i, "row": r, "col": c},
-        )
-    if mod.matrices[0] != _identity(d):
-        return ModuleVerdict(False, "the index-0 matrix must be the identity")
+        return ModuleVerdict(False, *bad)
+    miss = _first_mismatch(mod, _combination(mod, spec.counit_value), _identity(d))
+    if miss is not None:
+        r, c = miss
+        return ModuleVerdict(False, f"the counit does not act as the identity at entry ({r},{c})",
+                             {"row": r, "col": c})
 
     # a torsion generator is killed by its order, so its image has no
     # free component and its torsion components respect the orders
+    exps = mod.row_exponents
     for i, m in enumerate(mod.matrices):
         for c in range(mod.free_rank, d):
-            e_c = _int_valuation(p, mod.torsion_orders[c - mod.free_rank])
             for r in range(d):
                 v = m[r][c]
                 if not v:
                     continue
-                if r < mod.free_rank:
+                if exps[r] is None:
                     return ModuleVerdict(
                         False,
                         f"matrix {i} sends torsion generator {c} into the free part",
                         {"i": i, "row": r, "col": c},
                     )
-                e_r = _int_valuation(p, mod.torsion_orders[r - mod.free_rank])
-                if e_r > e_c and nu(p, v) < e_r - e_c:
+                if exps[r] > exps[c] and nu(p, v) < exps[r] - exps[c]:
                     return ModuleVerdict(
                         False,
                         f"matrix {i} entry ({r},{c}) violates the torsion orders",
@@ -184,79 +201,45 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     for i in range(k):
         for j in range(k):
             lhs = _mat_mul(mod.matrices[i], mod.matrices[j])
-            rhs = [[Fraction(0)] * d for _ in range(d)]
-            for n in range(k):
-                g = spec.coproduct_entry(i, j, n)
-                if not g:
-                    continue
-                mn = mod.matrices[n]
-                for r in range(d):
-                    for c in range(d):
-                        rhs[r][c] += g * mn[r][c]
-            for r in range(d):
-                modulus = mod.row_modulus(r)
-                for c in range(d):
-                    if not _entries_congruent(lhs[r][c], rhs[r][c], p, modulus):
-                        return ModuleVerdict(
-                            False,
-                            f"relation ({i},{j}) fails at entry ({r},{c})",
-                            {"i": i, "j": j, "row": r, "col": c,
-                             "lhs": str(lhs[r][c]), "rhs": str(rhs[r][c])},
-                        )
+            rhs = _combination(mod, lambda n: spec.coproduct_entry(i, j, n))
+            miss = _first_mismatch(mod, lhs, rhs)
+            if miss is not None:
+                r, c = miss
+                return ModuleVerdict(
+                    False,
+                    f"relation ({i},{j}) fails at entry ({r},{c})",
+                    {"i": i, "j": j, "row": r, "col": c,
+                     "lhs": str(lhs[r][c]), "rhs": str(rhs[r][c])},
+                )
     return ModuleVerdict(True)
 
 
 @dataclass(frozen=True)
 class CoactionTable:
-    """The coaction rho(x_g) = sum_n (M_n x_g) (x) c_n, as a dense table.
+    """The coaction rho(x_g) = sum_n (M_n x_g) (x) c_n of a valid table.
 
-    vectors[g][n] is the coefficient column of generator g under the
-    n-th action matrix; the counit law and coassociativity are checked
-    at construction time by to_comodule.
+    Column g of M_n is the coefficient of c_n in rho(x_g), so the table
+    is held as its module; only to_comodule builds one, after
+    validate_module has checked the counit law and coassociativity.
     """
 
     module: FGModule
-    vectors: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def action_matrix(self, i: int) -> Matrix:
         """Recover M_i from the table: pair the coaction against a_i."""
-        d = self.module.dimension
-        if i >= self.module.level:
-            return _zero(d)
-        return tuple(tuple(self.vectors[g][i][r] for g in range(d)) for r in range(d))
+        return self.module.matrix(i)
 
 
 def to_comodule(mod: FGModule, spec: CoalgebraSpec) -> CoactionTable:
     """Turn a valid action table into its coaction table.
 
     The sum rho(x) = sum_n a_n x (x) c_n has only the first K terms
-    since everything later acts as zero.  Refuses invalid input, and
-    asserts the counit law sum_n eps(c_n) M_n = 1 after building.
+    since everything later acts as zero.  Refuses invalid input.
     """
     verdict = validate_module(mod, spec)
     if not verdict.ok:
         raise ValueError(f"not a valid module table: {verdict.reason}")
-    d = mod.dimension
-    vectors = tuple(
-        tuple(tuple(mod.matrices[n][r][g] for r in range(d)) for n in range(mod.level))
-        for g in range(d)
-    )
-    table = CoactionTable(mod, vectors)
-    total = [[Fraction(0)] * d for _ in range(d)]
-    for n in range(mod.level):
-        e = spec.counit_value(n)
-        if not e:
-            continue
-        for r in range(d):
-            for c in range(d):
-                total[r][c] += e * mod.matrices[n][r][c]
-    for r in range(d):
-        modulus = mod.row_modulus(r)
-        for c in range(d):
-            want = Fraction(1 if r == c else 0)
-            if not _entries_congruent(total[r][c], want, mod.prime, modulus):
-                raise ValueError(f"counit law fails at ({r},{c})")
-    return table
+    return CoactionTable(mod)
 
 
 @dataclass(frozen=True)
@@ -290,21 +273,12 @@ def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> Annihilato
     d = mod.dimension
     bad = _malformed(mod)
     if bad is not None:
-        i, r, c = bad
-        if r is None:
-            raise ValueError(f"matrix {i} is not {d} by {d}")
-        v = mod.matrices[i][r][c]
-        raise ValueError(f"matrix {i} entry ({r},{c}) is {v}, not {p}-locally integral")
+        raise ValueError(bad[0])
+    exps = mod.row_exponents
 
     def torsion_block(m: int) -> tuple:
         mat = mod.matrix(m)
-        out = []
-        for r in range(lo, d):
-            e_r = _int_valuation(p, mod.torsion_orders[r - lo])
-            for c in range(lo, d):
-                v = mat[r][c]
-                out.append(_reduce_mod(v, p, e_r))
-        return tuple(out)
+        return tuple(_reduce_mod(mat[r][c], p, exps[r]) for r in range(lo, d) for c in range(lo, d))
 
     zero = (Fraction(0),) * (d - lo) ** 2
     seen: dict[tuple, int] = {}

@@ -22,8 +22,6 @@ from .rationals import check_primitive_root, is_prime, least_primitive_root
 
 _NAME = re.compile(r"^(KO|ko|K|k|G|g)(?:\((\d+)\))?$")
 
-FAMILIES = ("K", "k", "G", "g", "KO", "ko")
-
 
 @dataclass(frozen=True)
 class SpectrumSpec:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ktops.coalgebra import binomial_coalgebra, monomial_coalgebra
 from ktops.modules import (
     FGModule,
     character_module,
@@ -183,3 +184,46 @@ def test_torsion_annihilator_rejects_non_p_local_table():
     mats = (((Fraction(1),),), ((Fraction(0),),), ((Fraction(2, 9),),))
     with pytest.raises(ValueError, match=r"matrix 2 entry \(0,0\)"):
         torsion_annihilator(FGModule(3, 0, (3,), mats), K3, 1)
+
+
+# Coalgebras whose counit is not a_0: eps = a_0 + a_1 on the binomial
+# basis and eps = sum_n a_n on the monomial ones, so the unit axiom is the
+# counit law sum_n eps(c_n) M_n = 1, not M_0 = 1.
+@pytest.mark.parametrize("spec", [
+    binomial_coalgebra(3),
+    monomial_coalgebra(1, 3),
+    monomial_coalgebra(1, 3, periodic=True),
+], ids=["binomial", "monomial", "monomial-periodic"])
+def test_stock_modules_valid_where_counit_is_not_a0(spec):
+    mods = [character_module(spec, s) for s in spec.monomial_slots(5)]
+    mods.append(comodule_on_basis(spec, 4))
+    for m in mods:
+        v = validate_module(m, spec)
+        assert v, v.reason
+        table = to_comodule(m, spec)
+        assert all(table.action_matrix(i) == m.matrices[i] for i in range(m.level))
+
+
+def test_identity_read_mod_torsion_order():
+    # 4 = 1 on Z/3, so [[4]] is the identity map there
+    m = FGModule(3, 0, (3,), (((Fraction(4),),),))
+    assert validate_module(m, C3)
+    assert to_comodule(m, C3).action_matrix(0) == ((Fraction(4),),)
+
+
+def test_validate_rejects_counit_failure():
+    # on the monomial coalgebra eps(c_0) = eps(c_1) = 1, so the unit acts as 2
+    spec = monomial_coalgebra(1, 3)
+    m = FGModule(3, 1, (), (((Fraction(1),),), ((Fraction(1),),)))
+    v = validate_module(m, spec)
+    assert not v and "identity" in v.reason and "(0,0)" in v.reason
+    assert v.cell == {"row": 0, "col": 0}
+
+
+def test_non_integral_reason_matches_annihilator():
+    m = FGModule(3, 0, (3,), (((Fraction(1),),), ((Fraction(1, 3),),)))
+    v = validate_module(m, C3)
+    assert not v and v.cell == {"i": 1, "row": 0, "col": 0}
+    with pytest.raises(ValueError) as err:
+        torsion_annihilator(m, K3, 1)
+    assert v.reason == str(err.value) == "matrix 1 entry (0,0) is 1/3, not 3-locally integral"
