@@ -8,20 +8,22 @@ a set of admissible shifts:
     n - m must differ from 1 by a non-unit everywhere, i.e. all its
     monomial pairings lie in p Z_(p);
 (2) congruence condition: products of dual basis elements a_m a_n must
-    agree with a_{m+n} mod p**l.
+    agree with a_{m+n} mod p**l, i.e. nu(Gamma[m,n->t] - delta_{t,m+n})
+    >= l for every target t.
 
-For the six product-form algebras both conditions reduce to finite
-computations: (1) is periodic in the evaluation exponent mod p, and (2)
-reduces to valuations of differences of the product nodes.  Both run on
-the integer nodes of ktops.spectra.product_nodes, z_i = b**s_i
-(s_i = 0, 1, 2, ... connectively and 0, 1, -1, 2, -2, ... periodically)
-scaled to y_i = b**(s_i + E) to clear the negative exponents, and node
-products grow by ktops.spectra.times_linear.  A value or coordinate
-computed on the y_i is the one on the z_i times a power of b, and b is
-a p-adic unit, so zeroness and p-adic valuations, the only facts the
-verdicts read, are the same.  The 2-local complex theories have no
-product form, so both conditions are checked through the coalgebra
-coefficient tables up to a stated bound.
+For the product-form algebras both conditions are decided exactly: (1)
+is periodic in the evaluation exponent mod p, and (2) is the complete
+expansion of a_m a_n - a_{m+n} in the dual basis, after a diagonal test
+and a short-cut over differences of the product nodes that can only
+prove it.  Both run on the integer nodes of ktops.spectra.product_nodes,
+z_i = b**s_i (s_i = 0, 1, 2, ... connectively and 0, 1, -1, 2, -2, ...
+periodically) scaled to y_i = b**(s_i + E) to clear the negative
+exponents, and node products grow by ktops.spectra.times_linear.  A
+value or coordinate computed on the y_i is the one on the z_i times a
+power of b, and b is a p-adic unit, so zeroness and p-adic valuations,
+the only facts the verdicts read, are the same.  The 2-local complex
+theories have no product form, so both conditions are read off the
+coalgebra coefficient tables up to a stated bound.
 """
 from __future__ import annotations
 
@@ -81,14 +83,12 @@ class ConditionVerdict:
         return f"{self.spectrum} {self.condition} {where}: {word}{tail}{ctl}"
 
 
-# the cross-check expands cells with m + n up to _CROSS_LIMIT and reads
-# their first _CROSS_CAP coordinates
-_CROSS_LIMIT = 60
-_CROSS_CAP = 12
+# the coalgebra-table routes read targets and monomial slots up to this index
+_TABLE_BOUND = 20
 
 
-def check_unit_condition(spec: SpectrumSpec, m: int, n: int, bound: int = 20) -> ConditionVerdict:
-    """Condition (1) for the shift pair m < n.
+def check_unit_condition(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict:
+    """Condition (1) for the shift pair 0 <= m < n.
 
     Product-form route: evaluates the degree n-m node product at b**j
     and demands the value land in p Z_(p).  The values only matter mod
@@ -98,8 +98,10 @@ def check_unit_condition(spec: SpectrumSpec, m: int, n: int, bound: int = 20) ->
     b**(j+E) - y_i, so it is a p-adic unit exactly when p divides none
     of them.  Without a product form the same statement is read off the
     monomial coordinate tables: p must divide the (n-m)-th coordinate
-    of every monomial, checked for slots resolvable up to the bound.
+    of every monomial, checked for slots resolvable up to index 20.
     """
+    if m < 0:
+        raise ValueError("the shift must be non-negative")
     if m >= n:
         raise ValueError("the unit condition needs m < n")
     p = spec.prime
@@ -115,80 +117,85 @@ def check_unit_condition(spec: SpectrumSpec, m: int, n: int, bound: int = 20) ->
                 )
         return ConditionVerdict(spec.name, "unit", True, True, m, n, checked=period)
 
-    ok, slot = _monomial_divisibility(spec, n - m, bound)
-    if not ok:
-        return ConditionVerdict(
-            spec.name, "unit", False, False, m, n, witness=slot, checked=bound
-        )
-    return ConditionVerdict(spec.name, "unit", True, False, m, n, checked=bound)
+    ok, slot = _monomial_divisibility(spec, n - m, _TABLE_BOUND)
+    return ConditionVerdict(spec.name, "unit", ok, False, m, n, witness=slot, checked=_TABLE_BOUND)
 
 
-def check_congruence_condition(
-    spec: SpectrumSpec, m: int, n: int, l: int, bound: int = 20
-) -> ConditionVerdict:
+def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> ConditionVerdict:
     """Condition (2) for shift m, index n, depth l.
 
-    Product-form route: the product a_m a_n differs from a_{m+n} by
-    terms whose coefficients are built from the node differences
-    z_{n-i} - z_{m+n-i}; requiring valuation >= l on each difference
-    decides the congruence exactly.  As a guard against transcription
-    errors, cells with m + n <= 60 also record a cross-check that
-    expands the actual polynomial difference in the node basis and
-    checks its first 12 coefficients.  Without a product form the
-    structure constants with source (m, n) are read off the coalgebra
-    tables for targets up to max(bound, m + n), a bounded verdict.
+    The condition is a_m a_n = a_{m+n} mod p**l: every coordinate of
+    a_m a_n - a_{m+n} in the dual basis has valuation >= l, that is
+    nu(Gamma[m,n->t] - delta_{t,m+n}) >= l for every target t.
+
+    Product-form route, exact.  a_k = b**(e_k) theta_k, e_k = k floor(k/2)
+    periodically and 0 connectively, so the coordinate at t != m+n is a
+    power of b times that of theta_m theta_n - theta_{m+n}, and the
+    diagonal one is b**u - 1, u = e_m + e_n - e_{m+n}.  In this order:
+
+    1. the diagonal: if u != 0 and nu(b**|u| - 1) < l the cell fails
+       with witness m + n;
+    2. the node differences d_i = y_{n-i} - y_{m+n-i}, i < n: if every
+       nonzero one has valuation >= l the cell holds.  This is sound by
+       the identity of product_identity_holds: T_m T_n - T_{m+n} is
+       -sum_i d_i T_{m+n-i-1} prod_{k=n-i+1..n} (X - y_k); since
+       T_j (X - y) = T_{j+1} + (y_{j+1} - y) T_j, each such product has
+       integral coordinates in the basis T_j, so every coordinate of
+       the difference is an integral combination of the d_i;
+    3. otherwise the complete expansion of the difference, all m + n
+       coordinates, decides; the witness is the first coordinate index
+       (the target t) with valuation < l.
+
+    min_valuation is the least valuation among what the route read:
+    the diagonal alone when it fails; the node differences and b**|u| - 1
+    on the short-cut, a lower bound for every coordinate; every
+    coordinate and b**|u| - 1 on the expansion, the exact minimum.
+
+    Without a product form the tables are read, the diagonal first, for
+    targets up to max(20, m + n): a bounded verdict.
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")
     if m < 0 or n < 0:
         raise ValueError("shift and index must be non-negative")
     if not spec.has_theta_form:
-        return _gamma_congruence(
-            spec, "congruence", m, n, l, max(bound, m + n), spec.coalgebra.coproduct_entry
-        )
+        return _gamma_congruence(spec, "congruence", m, n, l, max(_TABLE_BOUND, m + n),
+                                 spec.coalgebra.coproduct_entry)
     p = spec.prime
     _, ys = product_nodes(spec, m + n)
-    min_val: int | None = None
-    verdict = True
-    witness = None
-    for i in range(n):
-        d = ys[n - i - 1] - ys[m + n - i - 1]
-        if not d:
-            continue
-        v = _int_valuation(p, d)
-        if min_val is None or v < min_val:
-            min_val = v
-        if v < l:
-            verdict = False
-            witness = i
-            break
+    u = m * (m // 2) + n * (n // 2) - (m + n) * ((m + n) // 2) if spec.periodic else 0
+    diag = spec.base ** abs(u) - 1
+    vals = [_int_valuation(p, diag)] if diag else []
 
-    cross = None
-    if m + n <= _CROSS_LIMIT:
-        cross = _cross_validate_congruence(spec, m, n, l, _CROSS_CAP)
-    return ConditionVerdict(
-        spec.name, "congruence", verdict, True, m, n, level=l, witness=witness,
-        min_valuation=min_val, checked={"cross": cross} if cross is not None else None,
-    )
+    def verdict(holds, witness=None):
+        return ConditionVerdict(spec.name, "congruence", holds, True, m, n, level=l,
+                                witness=witness, min_valuation=min(vals, default=None))
+
+    if vals and vals[0] < l:
+        return verdict(False, m + n)
+    diffs = (ys[n - i - 1] - ys[m + n - i - 1] for i in range(n))
+    diffs = [_int_valuation(p, d) for d in diffs if d]
+    if min(diffs, default=l) >= l:
+        vals += diffs
+        return verdict(True)
+    coords = _expansion_valuations(p, ys, m, n)
+    vals += [v for v in coords if v is not None]
+    bad = next((t for t, v in enumerate(coords) if v is not None and v < l), None)
+    return verdict(bad is None, bad)
 
 
-def _cross_validate_congruence(spec: SpectrumSpec, m: int, n: int, l: int, cap: int) -> dict:
-    """Expand theta_m * theta_n - theta_{m+n} in the node basis.
+def _expansion_valuations(p: int, ys: list[int], m: int, n: int) -> list[int | None]:
+    """Valuations of all m + n coordinates of theta_m theta_n - theta_{m+n}
+    in the basis theta_0, theta_1, ... (None for a zero coordinate); the
+    difference has degree below m + n, so these are all of them.
 
-    The coefficients are exactly the coordinates of a_m a_n - a_{m+n}
-    in the dual topological basis, so every one must have valuation
-    at least l for the congruence to hold.  Precision is capped; the
-    difference has degree below m + n, so a cap of m + n is complete.
-
-    The expansion runs on the integer nodes y_i = b**E z_i.  With
-    theta'_k = prod_{i<=k} (Y - y_i) we have
-    theta_k(X) = b**(-kE) theta'_k(b**E X), so the k-th coordinate of
-    the difference is b**((k-m-n)E) times the k-th coordinate of
+    The expansion runs on the integer nodes ys = y_1, ..., y_{m+n}, with
+    y_i = b**E z_i.  With theta'_k = prod_{i<=k} (Y - y_i) we have
+    theta_k(X) = b**(-kE) theta'_k(b**E X), so the k-th coordinate is
+    b**((k-m-n)E) times the k-th coordinate of
     theta'_m theta'_n - theta'_{m+n} in the basis theta'_k, an integer.
     b is a p-adic unit, so both have the same zeroness and valuation.
     """
-    p = spec.prime
-    _, ys = product_nodes(spec, m + n)
     # integer coefficients of theta'_k, constant term first, one linear
     # factor at a time; only theta'_m, theta'_n and theta'_{m+n} are kept
     t = tm = tn = [1]
@@ -199,35 +206,21 @@ def _cross_validate_congruence(spec: SpectrumSpec, m: int, n: int, l: int, cap: 
         if k == n:
             tn = t
     diff = [-c for c in t]
-    for i, u in enumerate(tm):
-        for j, v in enumerate(tn):
-            diff[i + j] += u * v
-    count = min(m + n, cap)
-    worst: int | None = None
-    bad = None
-    for k in range(count):
-        # one synthetic-division pass by (Y - y_{k+1}): the last value is
-        # the remainder, the k-th coordinate; the others are the quotient
-        y, acc, quo = ys[k], 0, []
+    for i, a in enumerate(tm):
+        for j, c in enumerate(tn):
+            diff[i + j] += a * c
+    out = []
+    for y in ys:
+        # one synthetic-division pass by (Y - y): the last value is the
+        # remainder, the next coordinate; the others are the quotient
+        acc, quo = 0, []
         for a in reversed(diff):
             acc = acc * y + a
             quo.append(acc)
         g = quo.pop()
         diff = quo[::-1]
-        if not g:
-            continue
-        v = _int_valuation(p, g)
-        if worst is None or v < worst:
-            worst = v
-        if v < l and bad is None:
-            bad = k
-    return {
-        "coefficients": count,
-        "complete": count >= m + n,
-        "min_valuation": worst,
-        "ok": bad is None,
-        "witness": bad,
-    }
+        out.append(_int_valuation(p, g) if g else None)
+    return out
 
 
 def _monomial_divisibility(spec: SpectrumSpec, index: int, bound: int) -> tuple[bool, int | None]:
@@ -242,56 +235,43 @@ def _monomial_divisibility(spec: SpectrumSpec, index: int, bound: int) -> tuple[
     return True, None
 
 
-def _gamma_congruence(
-    spec: SpectrumSpec,
-    condition: str,
-    m: int,
-    n: int,
-    l: int,
-    bound: int,
-    gamma: Callable[[int, int, int], Fraction],
-) -> ConditionVerdict:
-    """Product-side table check for targets up to the bound; a bounded verdict."""
+def _gamma_congruence(spec: SpectrumSpec, condition: str, m: int, n: int, l: int, bound: int,
+                      gamma: Callable[[int, int, int], Fraction]) -> ConditionVerdict:
+    """nu(Gamma[m,n->t] - delta_{t,m+n}) >= l read off the tables, the
+    diagonal t = m + n first and then t = 0, 1, ... up to the bound; a
+    bounded verdict."""
 
-    def verdict(ok, witness=None, min_val=None):
+    def verdict(ok, witness=None):
         return ConditionVerdict(spec.name, condition, ok, False, m, n, level=l,
                                 witness=witness, min_valuation=min_val, checked=bound)
 
-    diag = gamma(m, n, m + n)
-    if diag != 1:
-        return verdict(False, {"part": "product", "target": m + n, "value": str(diag)})
     min_val: int | None = None
-    for t in range(bound + 1):
-        if t == m + n:
-            continue
+    for t in [m + n] + [t for t in range(bound + 1) if t != m + n]:
         v = gamma(m, n, t)
-        if not v:
+        g = v - 1 if t == m + n else v
+        if not g:
             continue
-        val = nu(spec.prime, v)
+        val = nu(spec.prime, g)
         if min_val is None or val < min_val:
             min_val = val
         if val < l:
-            return verdict(False, {"part": "product", "target": t, "value": str(v)}, min_val)
-    return verdict(True, None, min_val)
+            return verdict(False, {"part": "product", "target": t, "value": str(v)})
+    return verdict(True)
 
 
 def check_coalgebra_conditions(
-    spec: SpectrumSpec,
-    m: int,
-    n: int,
-    l: int,
-    bound: int = 20,
+    spec: SpectrumSpec, m: int, n: int, l: int, bound: int = _TABLE_BOUND,
     gamma: Callable[[int, int, int], Fraction] | None = None,
 ) -> ConditionVerdict:
     """Both conditions read off the coalgebra coefficient tables.
 
     For m < n, p must divide the (n-m)-th coordinate of every monomial
-    (slots up to the bound).  For the product side, the structure
-    constant sending (m, n) to m+n must be exactly 1 and every other
-    structure constant with source (m, n) must have valuation >= l, for
-    targets up to the bound.  Verdicts are bounded, not exact.  A
-    replacement gamma table may be passed in to probe the checker
-    itself.
+    (slots up to the bound).  For the product side, the congruence of
+    check_congruence_condition: the structure constant sending (m, n)
+    to m+n must be congruent to 1 and every other one with source
+    (m, n) to 0, mod p**l, for targets up to the bound.  Verdicts are
+    bounded, not exact.  A replacement gamma table may be passed in to
+    probe the checker itself.
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")
@@ -303,15 +283,13 @@ def check_coalgebra_conditions(
     if m < n:
         ok, slot = _monomial_divisibility(spec, n - m, bound)
         if not ok:
-            return ConditionVerdict(
-                spec.name, "coalgebra", False, False, m, n, level=l,
-                witness={"part": "unit", "slot": slot}, checked=bound,
-            )
+            return ConditionVerdict(spec.name, "coalgebra", False, False, m, n, level=l,
+                                    witness={"part": "unit", "slot": slot}, checked=bound)
     return _gamma_congruence(spec, "coalgebra", m, n, l, bound, gamma)
 
 
 def product_identity_holds(spec: SpectrumSpec, m: int, n: int) -> bool:
-    """The exact polynomial identity behind the congruence reduction.
+    """The exact polynomial identity behind the congruence short-cut.
 
     The product of the degree-m and degree-n node polynomials differs
     from the degree-(m+n) one by a sum of corrections, each carrying a

@@ -1,4 +1,4 @@
-"""Slow, independent routes to the tables and the cross-check, kept as test oracles.
+"""Slow, independent routes to the tables and the congruence, kept as test oracles.
 
 The library builds its tables on integers over one denominator per
 monomial or per table (see ktops.coalgebra).  The routes here compute
@@ -20,15 +20,16 @@ here is the Fraction form they replace:
   and b**0, b**1, b**-1, b**2, ...;
 * theta: the monic product prod_{i=1..n} (X - z_i) as a LaurentPoly.
 
-The congruence cross-check (ktops.checks) runs on integer nodes; the
+The congruence expansion (ktops.checks) runs on integer nodes; the
 expansion here works on the product nodes themselves, in LaurentPoly
-and Fractions:
+and Fractions, and the literal reading works on the Gamma tables:
 
 * exact_divide, newton_coeffs, theta_coords: polynomial division and
   coordinates in the basis theta_0, theta_1, ... over a node sequence;
 * cross_check_coefficients: Newton coordinates of
   theta_m theta_n - theta_{m+n} over the product nodes, by newton_coeffs;
-* cross_check_record: the cross-check record those coordinates give.
+* table_congruence: a_m a_n = a_{m+n} mod p**l read literally off the
+  structure constants, nu(Gamma[m,n->t] - delta_{t,m+n}) for each t.
 
 The dual algebra (ktops.dual) multiplies, inverts and expands through
 the pairings with grouplike monomials.  The routes here contract the
@@ -272,24 +273,25 @@ def cross_check_coefficients(
     return newton_coeffs(diff, product_nodes(spec), count)
 
 
-def cross_check_record(p: int, coeffs: list[Fraction], m: int, n: int, l: int) -> dict:
-    """The congruence cross-check record at depth l for the given coordinates."""
-    worst = bad = None
-    for k, g in enumerate(coeffs):
+def table_congruence(spec: SpectrumSpec, m: int, n: int, l: int) -> tuple[bool, int | None, int | None]:
+    """(holds, witness target, least valuation) of the congruence at depth l.
+
+    Reads nu(Gamma[m,n->t] - delta_{t,m+n}) from coproduct_entry for the
+    diagonal t = m + n first and then t = 0, 1, ..., m + n + 4; the
+    witness is the first target read with valuation < l and the least
+    valuation is taken over every nonzero value read."""
+    gamma = spec.coalgebra.coproduct_entry
+    worst = witness = None
+    for t in [m + n] + [t for t in range(m + n + 5) if t != m + n]:
+        g = gamma(m, n, t) - (t == m + n)
         if not g:
             continue
-        v = nu(p, g)
+        v = nu(spec.prime, g)
         if worst is None or v < worst:
             worst = v
-        if v < l and bad is None:
-            bad = k
-    return {
-        "coefficients": len(coeffs),
-        "complete": len(coeffs) >= m + n,
-        "min_valuation": worst,
-        "ok": bad is None,
-        "witness": bad,
-    }
+        if v < l and witness is None:
+            witness = t
+    return witness is None, witness, worst
 
 
 def multiply_by_contraction(spec: CoalgebraSpec, a: DualElement, b: DualElement) -> DualElement:

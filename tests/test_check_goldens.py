@@ -1,10 +1,13 @@
 """`ktops check --format json` output pinned by SHA-256 digest.
 
-The digests were captured before the congruence cross-check moved to
-integer nodes, so they pin that its records (`checked["cross"]`), the
-verdicts and the exit codes did not change.  ROADMAP item 1 (true
-congruence verdicts) changes this output on purpose; it recaptures
-these digests together with the table evidence for each changed cell.
+The digests were recaptured when the congruence verdict became one
+definition, nu(Gamma[m,n->t] - delta_{t,m+n}) >= l for every target t:
+theta-form cells are decided by the diagonal, the node short-cut or the
+complete expansion and carry no cross-check record (`checked` is null),
+and the table route of k(2) and K(2) reads the diagonal as a
+congruence.  Every verdict, witness and least valuation that changed
+is listed with its table evidence in CHANGES.md; the exit codes did
+not change.
 """
 import hashlib
 import io
@@ -16,18 +19,18 @@ from ktops.cli import run
 ARGS = ["--l", "2", "--sample", "3", "--include-negative-controls", "--format", "json"]
 
 GOLDEN = {
-    "K(3)": (1, "18e0c840228f9acdb68f1af268a9364a7d37f8a6cc58eeaa0c1bcec0972686d7"),
-    "k(3)": (1, "19b0f4bbc97e5d972ad57033704676f7a420d6e8bfb6143016558d30d458af84"),
-    "G(3)": (1, "65d179b64c5c362d77dd5eb0ff01e746e520cf79bcc1baa104080d4be120de4b"),
-    "g(3)": (1, "49a3c014cf3a0e3ef051dcd63569abc596ff5b1c9dded749704fe3d5fb6e1b93"),
-    "KO(2)": (0, "629a72fad422372841dc8b17f3df01597ba77869d46c16204e4e024cd926ec72"),
-    "ko(2)": (0, "d6d4587cff04e4330feebe025342b833f796d42f2adcbefee447eacd59f24abf"),
-    "K(2)": (1, "4fe278a3200cfc206d0003a76c7f7a6ec98edd9aafb9c5e594e72e4c938c3936"),
-    "k(2)": (1, "10f46131fd950a37d67c3c022b746a3c922b035c602883d946e53d4aac8ff922"),
-    "K(5)": (1, "50cf290056eaed65e3d286b562226e666df1fcb96ac48a40af1de3c81c9d4ad7"),
-    "k(5)": (1, "fa052bf36e662b10b260c650cd5cb18f2ffe1e3cdc3f49f06d282bd7370cfa45"),
-    "G(5)": (1, "d0ac7473c4d1018440064f1777d295a1a964977c34889024b48f036e214903f1"),
-    "g(5)": (1, "814dd0353134b55440634ecddd12ab76abcdfe9c6ef9b4416fb058bce609f29a"),
+    "K(3)": (1, "4379718016e70b7b26d8a041b50ea7e4d3f09423d02a2bbbaa0ef5d83152950d"),
+    "k(3)": (1, "a3f8e4e5639ba3c2c4f26fe9823505dfec1ab360309ffa56761d8dcb1ebe3b15"),
+    "G(3)": (1, "d7f5551680ab2012aec28b9d72d1d88705c55489c3d5490eca46a014c1026fa6"),
+    "g(3)": (1, "bb6f462bed5d78a6e60000af90809768399b9081417fae67bc75a57fbc3659f8"),
+    "KO(2)": (0, "dc674376e2be9809c0d615244800834b4b7bb1d20325dacfaa266561c88535d4"),
+    "ko(2)": (0, "cb1f838433bf8eb8e16b8133770ffb32cc5558888b21ac0b2fb84ac7191c867e"),
+    "K(2)": (1, "cb0e0b40a91fb9ad09fa4c0527432599bd1837edc72e9899b6189d608a6f797a"),
+    "k(2)": (1, "25cd1b306ead3b5c89ad2130d47884fa924bc9989f055c44fbef020b620551dc"),
+    "K(5)": (1, "a463840052dcfd727140fca5ac012f74ba0466ec556c708ee6c88f8ccf4efee4"),
+    "k(5)": (1, "ffc38b5b4b99bafa9c8d9cc82063cac25fa600febe4e6d203ea8107bfa2575bc"),
+    "G(5)": (1, "29986cf075e26686613f4280e885cc49cff9aad0e402850feb95688de4fc00c0"),
+    "g(5)": (1, "0b4a108e4d05dcb26fa8381bce31c48744debd8b96a8daa1eb6f7400094470d0"),
 }
 
 

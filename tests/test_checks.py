@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from ktops import checks
 from ktops.checks import (
-    _cross_validate_congruence,
+    _expansion_valuations,
     check_coalgebra_conditions,
     check_congruence_condition,
     check_gamma_transfer,
@@ -14,8 +15,8 @@ from ktops.checks import (
     product_identity_holds,
 )
 from ktops.rationals import nu
-from ktops.spectra import make_spectrum
-from oracles import cross_check_coefficients, cross_check_record, theta_table
+from ktops.spectra import make_spectrum, product_nodes
+from oracles import cross_check_coefficients, table_congruence, theta_table
 
 K3 = make_spectrum("k(3)")
 BIG_K3 = make_spectrum("K(3)")
@@ -41,6 +42,12 @@ def test_unit_condition_requires_order():
         check_unit_condition(K3, 4, 2)
 
 
+def test_unit_condition_rejects_negative_shift():
+    for sp in (K3, K2):
+        with pytest.raises(ValueError, match="non-negative"):
+            check_unit_condition(sp, -1, 2)
+
+
 def test_unit_condition_trivial_period_at_two():
     # 9 = 1 mod 2, so a single exponent decides
     v = check_unit_condition(KO, 1, 2)
@@ -61,35 +68,94 @@ def test_congruence_condition_fails_beyond_depth():
     assert v.min_valuation == 4
 
 
-def test_congruence_cross_validation_recorded():
-    v = check_congruence_condition(K3, 2, 3, 1)
-    assert v.holds
-    assert isinstance(v.checked, dict) and "cross" in v.checked
+def test_congruence_expansion_decides_past_node_differences():
+    # the node difference 2 - 4 is a 3-adic unit, but the only
+    # off-diagonal table entry is 3, so the cell holds exactly
+    v = check_congruence_condition(K3, 1, 2, 1)
+    assert v.holds and v.exact and v.checked is None
+    assert v.min_valuation == 1
+    assert table_congruence(K3, 1, 2, 1) == (True, None, 1)
+    _, ys = product_nodes(K3, 3)
+    assert ys[1] - ys[2] == 2 - 4 and nu(3, 2 - 4) == 0
+
+
+THETA_SPECTRA = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
+                 "k(7)", "G(7)", "ko(2)", "KO(2)")
+
+
+def test_congruence_matches_table_reading(monkeypatch):
+    # the theta route against the literal reading of the Gamma tables on
+    # every cell m <= 12, n <= 10, l <= 3: same verdict and witness
+    # target; the same least valuation wherever the expansion decided,
+    # and a lower bound for it where the node short-cut did
+    expanded = []
+
+    def spy(p, ys, m, n):
+        expanded.append((m, n))
+        return _expansion_valuations(p, ys, m, n)
+
+    monkeypatch.setattr(checks, "_expansion_valuations", spy)
+    for name in THETA_SPECTRA:
+        sp = make_spectrum(name)
+        for m in range(13):
+            for n in range(11):
+                for l in (1, 2, 3):
+                    expanded.clear()
+                    v = check_congruence_condition(sp, m, n, l)
+                    holds, witness, worst = table_congruence(sp, m, n, l)
+                    cell = (name, m, n, l)
+                    assert (v.holds, v.witness) == (holds, witness), cell
+                    assert v.exact and v.checked is None, cell
+                    if expanded:
+                        assert v.min_valuation == worst, cell
+                    elif v.holds:
+                        assert worst is None if v.min_valuation is None else v.min_valuation <= worst, cell
+
+
+def test_table_route_matches_table_reading():
+    # k(2) and K(2) read the same congruence off the same tables
+    for sp in (K2, BIG_K2):
+        for m in range(7):
+            for n in range(7):
+                for l in (1, 2, 3):
+                    v = check_congruence_condition(sp, m, n, l)
+                    holds, witness, _ = table_congruence(sp, m, n, l)
+                    target = v.witness["target"] if v.witness else None
+                    assert (v.holds, target) == (holds, witness), (sp.name, m, n, l)
+
+
+def test_admissible_cells_never_expand(monkeypatch):
+    # far past any table the suite builds: admissible cells hold on
+    # the diagonal and the node short-cut alone
+    def refuse(*args):
+        raise AssertionError("an admissible cell built a node product")
+
+    monkeypatch.setattr(checks, "_expansion_valuations", refuse)
+    for name, m, n in (("G(7)", 490, 5), ("K(5)", 600, 12)):
+        v = check_congruence_condition(make_spectrum(name), m, n, 3)
+        assert v.holds and v.exact, (name, v)
 
 
 CROSS_SPECTRA = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
                  "KO(2)", "ko(2)", "G(7)")
-CROSS_CAP = 12  # the cap check_congruence_condition uses
 
 
 def test_cross_validation_matches_fraction_expansion():
-    # the integer kernel against the LaurentPoly expansion over the
-    # product nodes, at the cap check_congruence_condition uses, on the
-    # grid m <= 12, n <= 8 and on one cell per spectrum at the expansion
-    # limit m + n = 60; the oracle runs once per (m, n) for all three
-    # depths, and theta_m theta_n is symmetric, so (n, m) reuses it
-    spots = ((52, 8), (59, 1), (30, 30), (48, 12))
-    for i, name in enumerate(CROSS_SPECTRA):
+    # the integer expansion against the LaurentPoly expansion over the
+    # product nodes, all m + n coordinates, on the grid m <= 12, n <= 8;
+    # theta_m theta_n is symmetric, so (n, m) reuses the oracle
+    for name in CROSS_SPECTRA:
         sp = make_spectrum(name)
-        thetas = theta_table(sp, 60)
+        thetas = theta_table(sp, 20)
         oracle = {}
-        for m, n in [(m, n) for m in range(13) for n in range(9)] + [spots[i % len(spots)]]:
-            key = (min(m, n), max(m, n))
-            if key not in oracle:
-                oracle[key] = cross_check_coefficients(sp, thetas, m, n, min(m + n, CROSS_CAP))
-            for l in (1, 2, 3):
-                want = cross_check_record(sp.prime, oracle[key], m, n, l)
-                assert _cross_validate_congruence(sp, m, n, l, CROSS_CAP) == want, (name, m, n, l)
+        for m in range(13):
+            for n in range(9):
+                key = (min(m, n), max(m, n))
+                if key not in oracle:
+                    coeffs = cross_check_coefficients(sp, thetas, m, n, m + n)
+                    oracle[key] = [nu(sp.prime, g) if g else None for g in coeffs]
+                _, ys = product_nodes(sp, m + n)
+                assert _expansion_valuations(sp.prime, ys, m, n) == oracle[key], (name, m, n)
 
 
 def test_product_nodes_need_a_unit_base():
@@ -163,11 +229,16 @@ def test_coalgebra_conditions_injected_corruption():
 
 
 def test_periodic_interleaved_diagonal_defect():
-    # in the periodic window the (2,2) diagonal entry is 1/9, not 1
+    # in the periodic window the (2,2) diagonal entry is 1/9, not 1, and
+    # nu_2(1/9 - 1) = 3: the congruence holds to depth 3 and fails at 4
     g = BIG_K2.coalgebra.coproduct_entry(2, 2, 4)
     assert g == Fraction(1, 9)
-    v = check_coalgebra_conditions(BIG_K2, 2, 2, 1, bound=6)
+    for l in (1, 2, 3):
+        v = check_coalgebra_conditions(BIG_K2, 2, 2, l, bound=6)
+        assert v.holds and v.min_valuation == 3, l
+    v = check_coalgebra_conditions(BIG_K2, 2, 2, 4, bound=6)
     assert not v.holds
+    assert v.witness == {"part": "product", "target": 4, "value": "1/9"}
 
 
 def test_condition_report_theta_specs_hold():

@@ -3,7 +3,10 @@
 The digests were captured while each subcommand still built its JSON
 payload, its tsv rows and its pretty lines side by side, so they pin that
 rendering tsv and pretty from the one JSON record changes no byte of any
-format, and that the exit codes stay the same.
+format, and that the exit codes stay the same.  The `check` digests were
+recaptured, with the same exit codes, when the congruence verdict became
+one definition (see tests/test_check_goldens.py); the others are the
+original captures.
 """
 import hashlib
 import io
@@ -37,12 +40,12 @@ GOLDEN = {
     ("gamma-transfer --max 3", "json"): (0, "624bd0b700096b5e62ec99e9232f4a4a6d46a4c4f8ea062374595e4374dd0090"),
     ("gamma-transfer --max 3", "tsv"): (0, "523ee817e6e4757899b68f30e76122ea1a11f00e4fac55e56c534ff017a48b40"),
     ("gamma-transfer --max 3", "pretty"): (0, "49bc23fdacff80be7cd5783cb4eab656c8e13871453310f6a30dd6cca9ea67d8"),
-    ("check k(3) --l 1 --sample 3 --include-negative-controls", "json"): (1, "42e2712ec388f672b189cc433e7f3bc0f5adb3459b99c83a0a81ae37f6b3d662"),
-    ("check k(3) --l 1 --sample 3 --include-negative-controls", "tsv"): (1, "aa03f845b903ef6fc20ab767010f084aa1f6af431d572ac482c3390dbbfd283f"),
-    ("check k(3) --l 1 --sample 3 --include-negative-controls", "pretty"): (1, "bd1a7ae1bbaed6547e1797f46a6d02b681e59512f6b29c64a6f2a6aa76795976"),
-    ("check K(2) --l 1 --sample 3 --include-negative-controls", "json"): (1, "24126c95f0e058033be1cb7e71c9bdc6b6af59c5bc71f2de5b71c1d9f43b02a9"),
-    ("check K(2) --l 1 --sample 3 --include-negative-controls", "tsv"): (1, "97c5ee0b8a0dfebaadbc591ea2075716ff2c9cf32484d30475c0aea4b7c61240"),
-    ("check K(2) --l 1 --sample 3 --include-negative-controls", "pretty"): (1, "e88b150bb54760740d3dbc1f9c74d1c71d57704d79af530ac86c43bf877d298e"),
+    ("check k(3) --l 1 --sample 3 --include-negative-controls", "json"): (1, "f3ea43f5208f309a81a514ecf0c073f813c7e752d0461d69be4854e70c42787b"),
+    ("check k(3) --l 1 --sample 3 --include-negative-controls", "tsv"): (1, "3317d50d16a6ca6459099e0b93cfcbb020f253ec060f634df3a9b07e78ba1685"),
+    ("check k(3) --l 1 --sample 3 --include-negative-controls", "pretty"): (1, "16106aff75d866a031d882ddb79e06892f226b825cc644915524fc4a4519c2ad"),
+    ("check K(2) --l 1 --sample 3 --include-negative-controls", "json"): (1, "62fd280aced53771a0bcb7ed7030f5d720121b1bc76fc31c0e637361607609e9"),
+    ("check K(2) --l 1 --sample 3 --include-negative-controls", "tsv"): (1, "590824c876859bc38f6a9708b3502b6b5e49a5c3092580afd6d0a372566bb1a5"),
+    ("check K(2) --l 1 --sample 3 --include-negative-controls", "pretty"): (1, "60df9542422a68a072a1dcfaf2f89ad05e4b6c3657c8e28bce2ab3876994eba4"),
     ("product k(3) --i 2 --j 3 --prec 7", "json"): (0, "876609b0333262cc25039580e37b1d55950e0b7839bec34538d7e7f8ed2ae6ed"),
     ("product k(3) --i 2 --j 3 --prec 7", "tsv"): (0, "1fb8d7a0234650d1fb4752d56c09e1b5f3616b6064fe0913c2174896936e92f2"),
     ("product k(3) --i 2 --j 3 --prec 7", "pretty"): (0, "3be46f6089d5a8dd65a713d20739c7e1bd148d480cadf02bca4a8affd80a178e"),
