@@ -9,6 +9,8 @@ unit acts as the identity (the counit law sum_n eps(c_n) M_n = 1) and
 the matrices satisfy the same relations as the basis elements
 themselves, both read against each row's torsion modulus.  Everything
 is checked by validate_module; to_comodule only validates and wraps.
+validate_module works on integer matrices: each law is scaled by p-adic
+units and by the lcm L of its denominators, torsion rows mod p**(e + nu_p(L)).
 
 Columns index source generators and rows index targets, so column g of
 M_i is the image of generator g.  Free generators come first, then the
@@ -20,10 +22,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from math import lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .coalgebra import CoalgebraSpec
-from .rationals import _int_valuation, as_fraction, is_prime, nu
+from .rationals import _int_valuation, as_fraction, is_prime
 from .spectra import SpectrumSpec, admissible_shifts
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -42,14 +46,6 @@ def _identity(d: int) -> Matrix:
 
 def _zero(d: int) -> Matrix:
     return tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -91,6 +87,8 @@ class FGModule:
         return len(self.matrices)
 
     def matrix(self, i: int) -> Matrix:
+        if i < 0:
+            raise ValueError("basis indices start at 0")
         if i < self.level:
             return self.matrices[i]
         return _zero(self.dimension)
@@ -116,31 +114,6 @@ def _malformed(mod: FGModule) -> tuple[str, dict] | None:
     return None
 
 
-def _combination(mod: FGModule, weight: Callable[[int], Fraction]) -> list[list[Fraction]]:
-    """sum_n weight(n) M_n over the table, skipping the zero weights."""
-    d = mod.dimension
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for n, m in enumerate(mod.matrices):
-        w = weight(n)
-        if w:
-            for r in range(d):
-                out[r] = [x + w * y for x, y in zip(out[r], m[r])]
-    return out
-
-
-def _first_mismatch(mod: FGModule, lhs, rhs) -> tuple[int, int] | None:
-    """The first entry (r, c) where lhs and rhs differ as maps of the module.
-
-    Free rows must agree exactly, torsion rows modulo the row's order.
-    """
-    p = mod.prime
-    for r, e in enumerate(mod.row_exponents):
-        for c, (x, y) in enumerate(zip(lhs[r], rhs[r])):
-            if x != y and (e is None or nu(p, x - y) < e):
-                return r, c
-    return None
-
-
 @dataclass(frozen=True)
 class ModuleVerdict:
     ok: bool
@@ -161,56 +134,81 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     law and the relations are compared exactly on free rows and modulo
     the row's torsion order on torsion rows.  The first failure is
     reported with its cell.
+
+    Past the integrality scan the work is on integers: A_n = D M_n, D the
+    lcm of the entry denominators (a p-adic unit), and each law is
+    multiplied by the lcm L of its coefficient denominators:
+    sum_n (L eps_n) A_n = L D 1 and L A_i A_j = D sum_n (L G[i,j -> n]) A_n.
+    L may hold p on a coalgebra without a prime, so a torsion row of
+    order p**e compares modulo p**(e + nu_p(L)).  A failed relation
+    reports its sides unscaled, as lhs/D**2 and rhs/(L D).
     """
     p = mod.prime
     if spec.prime not in (None, p):
         return ModuleVerdict(False, "prime mismatch between module and coalgebra")
-    d = mod.dimension
     bad = _malformed(mod)
     if bad is not None:
         return ModuleVerdict(False, *bad)
-    miss = _first_mismatch(mod, _combination(mod, spec.counit_value), _identity(d))
-    if miss is not None:
-        r, c = miss
-        return ModuleVerdict(False, f"the counit does not act as the identity at entry ({r},{c})",
-                             {"row": r, "col": c})
+    d, k, exps = mod.dimension, mod.level, mod.row_exponents
+    den = lcm(*(v.denominator for m in mod.matrices for row in m for v in row))
+    a = [[[v.numerator * (den // v.denominator) for v in row] for row in m] for m in mod.matrices]
+
+    def scaled(weights: list[Fraction]) -> tuple[int, list[int], list[int | None]]:
+        """L, the weights times L, and the row moduli p**(e + nu_p(L)), None if free."""
+        big = lcm(*(w.denominator for w in weights))
+        s = _int_valuation(p, big)
+        return (big, [w.numerator * (big // w.denominator) for w in weights],
+                [None if e is None else p ** (e + s) for e in exps])
+
+    def miss(xs: list[int], ys: list[int], q: int | None) -> int | None:
+        """First column where two scaled rows differ: exactly, or mod q."""
+        return next((c for c, (x, y) in enumerate(zip(xs, ys))
+                     if x != y and (q is None or (x - y) % q)), None)
+
+    def combination(ws: list[int], r: int) -> list[int]:
+        """Row r of sum_n ws[n] A_n."""
+        out = [0] * d
+        for w, m in zip(ws, a):
+            if w:
+                out = [x + w * y for x, y in zip(out, m[r])]
+        return out
+
+    big, eps, qs = scaled([spec.counit_value(n) for n in range(k)])
+    for r in range(d):
+        c = miss(combination(eps, r), [big * den * (col == r) for col in range(d)], qs[r])
+        if c is not None:
+            return ModuleVerdict(False, f"the counit does not act as the identity at entry ({r},{c})",
+                                 {"row": r, "col": c})
 
     # a torsion generator is killed by its order, so its image has no
     # free component and its torsion components respect the orders
-    exps = mod.row_exponents
-    for i, m in enumerate(mod.matrices):
+    for i, m in enumerate(a):
         for c in range(mod.free_rank, d):
             for r in range(d):
                 v = m[r][c]
-                if not v:
+                if v and exps[r] is None:
+                    why = f"sends torsion generator {c} into the free part"
+                elif v and exps[r] > exps[c] and v % p ** (exps[r] - exps[c]):
+                    why = f"entry ({r},{c}) violates the torsion orders"
+                else:
                     continue
-                if exps[r] is None:
-                    return ModuleVerdict(
-                        False,
-                        f"matrix {i} sends torsion generator {c} into the free part",
-                        {"i": i, "row": r, "col": c},
-                    )
-                if exps[r] > exps[c] and nu(p, v) < exps[r] - exps[c]:
-                    return ModuleVerdict(
-                        False,
-                        f"matrix {i} entry ({r},{c}) violates the torsion orders",
-                        {"i": i, "row": r, "col": c},
-                    )
+                return ModuleVerdict(False, f"matrix {i} {why}", {"i": i, "row": r, "col": c})
 
-    k = mod.level
+    gammas = [spec.coproduct_matrix(n) for n in range(k)]
+    cols = [list(zip(*m)) for m in a]
     for i in range(k):
         for j in range(k):
-            lhs = _mat_mul(mod.matrices[i], mod.matrices[j])
-            rhs = _combination(mod, lambda n: spec.coproduct_entry(i, j, n))
-            miss = _first_mismatch(mod, lhs, rhs)
-            if miss is not None:
-                r, c = miss
-                return ModuleVerdict(
-                    False,
-                    f"relation ({i},{j}) fails at entry ({r},{c})",
-                    {"i": i, "j": j, "row": r, "col": c,
-                     "lhs": str(lhs[r][c]), "rhs": str(rhs[r][c])},
-                )
+            big, gs, qs = scaled([g[i][j] if n >= max(i, j) else Fraction(0)
+                                  for n, g in enumerate(gammas)])
+            for r in range(d):
+                prod = [sum(map(mul, a[i][r], col)) for col in cols[j]]
+                comb = combination(gs, r)
+                c = miss([big * x for x in prod], [den * y for y in comb], qs[r])
+                if c is not None:
+                    return ModuleVerdict(False, f"relation ({i},{j}) fails at entry ({r},{c})", {
+                        "i": i, "j": j, "row": r, "col": c,
+                        "lhs": str(Fraction(prod[c], den * den)),
+                        "rhs": str(Fraction(comb[c], big * den))})
     return ModuleVerdict(True)
 
 
@@ -311,6 +309,8 @@ def _reduce_mod(v: Fraction, p: int, e: int) -> Fraction:
 
 def trivial_module(prime: int, free_rank: int = 1, torsion_orders: Sequence[int] = (), level: int = 1) -> FGModule:
     """Everything above index 0 acts as zero."""
+    if level < 1:
+        raise ValueError("the level must be a positive integer")
     d = free_rank + len(torsion_orders)
     mats = [_identity(d)] + [_zero(d) for _ in range(level - 1)]
     return FGModule(prime, free_rank, tuple(torsion_orders), tuple(mats))

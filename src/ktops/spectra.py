@@ -226,8 +226,16 @@ def support_step(spec: SpectrumSpec, l: int) -> int:
     """Step of the arithmetic progression of admissible shifts at depth l.
 
     Depth l admissibility asks the unit and congruence conditions mod
-    p**l; the admissible positive shifts form the positive multiples of
-    the value returned here.
+    p**l; admissible_shifts yields the positive multiples of the value
+    returned here.  The value is a hand table, not derived from the
+    conditions.  Its soundness is pinned by the tests on k, K, g and G
+    at 3 and 5, k(7), G(7), ko(2) and KO(2): every admissible m <= 40
+    passes the congruence condition for n <= 8 at l <= 3.  It is
+    stricter than the conditions on G(3) and G(5) at l = 1 and on KO(2)
+    at l <= 3, where the odd shifts pass too (ko(2) at l <= 3 already
+    admits every shift).  On k(2) and K(2), which have no product form,
+    it admits shifts that the table route rejects: `ktops check k(2)
+    --l 3` fails 27 of its 120 admissible cells.
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")

@@ -41,11 +41,20 @@ Gamma tables coefficient by coefficient instead:
 * expand_by_value_on: coefficient n as P paired with basis element n;
 * monomial_pairing_by_coords: the pairing with w**(rk) summed over the
   Fraction coordinates from basis_coords.
+
+Module tables (ktops.modules) are validated on integer matrices over one
+p-unit denominator.  The route here checks the same axioms, in the same
+order, one Fraction operation at a time:
+
+* validate_module_by_fractions: the counit law, the torsion columns and
+  every relation M_i M_j = sum_n G[i,j -> n] M_n, each side built entry
+  by entry (_mat_mul, _combination) and compared by _first_mismatch.
 """
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Callable
 
 from ktops.coalgebra import CoalgebraSpec, NotRegularError
 from ktops.dual import (
@@ -56,6 +65,7 @@ from ktops.dual import (
     PrecisionError,
 )
 from ktops.laurent import LaurentPoly
+from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
 from ktops.rationals import is_p_local_unit, nu
 from ktops.spectra import SpectrumSpec
 
@@ -362,3 +372,90 @@ def monomial_pairing_by_coords(spec: CoalgebraSpec, a: DualElement, k: int) -> F
             f"monomial slot {k} needs {len(coords)} coefficients; only {a.precision} known"
         )
     return sum((r * c for r, c in zip(a.coeffs, coords)), Fraction(0))
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _combination(mod: FGModule, weight: Callable[[int], Fraction]) -> list[list[Fraction]]:
+    """sum_n weight(n) M_n over the table, skipping the zero weights."""
+    d = mod.dimension
+    out = [[Fraction(0)] * d for _ in range(d)]
+    for n, m in enumerate(mod.matrices):
+        w = weight(n)
+        if w:
+            for r in range(d):
+                out[r] = [x + w * y for x, y in zip(out[r], m[r])]
+    return out
+
+
+def _first_mismatch(mod: FGModule, lhs, rhs) -> tuple[int, int] | None:
+    """The first entry (r, c) where lhs and rhs differ as maps of the module.
+
+    Free rows must agree exactly, torsion rows modulo the row's order.
+    """
+    p = mod.prime
+    for r, e in enumerate(mod.row_exponents):
+        for c, (x, y) in enumerate(zip(lhs[r], rhs[r])):
+            if x != y and (e is None or nu(p, x - y) < e):
+                return r, c
+    return None
+
+
+def validate_module_by_fractions(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
+    """validate_module with every law built and compared in Fractions."""
+    p = mod.prime
+    if spec.prime not in (None, p):
+        return ModuleVerdict(False, "prime mismatch between module and coalgebra")
+    d = mod.dimension
+    bad = _malformed(mod)
+    if bad is not None:
+        return ModuleVerdict(False, *bad)
+    miss = _first_mismatch(mod, _combination(mod, spec.counit_value), _identity(d))
+    if miss is not None:
+        r, c = miss
+        return ModuleVerdict(False, f"the counit does not act as the identity at entry ({r},{c})",
+                             {"row": r, "col": c})
+
+    # a torsion generator is killed by its order, so its image has no
+    # free component and its torsion components respect the orders
+    exps = mod.row_exponents
+    for i, m in enumerate(mod.matrices):
+        for c in range(mod.free_rank, d):
+            for r in range(d):
+                v = m[r][c]
+                if not v:
+                    continue
+                if exps[r] is None:
+                    return ModuleVerdict(
+                        False,
+                        f"matrix {i} sends torsion generator {c} into the free part",
+                        {"i": i, "row": r, "col": c},
+                    )
+                if exps[r] > exps[c] and nu(p, v) < exps[r] - exps[c]:
+                    return ModuleVerdict(
+                        False,
+                        f"matrix {i} entry ({r},{c}) violates the torsion orders",
+                        {"i": i, "row": r, "col": c},
+                    )
+
+    k = mod.level
+    for i in range(k):
+        for j in range(k):
+            lhs = _mat_mul(mod.matrices[i], mod.matrices[j])
+            rhs = _combination(mod, lambda n: spec.coproduct_entry(i, j, n))
+            miss = _first_mismatch(mod, lhs, rhs)
+            if miss is not None:
+                r, c = miss
+                return ModuleVerdict(
+                    False,
+                    f"relation ({i},{j}) fails at entry ({r},{c})",
+                    {"i": i, "j": j, "row": r, "col": c,
+                     "lhs": str(lhs[r][c]), "rhs": str(rhs[r][c])},
+                )
+    return ModuleVerdict(True)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
@@ -15,7 +16,7 @@ from ktops.checks import (
     product_identity_holds,
 )
 from ktops.rationals import nu
-from ktops.spectra import make_spectrum, product_nodes
+from ktops.spectra import admissible_shifts, make_spectrum, product_nodes
 from oracles import cross_check_coefficients, table_congruence, theta_table
 
 K3 = make_spectrum("k(3)")
@@ -282,3 +283,30 @@ def test_congruence_condition_reads_tables_without_product_form():
     assert check_congruence_condition(K2, 12, 10, 1).checked == 22
     with pytest.raises(ValueError):
         check_congruence_condition(K2, 4, 2, 0)
+
+
+def test_support_step_sound_on_theta_spectra():
+    # the hand table of admissible shifts against the exact route
+    cells = 0
+    for name in ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
+                 "k(7)", "G(7)", "ko(2)", "KO(2)"):
+        sp = make_spectrum(name)
+        for l in (1, 2, 3):
+            for m in takewhile(lambda m: m <= 40, admissible_shifts(sp, l)):
+                for n in range(9):
+                    v = check_congruence_condition(sp, m, n, l)
+                    assert v.holds and v.exact, (name, m, n, l)
+                    cells += 1
+    assert cells == 3834
+
+
+def test_support_step_where_it_differs_from_the_conditions():
+    # stricter: odd shifts pass on G(3) at l = 1 and on KO(2) at l = 3,
+    # where the table admits only even ones
+    for name, l in (("G(3)", 1), ("KO(2)", 3)):
+        sp = make_spectrum(name)
+        assert next(admissible_shifts(sp, l)) == 2
+        assert all(check_congruence_condition(sp, 1, n, l) for n in range(9))
+    # too lax on k(2): shift 1 is admitted at l = 3 and fails there
+    assert next(admissible_shifts(K2, 3)) == 1
+    assert not check_congruence_condition(K2, 1, 1, 3)

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from ktops.coalgebra import binomial_coalgebra, monomial_coalgebra
+from ktops.coalgebra import CoalgebraSpec, binomial_coalgebra, monomial_coalgebra
+from ktops.laurent import LaurentPoly
 from ktops.modules import (
     FGModule,
+    ModuleVerdict,
     character_module,
     comodule_on_basis,
     module_from_json,
@@ -15,6 +17,7 @@ from ktops.modules import (
     validate_module,
 )
 from ktops.spectra import make_spectrum
+from oracles import validate_module_by_fractions
 
 K3 = make_spectrum("k(3)")
 KO = make_spectrum("ko(2)")
@@ -227,3 +230,80 @@ def test_non_integral_reason_matches_annihilator():
     with pytest.raises(ValueError) as err:
         torsion_annihilator(m, K3, 1)
     assert v.reason == str(err.value) == "matrix 1 entry (0,0) is 1/3, not 3-locally integral"
+
+
+# ----------------------------------------------------------------------
+# the integer route against the Fraction oracle
+# ----------------------------------------------------------------------
+
+def _corruptions(mod: FGModule, deltas):
+    """mod with one entry moved by one delta, for every entry and delta."""
+    for i, m in enumerate(mod.matrices):
+        for r, row in enumerate(m):
+            for c in range(len(row)):
+                for delta in deltas:
+                    mats = [list(map(list, mat)) for mat in mod.matrices]
+                    mats[i][r][c] += delta
+                    yield FGModule(mod.prime, mod.free_rank, mod.torsion_orders, tuple(mats))
+
+
+def _assert_agrees(mod: FGModule, spec) -> ModuleVerdict:
+    # ModuleVerdict equality covers ok, reason and the cell with its lhs/rhs
+    fast, slow = validate_module(mod, spec), validate_module_by_fractions(mod, spec)
+    assert fast == slow, (module_to_json(mod), fast, slow)
+    return fast
+
+
+_SWEEP = {
+    "k(3)": make_spectrum("k(3)").coalgebra,
+    "KO(2)": make_spectrum("KO(2)").coalgebra,
+    "k(2)": make_spectrum("k(2)").coalgebra,
+    "G(5)": make_spectrum("G(5)").coalgebra,
+    "binomial(3)": binomial_coalgebra(3),
+    "monomial(1,3)": monomial_coalgebra(1, 3),
+    "monomial(1,3)-periodic": monomial_coalgebra(1, 3, periodic=True),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP))
+def test_validate_agrees_with_fraction_oracle_on_corruptions(name):
+    spec = _SWEEP[name]
+    p = spec.prime
+    stock = [comodule_on_basis(spec, 3)]
+    stock += [character_module(spec, s) for s in spec.monomial_slots(3)]
+    stock += [trivial_module(p, 1, (p, p * p), 3), trivial_module(p, 0, (p * p, p), 2)]
+    assert all([_assert_agrees(m, spec) for m in stock])
+    for m in stock:
+        for bad in _corruptions(m, (1, p, Fraction(1, p), -2)):
+            _assert_agrees(bad, spec)
+
+
+@pytest.mark.parametrize("name", ["k(3)", "KO(2)", "k(2)", "G(5)"])
+def test_validate_agrees_with_fraction_oracle_at_size_six(name):
+    spec = _SWEEP[name]
+    assert _assert_agrees(comodule_on_basis(spec, 6), spec)
+
+
+def test_validate_shifts_torsion_moduli_by_the_law_denominator():
+    # Without a prime, Gamma[i,i -> i] = 3**-i: the relation's scale L holds
+    # powers of 3, and a torsion row's modulus must grow by nu_3(L)
+    spec = CoalgebraSpec(step=1, basis=lambda n: LaurentPoly.monomial(n) * 3**n)
+    stock = (trivial_module(3, 1, (3, 9), 3), trivial_module(3, 0, (27, 3), 3))
+    tables = [*stock, *(bad for m in stock for bad in _corruptions(m, (1, 3, 9, 27, -2, 81)))]
+    verdicts = [_assert_agrees(t, spec) for t in tables]
+    assert len(verdicts) == 236
+    assert sum(v.ok for v in verdicts) == 71
+
+
+def test_negative_basis_index_refused():
+    m = character_module(C3, 3)
+    with pytest.raises(ValueError, match="start at 0"):
+        m.matrix(-1)
+    with pytest.raises(ValueError, match="start at 0"):
+        to_comodule(m, C3).action_matrix(-2)
+
+
+@pytest.mark.parametrize("level", [0, -5])
+def test_trivial_module_refuses_level_below_one(level):
+    with pytest.raises(ValueError, match="level"):
+        trivial_module(3, level=level)
