@@ -18,7 +18,7 @@ and a short-cut over differences of the product nodes that can only
 prove it.  Both run on the integer nodes of ktops.spectra.product_nodes,
 z_i = b**s_i (s_i = 0, 1, 2, ... connectively and 0, 1, -1, 2, -2, ...
 periodically) scaled to y_i = b**(s_i + E) to clear the negative
-exponents, and node products grow by ktops.spectra.times_linear.  A
+exponents, and node products grow by ktops.laurent.times_linear.  A
 value or coordinate computed on the y_i is the one on the z_i times a
 power of b, and b is a p-adic unit, so zeroness and p-adic valuations,
 the only facts the verdicts read, are the same.  The 2-local complex
@@ -33,8 +33,9 @@ from functools import reduce
 from itertools import accumulate, combinations, islice
 from typing import Callable
 
+from .laurent import times_linear
 from .rationals import _int_valuation, multiplicative_order, nu
-from .spectra import SpectrumSpec, admissible_shifts, product_nodes, support_step, times_linear
+from .spectra import SpectrumSpec, admissible_shifts, product_nodes, support_step
 
 
 @dataclass(frozen=True)
@@ -275,6 +276,8 @@ def check_coalgebra_conditions(
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")
+    if m < 0 or n < 0:
+        raise ValueError("shift and index must be non-negative")
     if bound < m + n:
         raise ValueError("the bound must reach at least m + n")
     if gamma is None:

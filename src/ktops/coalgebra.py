@@ -12,11 +12,14 @@ exact degree nr.  Periodic case: element n has exponents inside
 r*[-floor(n/2), ceil(n/2)] and a nonzero coefficient on the one slot
 that window adds over the window of element n-1.
 
-Three coefficient tables are derived from the basis and memoized:
+A basis enters as integers only: basis(n) returns (d, {k: m_k}) with
+c_n = (1/d) * sum_k m_k w**(rk), e.g. (2, {1: -1, 2: 1}) for (w**2 - w)/2
+at r = 1.  basis_poly(n) renders that form as a LaurentPoly and is not
+stored.  Three coefficient tables are derived from the basis and
+memoized:
 
-* monomial_form(n): the pair (d_n, m) writing element n as
-  (1/d_n) * sum_k m_k w**(rk) with integer m_k, d_n > 0 and
-  gcd({m_k}, d_n) = 1;
+* monomial_form(n): basis(n) reduced to d_n > 0 and gcd({m_k}, d_n) = 1,
+  with its shape checked against the window of n;
 * basis_coords(k): the coordinates of the monomial w**(rk) in the
   basis (exact rationals; regularity asks them to be integral);
 * coproduct_matrix(n): the structure constants of the comultiplication,
@@ -35,14 +38,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd, lcm
 from typing import Callable
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, times_linear
 from .rationals import is_p_local_integer, is_prime
 
 
 _ZERO = Fraction(0)
+
+# basis(n) -> (d, {k: m_k}), the integer monomial form of element n
+Basis = Callable[[int], tuple[int, dict[int, int]]]
 
 
 class NotRegularError(ValueError):
@@ -51,14 +58,19 @@ class NotRegularError(ValueError):
 
 @dataclass(eq=False)
 class CoalgebraSpec:
-    """A choice of ground ring, exponent step and basis polynomials."""
+    """A choice of ground ring, exponent step and basis polynomials.
+
+    basis(n) returns element n as (d, {k: m_k}) with int entries, meaning
+    c_n = (1/d) * sum_k m_k w**(r*k); k is a slot, not an exponent, and
+    zeros and common factors are allowed: at r = 1, (2, {1: -1, 2: 1})
+    is (w**2 - w) / 2.
+    """
 
     step: int
-    basis: Callable[[int], LaurentPoly]
+    basis: Basis
     prime: int | None = None
     periodic: bool = False
     name: str = ""
-    _poly: dict = field(default_factory=dict, repr=False)
     _mono: dict = field(default_factory=dict, repr=False)
     _icoords: dict = field(default_factory=dict, repr=False)
     _coords: dict = field(default_factory=dict, repr=False)
@@ -102,29 +114,40 @@ class CoalgebraSpec:
     # basis access and validation
     # ------------------------------------------------------------------
 
-    def basis_poly(self, n: int) -> LaurentPoly:
+    def monomial_form(self, n: int) -> tuple[int, dict[int, int]]:
+        """Element n as (d, {k: m_k}), reduced to d > 0 and gcd({m_k}, d) = 1.
+
+        basis(n) may carry zero numerators and any common factor; they
+        are dropped here, after which the shape of the element is checked.
+        """
         if n < 0:
             raise ValueError("basis indices start at 0")
-        if n in self._poly:
-            return self._poly[n]
-        c = self.basis(n)
-        if n == 0:
-            if c != LaurentPoly.one():
-                raise NotRegularError("basis element 0 must be the constant 1")
-        else:
-            lo, hi = self.window(n)
-            r = self.step
-            for e in c.support:
-                if e % r or not (lo <= e // r <= hi):
-                    raise NotRegularError(
-                        f"element {n} has exponent {e} outside its window; not a regular basis"
-                    )
-            if c.coeff(r * self.extending_slot(n)) == 0:
+        if n in self._mono:
+            return self._mono[n]
+        d, mono = self.basis(n)
+        if d == 0:
+            raise NotRegularError(f"element {n} has denominator 0; not a regular basis")
+        mono = {k: m for k, m in mono.items() if m}
+        g = gcd(d, *mono.values()) * (1 if d > 0 else -1)
+        d, mono = d // g, {k: m // g for k, m in mono.items()}
+        if n == 0 and (d, mono) != (1, {0: 1}):
+            raise NotRegularError("basis element 0 must be the constant 1")
+        lo, hi = self.window(n)
+        for k in mono:
+            if not lo <= k <= hi:
                 raise NotRegularError(
-                    f"element {n} misses its extending slot; not a regular basis"
+                    f"element {n} has exponent {self.step * k} outside its window; "
+                    "not a regular basis"
                 )
-        self._poly[n] = c
-        return c
+        if self.extending_slot(n) not in mono:
+            raise NotRegularError(f"element {n} misses its extending slot; not a regular basis")
+        self._mono[n] = (d, mono)
+        return d, mono
+
+    def basis_poly(self, n: int) -> LaurentPoly:
+        """Element n as a LaurentPoly in w, for display and polynomial identities."""
+        d, mono = self.monomial_form(n)
+        return LaurentPoly({self.step * k: Fraction(m, d) for k, m in mono.items()})
 
     def in_ground_ring(self, x: Fraction) -> bool:
         if self.prime is None:
@@ -133,61 +156,34 @@ class CoalgebraSpec:
 
     def counit_value(self, n: int) -> Fraction:
         """Value of the counit on basis element n (evaluation at w = 1)."""
-        return self.basis_poly(n)(1)
+        d, mono = self.monomial_form(n)
+        return Fraction(sum(mono.values()), d)
 
     # ------------------------------------------------------------------
     # coefficient tables
     # ------------------------------------------------------------------
 
-    def monomial_form(self, n: int) -> tuple[int, dict[int, int]]:
-        """Write element n as (1/d) * sum_k m_k w**(rk); returns (d, {k: m_k}).
+    def _int_coords(self, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """basis_coords(k) as (D, ((i, A_i), ...)) over the nonzero A_i.
 
-        d is the positive lcm of the coefficient denominators, which
-        makes gcd({m_k}, d) = 1 automatic.
-        """
-        if n in self._mono:
-            return self._mono[n]
-        c = self.basis_poly(n)
-        d = lcm(*(v.denominator for _, v in c.items())) if not c.is_zero else 1
-        form = (d, {e // self.step: v.numerator * (d // v.denominator) for e, v in c.items()})
-        self._mono[n] = form
-        return form
-
-    def coords_of(self, f: LaurentPoly) -> tuple[Fraction, ...]:
-        """Coordinates of f in the basis, as a dense tuple from index 0.
-
-        Raises NotRegularError when f is not in the span.
-        """
-        if f.is_zero:
-            return ()
-        den = lcm(*(v.denominator for _, v in f.items()))
-        slots = {}
-        for e, v in f.items():
-            if e % self.step:
-                raise NotRegularError(f"exponent {e} is not a multiple of the step {self.step}")
-            slots[e // self.step] = v.numerator * (den // v.denominator)
-        d, nums = self._int_coords(slots, den)
-        return tuple(Fraction(a, d) if a else _ZERO for a in nums)
-
-    def _int_coords(self, slots: dict[int, int], den: int) -> tuple[int, list[int]]:
-        """Coordinates of (1/den) * sum_k slots[k] w**(rk) as (D, [A_0, ...]).
-
-        The coordinate on index n is A_n / D with D > 0 the lcm of their
+        The coordinate on index i is A_i / D with D > 0 the lcm of their
         denominators.  Fraction-free elimination: the remainder is kept
         as integers R over one denominator, and the extremal slot of R,
         which only the highest-index contributing basis element can
         reach, is cleared with that element's integer monomial form.
         """
-        rem = dict(slots)
+        if k in self._icoords:
+            return self._icoords[k]
+        rem, den = {k: 1}, 1
         out: dict[int, tuple[int, int]] = {}
         while rem:
-            n = max(self.resolving_index(k) for k in rem)
-            k = self.extending_slot(n)
+            n = max(map(self.resolving_index, rem))
+            e = self.extending_slot(n)
             d_n, mono = self.monomial_form(n)
-            # x = R_k d_n / (den m_k) clears slot k; with a / b = R_k / m_k
+            # x = R_e d_n / (den m_e) clears slot e; with a / b = R_e / m_e
             # in lowest terms, x c_n = (a / (den b)) M for M = d_n c_n
-            g = gcd(rem[k], mono[k])
-            a, b = rem[k] // g, mono[k] // g
+            g = gcd(rem[e], mono[e])
+            a, b = rem[e] // g, mono[e] // g
             out[n] = (a * d_n, den * b)
             if b != 1:
                 for j in rem:
@@ -204,21 +200,8 @@ class CoalgebraSpec:
                 den //= g
                 for j in rem:
                     rem[j] //= g
-        for n, (a, b) in out.items():
-            g = gcd(a, b)
-            out[n] = (a // g, b // g)
-        d = lcm(*(b for _, b in out.values()))
-        nums = [0] * (max(out) + 1)
-        for n, (a, b) in out.items():
-            nums[n] = a * (d // b)
-        return d, nums
-
-    def _monomial_int_coords(self, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """basis_coords(k) as (D, ((i, A_i), ...)) over the nonzero A_i."""
-        if k in self._icoords:
-            return self._icoords[k]
-        d, nums = self._int_coords({k: 1}, 1)
-        form = (d, tuple((i, a) for i, a in enumerate(nums) if a))
+        d = lcm(*(b // gcd(a, b) for a, b in out.values()))
+        form = (d, tuple((n, a * d // b) for n, (a, b) in sorted(out.items())))
         self._icoords[k] = form
         return form
 
@@ -230,7 +213,7 @@ class CoalgebraSpec:
         """
         if k in self._coords:
             return self._coords[k]
-        d, nz = self._monomial_int_coords(k)
+        d, nz = self._int_coords(k)
         coords = [_ZERO] * (self.resolving_index(k) + 1)
         for i, a in nz:
             coords[i] = Fraction(a, d)
@@ -251,7 +234,7 @@ class CoalgebraSpec:
         if n in self._gamma:
             return self._gamma[n]
         d, mono = self.monomial_form(n)
-        forms = [(mk, *self._monomial_int_coords(k)) for k, mk in mono.items()]
+        forms = [(mk, *self._int_coords(k)) for k, mk in mono.items()]
         big = lcm(*(dk * dk for _, dk, _ in forms))
         size = n + 1
         acc = [[0] * size for _ in range(size)]
@@ -274,6 +257,8 @@ class CoalgebraSpec:
 
     def coproduct_entry(self, i: int, j: int, n: int) -> Fraction:
         """G[i][j] of element n, with the triangular zeros filled in."""
+        if min(i, j, n) < 0:
+            raise ValueError("basis indices start at 0")
         if i > n or j > n:
             return Fraction(0)
         return self.coproduct_matrix(n)[i][j]
@@ -327,7 +312,7 @@ def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
     bad = ""
     for n in range(limit + 1):
         try:
-            spec.basis_poly(n)
+            spec.monomial_form(n)
         except NotRegularError as e:
             bad = f"n={n}: {e}"
             break
@@ -335,40 +320,30 @@ def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
     if bad:
         return RegularityReport(limit, checks)
 
-    slots = spec.monomial_slots(limit)
-
-    bad = ""
-    for k in slots:
-        coords = spec.basis_coords(k)
-        for n, v in enumerate(coords):
-            if not spec.in_ground_ring(v):
-                bad = f"monomial k={k}, index {n}: coordinate {v}"
-                break
-        if bad:
-            break
+    bad = next((
+        f"monomial k={k}, index {n}: coordinate {v}"
+        for k in spec.monomial_slots(limit)
+        for n, v in enumerate(spec.basis_coords(k))
+        if not spec.in_ground_ring(v)
+    ), "")
     checks.append(CheckResult("monomial coordinates integral", not bad, bad))
 
-    bad = ""
-    for n in range(limit + 1):
-        g = spec.coproduct_matrix(n)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if not spec.in_ground_ring(g[i][j]):
-                    bad = f"element {n}, entry ({i},{j}): {g[i][j]}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = next((
+        f"element {n}, entry ({i},{j}): {v}"
+        for n in range(limit + 1)
+        for i, row in enumerate(spec.coproduct_matrix(n))
+        for j, v in enumerate(row)
+        if not spec.in_ground_ring(v)
+    ), "")
     checks.append(CheckResult("coproduct constants integral", not bad, bad))
 
     bad = ""
     for i in range(limit + 1):
         d, mono = spec.monomial_form(i)
         ki = spec.extending_slot(i)
-        coords = spec.basis_coords(ki)
-        if coords[i] * mono.get(ki, 0) != d:
-            bad = f"element {i}: diagonal product {coords[i] * mono.get(ki, 0)} != {d}"
+        lam = spec.basis_coords(ki)[i] * mono[ki]
+        if lam != d:
+            bad = f"element {i}: diagonal product {lam} != {d}"
             break
     checks.append(CheckResult("diagonal identity", not bad, bad))
 
@@ -419,12 +394,8 @@ def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
 def binomial_coalgebra(prime: int | None = None) -> CoalgebraSpec:
     """Integer-valued polynomials: basis element n is binomial(w, n)."""
 
-    def basis(n: int) -> LaurentPoly:
-        out = LaurentPoly.one()
-        w = LaurentPoly.variable()
-        for i in range(n):
-            out = out * (w - i)
-        return out * Fraction(1, factorial(n))
+    def basis(n: int) -> tuple[int, dict[int, int]]:
+        return factorial(n), dict(enumerate(reduce(times_linear, range(n), [1])))
 
     return CoalgebraSpec(step=1, basis=basis, prime=prime, name="binomial")
 
@@ -432,10 +403,6 @@ def binomial_coalgebra(prime: int | None = None) -> CoalgebraSpec:
 def monomial_coalgebra(step: int = 1, prime: int | None = None, periodic: bool = False) -> CoalgebraSpec:
     """The plain monomial basis: element n is w**(rn), or the windowed
     monomial in the periodic case."""
-
-    def basis(n: int) -> LaurentPoly:
-        k = ((n + 1) // 2 if n % 2 else -(n // 2)) if periodic else n
-        return LaurentPoly.monomial(step * k)
-
-    return CoalgebraSpec(step=step, basis=basis, prime=prime, periodic=periodic, name="monomial")
-
+    spec = CoalgebraSpec(step=step, basis=lambda n: (1, {spec.extending_slot(n): 1}),
+                         prime=prime, periodic=periodic, name="monomial")
+    return spec

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from .coalgebra import CoalgebraSpec
+from .coalgebra import CoalgebraSpec, NotRegularError
 from .laurent import LaurentPoly
 from .rationals import as_fraction, is_p_local_unit, multiplicative_order
 
@@ -135,15 +135,19 @@ def _require_prime(spec: CoalgebraSpec) -> int:
 
 
 def pair(spec: CoalgebraSpec, a, f: LaurentPoly) -> Fraction:
-    """The pairing of a dual element against a polynomial in the coalgebra."""
+    """The pairing of a dual element against a polynomial in the coalgebra.
+
+    A truncated element pairs by linearity over f's monomials, top slot
+    first: that one alone decides the precision f needs.
+    """
     if isinstance(a, AdamsPoly):
         return a.value_on(f)
-    coords = spec.coords_of(f)
-    if len(coords) > a.precision:
-        raise PrecisionError(
-            f"pairing needs {len(coords)} coefficients but only {a.precision} are known"
-        )
-    return sum((r * c for r, c in zip(a.coeffs, coords)), Fraction(0))
+    r = spec.step
+    for e in f.support:
+        if e % r:
+            raise NotRegularError(f"exponent {e} is not a multiple of the step {r}")
+    slots = sorted((e // r for e in f.support), key=spec.resolving_index, reverse=True)
+    return sum((f.coeff(r * k) * monomial_pairing(spec, a, k) for k in slots), Fraction(0))
 
 
 def _pairings(spec: CoalgebraSpec, a: DualElement, count: int) -> list[Fraction]:
@@ -166,7 +170,7 @@ def _int_coeffs(a: DualElement, count: int) -> tuple[int, list[int]]:
 
 
 def _int_pairing(spec: CoalgebraSpec, den: int, nums: list[int], k: int) -> Fraction:
-    d, nz = spec._monomial_int_coords(k)
+    d, nz = spec._int_coords(k)
     return Fraction(sum(nums[i] * v for i, v in nz), den * d)
 
 

@@ -4,7 +4,8 @@ A LaurentPoly is an immutable map exponent -> Fraction with zero
 coefficients stripped.  Exponents may be negative; evaluation at 0 of a
 polynomial with negative exponents raises PoleError.  The monic node
 products prod (X - y_i) that the operation bases are written in are
-built on integer coefficient lists by ktops.spectra.times_linear.
+built on integer coefficient lists by times_linear, one linear factor
+at a time; no coefficient table is computed through a LaurentPoly.
 """
 from __future__ import annotations
 
@@ -15,6 +16,11 @@ from .rationals import as_fraction
 
 class PoleError(ZeroDivisionError):
     pass
+
+
+def times_linear(t: list[int], y: int) -> list[int]:
+    """The integer coefficients of t(X) * (X - y), constant term first."""
+    return [u - y * v for u, v in zip([0] + t, t + [0])]
 
 
 class LaurentPoly:

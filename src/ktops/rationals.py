@@ -87,10 +87,26 @@ def multiplicative_order(a: int, modulus: int) -> int:
     return t
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def check_primitive_root(p: int, q: int) -> bool:
     """Whether q generates the unit group mod p**2, for an odd prime p.
 
-    The 2-local constructions fix their own Adams parameter, so p = 2 is
+    That is multiplicative_order(q, p**2) == p(p-1), which holds exactly
+    when q**(p(p-1)/r) != 1 mod p**2 for every prime r | p(p-1).  The
+    2-local constructions fix their own Adams parameter, so p = 2 is
     rejected rather than answered.
     """
     _check_prime(p)
@@ -98,7 +114,8 @@ def check_primitive_root(p: int, q: int) -> bool:
         raise ValueError("primitive-root test is undefined for p = 2")
     if q % p == 0:
         raise ValueError("q must not be divisible by p")
-    return multiplicative_order(q, p * p) == p * (p - 1)
+    order = p * (p - 1)
+    return all(pow(q, order // r, p * p) != 1 for r in [p, *_prime_divisors(p - 1)])
 
 
 def least_primitive_root(p: int) -> int:

@@ -6,6 +6,10 @@ step r, with b a power of the Adams parameter q.  The remaining two
 (the 2-local complex theories) interleave the real basis with odd
 companions and have no single product form; their dual-side questions
 are answered through the coalgebra tables instead.
+
+Every basis is built on integers and handed to CoalgebraSpec in its
+monomial form (d, {k: m_k}); the node products are grown one linear
+factor at a time by ktops.laurent.times_linear.
 """
 from __future__ import annotations
 
@@ -13,11 +17,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .coalgebra import CoalgebraSpec
+from .coalgebra import Basis, CoalgebraSpec
 from .dual import AdamsPoly
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, times_linear
 from .rationals import check_primitive_root, is_prime, least_primitive_root
 
 _NAME = re.compile(r"^(KO|ko|K|k|G|g)(?:\((\d+)\))?$")
@@ -64,11 +68,6 @@ def parse_name(name: str) -> tuple[str, int]:
     return family, p
 
 
-def times_linear(t: list[int], y: int) -> list[int]:
-    """The integer coefficients of t(X) * (X - y), constant term first."""
-    return [u - y * v for u, v in zip([0] + t, t + [0])]
-
-
 def product_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
     """The shift E and the integer nodes y_1..y_count, y_i = b**(E + s_i).
 
@@ -87,45 +86,48 @@ def product_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
     return e, [b ** (e + (i // 2 if i % 2 == 0 else -(i // 2))) for i in range(1, count + 1)]
 
 
-def _theta_basis(step: int, b: int) -> Callable[[int], LaurentPoly]:
+def _theta_basis(b: int) -> Basis:
     # integer coefficients of theta_n(x) = prod_{i<n} (x - b**i), constant
-    # term first, each one linear factor on the last
+    # term first, each one linear factor on the last; element n is
+    # theta_n(w**r) / theta_n(b**n), slot e carrying the coefficient of x**e
     thetas = [[1]]
 
-    def basis(n: int) -> LaurentPoly:
+    def basis(n: int):
         while len(thetas) <= n:
             thetas.append(times_linear(thetas[-1], b ** (len(thetas) - 1)))
         num = thetas[n]
         x, den = b**n, 0
         for c in reversed(num):
             den = den * x + c
-        return LaurentPoly({step * e: Fraction(c, den) for e, c in enumerate(num) if c})
+        return den, dict(enumerate(num))
 
     return basis
 
 
-def _interleaved_basis(b: int, q: int) -> Callable[[int], LaurentPoly]:
-    # even slots reuse the real basis h_m; odd slots multiply in the
-    # degree-one factor (q**m - w) / (2 q**m), which kills w = q**m and
-    # keeps the coefficients 2-locally integral
-    even = _theta_basis(2, b)
+def _interleaved_basis(b: int, q: int) -> Basis:
+    # even slots reuse the real basis h_m in w**2; odd slots multiply in the
+    # degree-one factor (q**m - w) / (2 q**m) = (w - q**m) / (-2 q**m), which
+    # kills w = q**m and keeps the coefficients 2-locally integral
+    even = _theta_basis(b)
 
-    def basis(n: int) -> LaurentPoly:
+    def basis(n: int):
         m, odd = divmod(n, 2)
-        h = even(m)
+        den, h = even(m)
+        h = {2 * e: c for e, c in h.items()}
         if not odd:
-            return h
-        factor = (LaurentPoly({0: Fraction(q) ** m}) - LaurentPoly.variable()) * Fraction(
-            1, 2 * q**m
-        )
-        return factor * h
+            return den, h
+        dense = [h.get(j, 0) for j in range(2 * m + 1)]
+        return -2 * q**m * den, dict(enumerate(times_linear(dense, q**m)))
 
     return basis
 
 
-def _periodic_wrap(step: int, conn: Callable[[int], LaurentPoly]) -> Callable[[int], LaurentPoly]:
-    def basis(n: int) -> LaurentPoly:
-        return conn(n).shift(-step * (n // 2))
+def _periodic_wrap(conn: Basis) -> Basis:
+    # element n of the periodic basis is element n of the connective one
+    # times w**(-r * floor(n/2)): its slots move down by floor(n/2)
+    def basis(n: int):
+        d, mono = conn(n)
+        return d, {k - n // 2: m for k, m in mono.items()}
 
     return basis
 
@@ -165,16 +167,16 @@ def make_spectrum(name: str, q: int | None = None, periodic: bool | None = None)
             conn = _interleaved_basis(q * q, q)
         else:
             step, base = 1, q
-            conn = _theta_basis(1, q)
+            conn = _theta_basis(q)
     elif family in ("G", "g"):
         step = p - 1
         base = q ** (p - 1)
-        conn = _theta_basis(step, base)
+        conn = _theta_basis(base)
     else:
         step, base = 2, q * q
-        conn = _theta_basis(2, q * q)
+        conn = _theta_basis(q * q)
 
-    basis = _periodic_wrap(step, conn) if periodic else conn
+    basis = _periodic_wrap(conn) if periodic else conn
     coalg = CoalgebraSpec(step=step, basis=basis, prime=p, periodic=periodic, name=canonical)
     return SpectrumSpec(
         name=canonical,

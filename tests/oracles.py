@@ -13,8 +13,8 @@ once did, so that a disagreement with the fast kernel is caught:
   the two-variable monomial basis.
 
 The product nodes and node products (ktops.spectra.product_nodes and
-times_linear) run on integers scaled by a power of b; the reference
-here is the Fraction form they replace:
+ktops.laurent.times_linear) run on integers scaled by a power of b;
+the reference here is the Fraction form they replace:
 
 * geometric_powers, alternating_powers: the Fraction nodes z_i = b**(i-1)
   and b**0, b**1, b**-1, b**2, ...;

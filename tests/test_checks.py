@@ -214,6 +214,13 @@ def test_coalgebra_conditions_odd_shift_counterexample():
     assert g == 0
 
 
+def test_coalgebra_conditions_reject_negative_indices():
+    K2 = make_spectrum("K(2)")
+    for m, n in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            check_coalgebra_conditions(K2, m, n, 1, bound=8)
+
+
 def test_coalgebra_conditions_injected_corruption():
     # a doctored structure-constant table must be caught
     real = K2.coalgebra.coproduct_entry

@@ -150,7 +150,7 @@ def test_grouplike_monomial():
 def test_irregular_basis_rejected():
     # c_1 misses the constant term window ... never contains w^0 monomial
     def basis(n):
-        return LaurentPoly.monomial(n + 1) if n else LaurentPoly.one()
+        return (1, {n + 1: 1}) if n else (1, {0: 1})
 
     C = CoalgebraSpec(step=1, basis=basis, prime=3, name="broken")
     with pytest.raises(NotRegularError):
@@ -165,8 +165,10 @@ def test_corrupted_basis_caught_by_regularity():
     # just pick up the 3), so the catch comes from the coproduct table
     for scale in (Fraction(3), Fraction(1, 3)):
         def corrupt(n, scale=scale):
-            f = good.basis_poly(n)
-            return f * scale if n == 2 else f
+            d, mono = good.monomial_form(n)
+            if n != 2:
+                return d, mono
+            return d * scale.denominator, {k: m * scale.numerator for k, m in mono.items()}
 
         C = CoalgebraSpec(step=1, basis=corrupt, prime=3, name="corrupted")
         report = verify_regularity(C, 6)
@@ -193,3 +195,28 @@ def test_binomial_coproduct_identity_random(n, x):
         for j in range(n + 1):
             total += m[i][j] * _binom(x, i) * _binom(x + 1, j)
     assert total == _binom(x * (x + 1), n)
+
+
+def _one_element_spec(first):
+    return CoalgebraSpec(step=1, basis=lambda n: first if n == 1 else (1, {n: 1}), prime=3)
+
+
+def test_monomial_form_reduces_the_integer_basis():
+    # zero numerators drop before the window check; sign and gcd come out
+    C = _one_element_spec((-6, {0: -2, 1: 4, 2: 0}))
+    assert C.monomial_form(1) == (3, {0: 1, 1: -2})
+    assert C.basis_poly(1) == LaurentPoly({0: Fraction(1, 3), 1: Fraction(-2, 3)})
+    assert C.counit_value(1) == Fraction(-1, 3)
+
+
+def test_zero_denominator_rejected():
+    C = _one_element_spec((0, {1: 1}))
+    with pytest.raises(NotRegularError, match="element 1"):
+        C.monomial_form(1)
+
+
+def test_negative_indices_refused_by_coproduct_entry():
+    C = make_spectrum("K(2)").coalgebra
+    for i, j, n in ((-1, 0, 3), (0, -1, 3), (0, 0, -1)):
+        with pytest.raises(ValueError, match="start at 0"):
+            C.coproduct_entry(i, j, n)

@@ -8,6 +8,7 @@ from ktops.dual import (
     DualElement,
     NotIntegralError,
     NotInvertibleError,
+    PrecisionError,
     algebra_one,
     expand,
     invert,
@@ -16,6 +17,7 @@ from ktops.dual import (
     multiply,
     pair,
 )
+from ktops.coalgebra import NotRegularError
 from ktops.laurent import LaurentPoly
 from ktops.spectra import dual_theta_basis, make_spectrum
 
@@ -28,6 +30,16 @@ def test_pair_against_basis():
     a = DualElement((1, 2, Fraction(1, 2), 0))
     for n in range(4):
         assert pair(K3, a, K3.basis_poly(n)) == a.coeffs[n]
+
+
+def test_pair_errors_name_the_top_slot_and_refuse_first():
+    # the top slot alone sets the precision f needs; a monomial outside
+    # the coalgebra is refused before any pairing is tried
+    a = DualElement((1, 2))
+    with pytest.raises(PrecisionError, match="slot 5 needs 6 coefficients"):
+        pair(K3, a, K3.basis_poly(5))
+    with pytest.raises(NotRegularError):
+        pair(K3, a, LaurentPoly({5: 1, -1: 1}))
 
 
 def test_pair_against_monomial_uses_coords():

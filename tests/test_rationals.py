@@ -108,3 +108,17 @@ def test_least_primitive_root_generates(p):
     q = least_primitive_root(p)
     assert multiplicative_order(q, p * p) == p * (p - 1)
 
+
+def test_primitive_root_test_is_the_order_definition():
+    # q generates (Z/p**2)^x exactly when its order is p(p-1); every q in a
+    # window of three p**2 periods, negatives included
+    for p in filter(is_prime, range(3, 40)):
+        for q in range(-p * p, 2 * p * p):
+            if q % p:
+                want = multiplicative_order(q, p * p) == p * (p - 1)
+                assert check_primitive_root(p, q) == want, (p, q)
+
+
+def test_primitive_root_at_a_large_prime():
+    assert least_primitive_root(4001) == 3
+    assert least_primitive_root(10007) == 5

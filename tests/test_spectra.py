@@ -176,3 +176,7 @@ def test_interleaved_bridge_identity():
         lhs = C.basis_poly(2 * m) * W
         rhs = (3 ** m) * C.basis_poly(2 * m) - (2 * 3 ** m) * C.basis_poly(2 * m + 1)
         assert lhs == rhs, m
+
+
+def test_large_prime_builds_quickly():
+    assert make_spectrum("k(10007)").q == 5

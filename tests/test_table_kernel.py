@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktops.coalgebra import NotRegularError, binomial_coalgebra, monomial_coalgebra
+from ktops.dual import DualElement, pair
 from ktops.laurent import LaurentPoly
 from ktops.spectra import make_spectrum, spectrum_names
 from oracles import (
@@ -86,7 +87,7 @@ def test_coords_of_refuses_what_the_oracle_refuses(name):
         with pytest.raises(NotRegularError):
             coords_by_clearing(C, f)
         with pytest.raises(NotRegularError):
-            C.coords_of(f)
+            pair(C, DualElement.unit_vector(0, 4), f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,7 +101,6 @@ def test_coords_of_refuses_what_the_oracle_refuses(name):
 def test_coords_of_recovers_combination(name, coeffs):
     C = _coalgebra(name)
     f = sum((a * C.basis_poly(n) for n, a in enumerate(coeffs)), LaurentPoly.zero())
-    want = list(coeffs)
-    while want and not want[-1]:
-        want.pop()
-    assert C.coords_of(f) == tuple(want)
+    size = len(coeffs)
+    got = [pair(C, DualElement.unit_vector(n, size), f) for n in range(size)]
+    assert got == list(coeffs)
