@@ -15,15 +15,15 @@ For the product-form algebras both conditions are decided exactly: (1)
 is periodic in the evaluation exponent mod p, and (2) is the complete
 expansion of a_m a_n - a_{m+n} in the dual basis, after a diagonal test
 and a short-cut over differences of the product nodes that can only
-prove it.  Both run on the integer nodes of ktops.spectra.product_nodes,
-z_i = b**s_i (s_i = 0, 1, 2, ... connectively and 0, 1, -1, 2, -2, ...
-periodically) scaled to y_i = b**(s_i + E) to clear the negative
-exponents, and node products grow by ktops.laurent.times_linear.  A
-value or coordinate computed on the y_i is the one on the z_i times a
-power of b, and b is a p-adic unit, so zeroness and p-adic valuations,
-the only facts the verdicts read, are the same.  The 2-local complex
-theories have no product form, so both conditions are read off the
-coalgebra coefficient tables up to a stated bound.
+prove it.  The nodes are z_i = b**s_i, s_i = extending_slot(i - 1), for
+a p-adic unit b: p | b**j - z_i exactly when ord_p(b) | j - s_i, and
+z_a - z_b is a unit times b**(s_b - s_a) - 1, whose valuation is
+ktops.spectra.node_gap_valuation.  The unit condition, the diagonal and
+the short-cut read only these slot facts; only the expansion builds the
+integer nodes y_i = b**E z_i of ktops.spectra.product_nodes, on which
+each coordinate is a power of b times the one on the z_i.  The 2-local
+complex theories have no product form, so both conditions are read off
+the coalgebra coefficient tables up to a stated bound.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ from itertools import accumulate, combinations, islice
 from typing import Callable
 
 from .laurent import times_linear
-from .rationals import _int_valuation, multiplicative_order, nu
-from .spectra import SpectrumSpec, admissible_shifts, product_nodes, support_step
+from .rationals import _int_valuation, nu
+from .spectra import SpectrumSpec, _base_order, admissible_shifts, node_gap_valuation, product_nodes
 
 
 @dataclass(frozen=True)
@@ -93,30 +93,23 @@ def check_unit_condition(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict
 
     Product-form route: evaluates the degree n-m node product at b**j
     and demands the value land in p Z_(p).  The values only matter mod
-    p and b**j cycles with period ord_p(b), so one period of j decides
-    every integer exponent and the verdict is exact.  On the integer
-    nodes the value is b**(-(n-m)E) times the product of the factors
-    b**(j+E) - y_i, so it is a p-adic unit exactly when p divides none
-    of them.  Without a product form the same statement is read off the
-    monomial coordinate tables: p must divide the (n-m)-th coordinate
-    of every monomial, checked for slots resolvable up to index 20.
+    p and b**j cycles with period o = ord_p(b), so j < o decides every
+    exponent, exactly.  p | b**j - b**s_i exactly when o | j - s_i; the
+    slots s_1..s_(n-m) are consecutive, so the first min(n - m, o) reach
+    every residue they can, and the witness is the least j they miss.
+    Without a product form the same statement is read off the monomial
+    coordinate tables: p must divide the (n-m)-th coordinate of every
+    monomial, checked for slots resolvable up to index 20.
     """
     if m < 0:
         raise ValueError("the shift must be non-negative")
     if m >= n:
         raise ValueError("the unit condition needs m < n")
-    p = spec.prime
     if spec.has_theta_form:
-        e, ys = product_nodes(spec, n - m)
-        b = spec.base
-        period = multiplicative_order(b % p, p)
-        for j in range(period):
-            x = b ** (j + e)
-            if all((x - y) % p for y in ys):
-                return ConditionVerdict(
-                    spec.name, "unit", False, True, m, n, witness=j, checked=period
-                )
-        return ConditionVerdict(spec.name, "unit", True, True, m, n, checked=period)
+        o, _ = _base_order(spec.prime, spec.base)
+        hit = {spec.coalgebra.extending_slot(i) % o for i in range(min(n - m, o))}
+        j = next((j for j in range(o) if j not in hit), None)
+        return ConditionVerdict(spec.name, "unit", j is None, True, m, n, witness=j, checked=o)
 
     ok, slot = _monomial_divisibility(spec, n - m, _TABLE_BOUND)
     return ConditionVerdict(spec.name, "unit", ok, False, m, n, witness=slot, checked=_TABLE_BOUND)
@@ -142,7 +135,8 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
        -sum_i d_i T_{m+n-i-1} prod_{k=n-i+1..n} (X - y_k); since
        T_j (X - y) = T_{j+1} + (y_{j+1} - y) T_j, each such product has
        integral coordinates in the basis T_j, so every coordinate of
-       the difference is an integral combination of the d_i;
+       the difference is an integral combination of the d_i, each read
+       as node_gap_valuation of its slot gap (zero when the slots agree);
     3. otherwise the complete expansion of the difference, all m + n
        coordinates, decides; the witness is the first coordinate index
        (the target t) with valuation < l.
@@ -162,11 +156,8 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
     if not spec.has_theta_form:
         return _gamma_congruence(spec, "congruence", m, n, l, max(_TABLE_BOUND, m + n),
                                  spec.coalgebra.coproduct_entry)
-    p = spec.prime
-    _, ys = product_nodes(spec, m + n)
     u = m * (m // 2) + n * (n // 2) - (m + n) * ((m + n) // 2) if spec.periodic else 0
-    diag = spec.base ** abs(u) - 1
-    vals = [_int_valuation(p, diag)] if diag else []
+    vals = [node_gap_valuation(spec, u)] if u else []
 
     def verdict(holds, witness=None):
         return ConditionVerdict(spec.name, "congruence", holds, True, m, n, level=l,
@@ -174,12 +165,14 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
 
     if vals and vals[0] < l:
         return verdict(False, m + n)
-    diffs = (ys[n - i - 1] - ys[m + n - i - 1] for i in range(n))
-    diffs = [_int_valuation(p, d) for d in diffs if d]
+    slot = spec.coalgebra.extending_slot
+    gaps = (abs(slot(n - i - 1) - slot(m + n - i - 1)) for i in range(n))
+    diffs = [node_gap_valuation(spec, g) for g in gaps if g]
     if min(diffs, default=l) >= l:
         vals += diffs
         return verdict(True)
-    coords = _expansion_valuations(p, ys, m, n)
+    _, ys = product_nodes(spec, m + n)
+    coords = _expansion_valuations(spec.prime, ys, m, n)
     vals += [v for v in coords if v is not None]
     bad = next((t for t, v in enumerate(coords) if v is not None and v < l), None)
     return verdict(bad is None, bad)
@@ -301,10 +294,9 @@ def product_identity_holds(spec: SpectrumSpec, m: int, n: int) -> bool:
         T_{m+n} = T_m T_n + sum_{i<n} (y_{n-i} - y_{m+n-i})
                   * prod_{k=n-i+1..n} (X - y_k) * T_{m+n-i-1}
 
-    Checked on integer coefficient lists over the spectrum's nodes from
-    product_nodes, built by times_linear as the verdicts build them; the
-    identity is homogeneous of degree m + n, so scaling the nodes by b**E
-    does not change it.
+    Checked on integer coefficient lists over product_nodes, built by
+    times_linear as the expansion builds them; the identity is homogeneous
+    of degree m + n, so scaling the nodes by b**E does not change it.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
@@ -449,12 +441,6 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def _control_shift(spec: SpectrumSpec, l: int) -> int | None:
-    """Smallest positive shift outside the admissible set, if any."""
-    d = support_step(spec, l)
-    return None if d == 1 else 1
-
-
 def condition_report(
     spec: SpectrumSpec,
     l_max: int,
@@ -466,9 +452,9 @@ def condition_report(
 
     For each depth l the first sample_size admissible shifts feed the
     congruence condition against every n below n_range, and ordered
-    pairs of them feed the unit condition.  Deliberate out-of-set
-    shifts are appended as labeled control rows; they are reported but
-    never counted against the verdict.
+    pairs of them feed the unit condition.  Shift 1, when it is outside
+    the admissible set, is appended as labeled control rows; they are
+    reported but never counted against the verdict.
     """
     if l_max < 1:
         raise ValueError("the depth must be a positive integer")
@@ -483,10 +469,8 @@ def condition_report(
         for m in shifts:
             for n in range(n_range):
                 rows.append(check_congruence_condition(spec, m, n, l))
-        if include_controls:
-            c = _control_shift(spec, l)
-            if c is not None:
-                for n in (1, 2):
-                    v = check_congruence_condition(spec, c, n, l)
-                    rows.append(replace(v, control=True))
+        if include_controls and shifts[0] > 1:
+            for n in (1, 2):
+                v = check_congruence_condition(spec, 1, n, l)
+                rows.append(replace(v, control=True))
     return ConditionReport(spec.name, l_max, tuple(rows))

@@ -269,7 +269,7 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
             if not spec.in_ground_ring(v):
                 raise NotIntegralError(f"coefficient {v} is not integral, unit test undefined")
         base = int(beta) ** spec.step
-        t = multiplicative_order(base % p, p) if p > 2 else 1
+        t = multiplicative_order(base, p)
         for j in range(t):
             v = a.poly(Fraction(base) ** j)
             if not is_p_local_unit(p, v):

@@ -39,6 +39,8 @@ def _check_prime(p: int) -> None:
 
 
 def _int_valuation(p: int, n: int) -> int:
+    if n == 0:
+        raise ValueError("valuation of zero is undefined")
     v = 0
     while n % p == 0:
         n //= p

@@ -16,13 +16,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterator
 
 from .coalgebra import Basis, CoalgebraSpec
 from .dual import AdamsPoly
 from .laurent import LaurentPoly, times_linear
-from .rationals import check_primitive_root, is_prime, least_primitive_root
+from .rationals import (_int_valuation, check_primitive_root, is_prime, least_primitive_root,
+                        multiplicative_order)
 
 _NAME = re.compile(r"^(KO|ko|K|k|G|g)(?:\((\d+)\))?$")
 
@@ -71,19 +72,33 @@ def parse_name(name: str) -> tuple[str, int]:
 def product_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
     """The shift E and the integer nodes y_1..y_count, y_i = b**(E + s_i).
 
-    z_i = b**s_i are the product nodes, s_i = extending_slot(i - 1): i - 1
-    connectively, with E = 0, and 0, 1, -1, 2, -2, ... periodically, with
-    E = count // 2.  Scaling by b**E keeps valuations only for a p-adic unit b.
+    The node slots are s_i = extending_slot(i - 1), E = 0 connectively and
+    count // 2 periodically; scaling by b**E keeps valuations only for a
+    p-adic unit b.  Of the verdicts only the complete expansion builds these.
     """
     b, p = spec.base, spec.prime
     if b is None:
         raise ValueError(f"{spec.name} has no product-form basis; work through the coalgebra tables")
     if b % p == 0:
         raise ValueError(f"node base {b} of {spec.name} is not a {p}-adic unit")
-    if not spec.periodic:
-        return 0, [b**i for i in range(count)]
-    e = count // 2
-    return e, [b ** (e + (i // 2 if i % 2 == 0 else -(i // 2))) for i in range(1, count + 1)]
+    e = count // 2 if spec.periodic else 0
+    return e, [b ** (e + spec.coalgebra.extending_slot(i)) for i in range(count)]
+
+
+@cache
+def _base_order(p: int, b: int) -> tuple[int, int]:
+    """(o, v) = (ord_p(b), nu_p(b**o - 1)) for a p-adic unit b != 1."""
+    o = multiplicative_order(b, p)
+    return o, _int_valuation(p, b**o - 1)
+
+
+def node_gap_valuation(spec: SpectrumSpec, k: int) -> int:
+    """nu_p(b**|k| - 1), k != 0: the valuation of a node difference k slots
+    apart.  By lifting the exponent it is 0 when o does not divide k and
+    v + nu_p(k) when it does, (o, v) = _base_order(p, b); that needs p odd,
+    or p = 2 with b = 1 mod 4, and every stock 2-local base is 9."""
+    o, v = _base_order(spec.prime, spec.base)
+    return v + _int_valuation(spec.prime, k) if k % o == 0 else 0
 
 
 def _theta_basis(b: int) -> Basis:
@@ -229,26 +244,25 @@ def support_step(spec: SpectrumSpec, l: int) -> int:
 
     Depth l admissibility asks the unit and congruence conditions mod
     p**l; admissible_shifts yields the positive multiples of the value
-    returned here.  The value is a hand table, not derived from the
-    conditions.  Its soundness is pinned by the tests on k, K, g and G
-    at 3 and 5, k(7), G(7), ko(2) and KO(2): every admissible m <= 40
-    passes the congruence condition for n <= 8 at l <= 3.  It is
-    stricter than the conditions on G(3) and G(5) at l = 1 and on KO(2)
-    at l <= 3, where the odd shifts pass too (ko(2) at l <= 3 already
-    admits every shift).  On k(2) and K(2), which have no product form,
-    it admits shifts that the table route rejects: `ktops check k(2)
-    --l 3` fails 27 of its 120 admissible cells.
+    returned here, d = o p**max(0, l - v) with (o, v) = _base_order(p, b):
+    the order of b mod p**l, doubled when the spectrum is periodic.
+
+    Theorem: if d | m, every value the short-cut reads has valuation >= l
+    at every n, so no expansion is needed.  Connectively s_i = i - 1, u = 0
+    and each node difference of shift m is a unit times b**m - 1.
+    Periodically m = 2c, s_(j+2c) - s_j = +-c, each difference is a unit
+    times b**c - 1 and u = -c(n + 2 floor(n/2)); ord_(p**l)(b) divides m,
+    resp. c.  The conditions admit more than the step: odd shifts pass on
+    G(3) and G(5) at l = 1 and on KO(2) at l <= 3, decided by the expansion.
+
+    k(2) and K(2), with no product form, keep the rows of base 9 (ko(2), KO(2)),
+    too lax there: `ktops check k(2) --l 3` fails 27 of 120 admissible cells.
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")
-    p = spec.prime
-    f, per = spec.family, spec.periodic
-    if p != 2:
-        d = p ** (l - 1) if f in ("G", "g") else p ** (l - 1) * (p - 1)
-        return 2 * d if per else d
-    if f in ("KO", "K"):
-        return 2 ** max(1, l - 2)
-    return 2 ** max(0, l - 3)
+    o, v = _base_order(spec.prime, spec.base if spec.has_theta_form else 9)
+    d = o * spec.prime ** max(0, l - v)
+    return 2 * d if spec.periodic else d
 
 
 def admissible_shifts(spec: SpectrumSpec, l: int) -> Iterator[int]:

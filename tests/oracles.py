@@ -31,6 +31,18 @@ and Fractions, and the literal reading works on the Gamma tables:
 * table_congruence: a_m a_n = a_{m+n} mod p**l read literally off the
   structure constants, nu(Gamma[m,n->t] - delta_{t,m+n}) for each t.
 
+The verdicts (ktops.checks) read node slots and one fact about the node
+base, (ord_p(b), nu_p(b**ord_p(b) - 1)), before any expansion.  The
+routes here build the integer nodes of product_nodes as big powers of
+b and read them directly, as the library once did:
+
+* unit_condition_by_nodes: the degree n-m node product evaluated at
+  b**j, one factor b**(j+E) - y_i at a time, for j over one period;
+* congruence_by_nodes: the diagonal b**|u| - 1, the node differences
+  y_{n-i} - y_{m+n-i} and, past them, the same complete expansion;
+* support_step_table: the hand table of admissible steps, keyed on the
+  family letter.
+
 The dual algebra (ktops.dual) multiplies, inverts and expands through
 the pairings with grouplike monomials.  The routes here contract the
 Gamma tables coefficient by coefficient instead:
@@ -66,8 +78,10 @@ from ktops.dual import (
 )
 from ktops.laurent import LaurentPoly
 from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
-from ktops.rationals import is_p_local_unit, nu
+from ktops.checks import ConditionVerdict, _expansion_valuations
+from ktops.rationals import _int_valuation, is_p_local_unit, multiplicative_order, nu
 from ktops.spectra import SpectrumSpec
+from ktops.spectra import product_nodes as integer_nodes
 
 
 def solve(matrix, rhs):
@@ -302,6 +316,61 @@ def table_congruence(spec: SpectrumSpec, m: int, n: int, l: int) -> tuple[bool, 
         if v < l and witness is None:
             witness = t
     return witness is None, witness, worst
+
+
+def unit_condition_by_nodes(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict:
+    """The unit condition on a product-form spectrum, on the integer nodes:
+    the cell fails at the first j < ord_p(b) for which p divides none of
+    b**(j+E) - y_i, i <= n - m."""
+    e, ys = integer_nodes(spec, n - m)
+    b, p = spec.base, spec.prime
+    period = multiplicative_order(b % p, p)
+    for j in range(period):
+        x = b ** (j + e)
+        if all((x - y) % p for y in ys):
+            return ConditionVerdict(spec.name, "unit", False, True, m, n, witness=j, checked=period)
+    return ConditionVerdict(spec.name, "unit", True, True, m, n, checked=period)
+
+
+def congruence_by_nodes(spec: SpectrumSpec, m: int, n: int, l: int) -> ConditionVerdict:
+    """The congruence on a product-form spectrum, on the integer nodes: the
+    diagonal b**|u| - 1, then the node differences y_{n-i} - y_{m+n-i},
+    then the complete expansion, each valuation taken of a big integer."""
+    p = spec.prime
+    _, ys = integer_nodes(spec, m + n)
+    u = m * (m // 2) + n * (n // 2) - (m + n) * ((m + n) // 2) if spec.periodic else 0
+    diag = spec.base ** abs(u) - 1
+    vals = [_int_valuation(p, diag)] if diag else []
+
+    def verdict(holds, witness=None):
+        return ConditionVerdict(spec.name, "congruence", holds, True, m, n, level=l,
+                                witness=witness, min_valuation=min(vals, default=None))
+
+    if vals and vals[0] < l:
+        return verdict(False, m + n)
+    diffs = (ys[n - i - 1] - ys[m + n - i - 1] for i in range(n))
+    diffs = [_int_valuation(p, d) for d in diffs if d]
+    if min(diffs, default=l) >= l:
+        vals += diffs
+        return verdict(True)
+    coords = _expansion_valuations(p, ys, m, n)
+    vals += [v for v in coords if v is not None]
+    bad = next((t for t, v in enumerate(coords) if v is not None and v < l), None)
+    return verdict(bad is None, bad)
+
+
+def support_step_table(spec: SpectrumSpec, l: int) -> int:
+    """The hand table of admissible steps at depth l: (p - 1) p**(l-1) for
+    k and K, p**(l-1) for g and G, doubled periodically at odd p;
+    2**max(1, l-2) for KO and K, 2**max(0, l-3) for ko and k at p = 2."""
+    p = spec.prime
+    f, per = spec.family, spec.periodic
+    if p != 2:
+        d = p ** (l - 1) if f in ("G", "g") else p ** (l - 1) * (p - 1)
+        return 2 * d if per else d
+    if f in ("KO", "K"):
+        return 2 ** max(1, l - 2)
+    return 2 ** max(0, l - 3)
 
 
 def multiply_by_contraction(spec: CoalgebraSpec, a: DualElement, b: DualElement) -> DualElement:

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 from fractions import Fraction
 from itertools import takewhile
@@ -16,8 +17,15 @@ from ktops.checks import (
     product_identity_holds,
 )
 from ktops.rationals import nu
-from ktops.spectra import admissible_shifts, make_spectrum, product_nodes
-from oracles import cross_check_coefficients, table_congruence, theta_table
+from ktops.spectra import admissible_shifts, make_spectrum, product_nodes, support_step
+import oracles
+from oracles import (
+    congruence_by_nodes,
+    cross_check_coefficients,
+    table_congruence,
+    theta_table,
+    unit_condition_by_nodes,
+)
 
 K3 = make_spectrum("k(3)")
 BIG_K3 = make_spectrum("K(3)")
@@ -135,6 +143,77 @@ def test_admissible_cells_never_expand(monkeypatch):
     for name, m, n in (("G(7)", 490, 5), ("K(5)", 600, 12)):
         v = check_congruence_condition(make_spectrum(name), m, n, 3)
         assert v.holds and v.exact, (name, v)
+
+
+def theta_forms(primes):
+    return [f"{f}({p})" for p in primes for f in "kKgG"] + ["ko(2)", "KO(2)"]
+
+
+SLOT_SPECTRA = theta_forms((3, 5, 7, 11, 13))
+
+
+def test_unit_condition_matches_node_oracle():
+    # slot residues mod ord_p(b) against the big-node evaluation: same
+    # verdict, witness and period on every cell m < 15, m < n < 30
+    cells = 0
+    for name in SLOT_SPECTRA:
+        sp = make_spectrum(name)
+        for m in range(15):
+            for n in range(m + 1, 30):
+                assert check_unit_condition(sp, m, n) == unit_condition_by_nodes(sp, m, n), (name, m, n)
+                cells += 1
+    assert cells == 7260
+
+
+def test_congruence_matches_node_oracle(monkeypatch):
+    # slot gaps and node_gap_valuation against the big node differences:
+    # the same verdict, witness and min_valuation on every cell
+    # m <= 12, n <= 10, l <= 4.  Both routes end in the same expansion,
+    # which does not depend on l, so each one is computed once
+    memo = functools.cache(lambda p, ys, m, n: _expansion_valuations(p, list(ys), m, n))
+    for module in (checks, oracles):
+        monkeypatch.setattr(module, "_expansion_valuations", lambda p, ys, m, n: memo(p, tuple(ys), m, n))
+    cells = 0
+    for name in SLOT_SPECTRA:
+        sp = make_spectrum(name)
+        for m in range(13):
+            for n in range(11):
+                for l in (1, 2, 3, 4):
+                    assert check_congruence_condition(sp, m, n, l) == congruence_by_nodes(sp, m, n, l), \
+                        (name, m, n, l)
+                    cells += 1
+    assert cells == 12584
+
+
+def test_admissible_cells_never_expand_at_any_index(monkeypatch):
+    # the theorem of support_step: a multiple of the step holds on the
+    # diagonal and the short-cut alone, whatever the index n
+    def refuse(*args):
+        raise AssertionError("an admissible cell reached the expansion")
+
+    monkeypatch.setattr(checks, "_expansion_valuations", refuse)
+    cells = 0
+    for name in theta_forms((3, 5, 7, 11)):
+        sp = make_spectrum(name)
+        for l in range(1, 6):
+            d = support_step(sp, l)
+            for m in (d, 2 * d, 3 * d):
+                for n in range(31):
+                    v = check_congruence_condition(sp, m, n, l)
+                    assert v.holds and v.exact, (name, m, n, l)
+                    cells += 1
+    assert cells == 8370
+
+
+def test_large_prime_verdicts_without_big_nodes():
+    # at p = 10007 the order of q = 5 is 10006: one period of slot
+    # residues decides the unit condition, and the step needs no walk
+    sp = make_spectrum("k(10007)")
+    v = check_unit_condition(sp, 0, 5)
+    assert not v.holds and v.witness == 5 and v.checked == 10006
+    assert check_unit_condition(sp, 3, 3 + 10006).holds
+    assert support_step(sp, 2) == 10006 * 10007
+    assert check_congruence_condition(sp, 10006, 7, 1).holds
 
 
 CROSS_SPECTRA = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",

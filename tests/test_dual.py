@@ -100,6 +100,16 @@ def test_unit_verdict_exact_mode():
     assert v.witness == 1
 
 
+def test_unit_verdict_exact_mode_at_two():
+    # one order computation serves p = 2: 9 = 1 mod 2, so the period is 1;
+    # with psi the cube operation, psi + 2 is a unit on KO(2), psi - 1 is not
+    psi = LaurentPoly.variable()
+    v = is_unit(KO, AdamsPoly(Fraction(3), psi + 2), mode="exact")
+    assert v.unit and v.exact and v.period == 1
+    v = is_unit(KO, AdamsPoly(Fraction(3), psi - 1), mode="exact")
+    assert not v.unit and v.exact and v.witness == 0 and v.period == 1
+
+
 def test_invert_round_trip():
     a = DualElement((1, 3, 0, 9, 0, 0, 0, 0))
     inv = invert(K3, a)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ktops.rationals import (
+    _int_valuation,
     as_fraction,
     check_primitive_root,
     is_p_local_integer,
@@ -40,6 +41,14 @@ def test_valuation_oracle():
 def test_valuation_of_zero_rejected():
     with pytest.raises(ValueError):
         nu(3, 0)
+
+
+def test_integer_valuation_of_zero_rejected():
+    # 0 is divisible by every power of p; the loop must not spin on it
+    for p in (2, 3, 10007):
+        with pytest.raises(ValueError, match="valuation of zero is undefined"):
+            _int_valuation(p, 0)
+    assert _int_valuation(3, -18) == 2
 
 
 @given(PRIMES, RATS, RATS)

@@ -5,16 +5,18 @@ import pytest
 
 from ktops.dual import AdamsPoly, expand
 from ktops.laurent import LaurentPoly
+from ktops.rationals import _int_valuation
 from ktops.spectra import (
     admissible_shifts,
     dual_theta_basis,
     make_spectrum,
+    node_gap_valuation,
     parse_name,
     product_nodes,
     spectrum_names,
     support_step,
 )
-from oracles import product_nodes as fraction_nodes, theta
+from oracles import product_nodes as fraction_nodes, support_step_table, theta
 
 W = LaurentPoly.variable()
 
@@ -153,6 +155,30 @@ def test_support_step_table():
     assert [support_step(k2, l) for l in (1, 2, 3, 4, 5)] == [1, 1, 1, 2, 4]
     assert [support_step(KO, l) for l in (1, 2, 3, 4, 5)] == [2, 2, 2, 4, 8]
     assert [support_step(K2, l) for l in (1, 2, 3, 4, 5)] == [2, 2, 2, 4, 8]
+
+
+SWEEP_FORMS = [f"{f}({p})" for p in (3, 5, 7, 11, 13) for f in "kKgG"] + ["ko(2)", "KO(2)"]
+
+
+def test_support_step_derived_equals_hand_table():
+    # the order of the node base mod p**l, doubled periodically, is the
+    # hand table on every theta form; k(2) and K(2) keep their rows
+    for name in SWEEP_FORMS + ["k(2)", "K(2)"]:
+        sp = make_spectrum(name)
+        for l in range(1, 7):
+            assert support_step(sp, l) == support_step_table(sp, l), (name, l)
+
+
+def test_node_gap_valuation_lifts_the_exponent():
+    # the closed form against the valuation of the big integer b**|k| - 1
+    for name in SWEEP_FORMS:
+        sp = make_spectrum(name)
+        for k in range(-60, 300):
+            if k:
+                want = _int_valuation(sp.prime, sp.base ** abs(k) - 1)
+                assert node_gap_valuation(sp, k) == want, (name, k)
+    with pytest.raises(ValueError, match="zero"):
+        node_gap_valuation(sp, 0)
 
 
 def test_admissible_shifts_increasing_multiples():
