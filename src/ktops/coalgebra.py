@@ -264,16 +264,12 @@ class CoalgebraSpec:
         return self.coproduct_matrix(n)[i][j]
 
     def monomial_slots(self, limit: int) -> list[int]:
-        """All slots k whose monomial is resolvable by basis indices <= limit."""
-        if not self.periodic:
-            return list(range(limit + 1))
-        ks = [0]
-        for k in range(1, limit + 1):
-            if self.resolving_index(k) <= limit:
-                ks.append(k)
-            if self.resolving_index(-k) <= limit:
-                ks.append(-k)
-        return sorted(ks)
+        """All slots k whose monomial is resolvable by basis indices <= limit.
+
+        Index n resolves exactly one new slot, extending_slot(n), so these
+        are the extending slots of 0..limit, in increasing order.
+        """
+        return sorted(map(self.extending_slot, range(limit + 1)))
 
 
 # ----------------------------------------------------------------------

@@ -246,10 +246,12 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
     An element is a unit exactly when its pairing against every
     monomial w**(rk) is a unit of the ground ring.  For an AdamsPoly
     with integer base coprime to p those pairings are P evaluated at
-    powers of beta**r, whose residues mod p cycle; checking one full
-    period gives an exact verdict.  For a truncated element only the
-    monomials resolvable below the precision can be checked, so the
-    verdict is a bounded one.
+    powers of beta**r.  P has p-integral coefficients, so a value is a
+    unit exactly when its residue mod p is nonzero, and that residue is
+    P mod p evaluated at (beta**r)**j mod p: one period of j, the order
+    of beta**r mod p, gives an exact verdict.  For a truncated element
+    only the monomials resolvable below the precision can be checked,
+    so the verdict is a bounded one.
     """
     p = _require_prime(spec)
     if mode not in ("auto", "exact", "truncated"):
@@ -268,12 +270,15 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
         for _, v in a.poly.items():
             if not spec.in_ground_ring(v):
                 raise NotIntegralError(f"coefficient {v} is not integral, unit test undefined")
-        base = int(beta) ** spec.step
+        base = pow(int(beta), spec.step, p)
         t = multiplicative_order(base, p)
+        # P mod p, one residue a * b**-1 per coefficient a / b
+        res = [(e, v.numerator * pow(v.denominator, -1, p)) for e, v in a.poly.items()]
+        x = 1
         for j in range(t):
-            v = a.poly(Fraction(base) ** j)
-            if not is_p_local_unit(p, v):
+            if sum(r * pow(x, e, p) for e, r in res) % p == 0:
                 return UnitVerdict(unit=False, exact=True, witness=j, period=t)
+            x = x * base % p
         return UnitVerdict(unit=True, exact=True, period=t)
 
     if isinstance(a, AdamsPoly):
@@ -285,20 +290,22 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
     return UnitVerdict(unit=True, exact=False, checked=n)
 
 
-def invert(spec: CoalgebraSpec, a: DualElement, precision: int | None = None) -> DualElement:
-    """The inverse of a unit, exact at the requested precision.
+def invert(spec: CoalgebraSpec, a: DualElement) -> DualElement:
+    """The inverse of a unit, exact at a's precision.
 
-    The inverse pairs with each monomial as the reciprocal of a's
-    pairing.  Pairings are checked in index order: step i resolves slot
-    extending_slot(i), and a pairing there that is not a unit of the
-    ground ring is reported with its step and slot as the pivot.  This
-    is the divisor that coefficient-by-coefficient elimination meets at
-    step i, since the last column of the step-i structure constants is
-    the coordinate vector of that slot's monomial.
+    Coefficient n of the inverse reads only coefficients <= n of a, so
+    truncating a first truncates the inverse.  The inverse pairs with
+    each monomial as the reciprocal of a's pairing.  Pairings are
+    checked in index order: step i resolves slot extending_slot(i), and
+    a pairing there that is not a unit of the ground ring is reported
+    with its step and slot as the pivot.  This is the divisor that
+    coefficient-by-coefficient elimination meets at step i, since the
+    last column of the step-i structure constants is the coordinate
+    vector of that slot's monomial.
     """
     p = _require_prime(spec)
-    n = a.precision if precision is None else min(precision, a.precision)
-    for v in a.coeffs[:n]:
+    n = a.precision
+    for v in a.coeffs:
         if not spec.in_ground_ring(v):
             raise NotIntegralError(f"coefficient {v} is not integral over the ground ring")
     pi = _pairings(spec, a, n)

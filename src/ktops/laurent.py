@@ -160,7 +160,8 @@ class LaurentPoly:
     def __str__(self):
         return self.render()
 
-    def render(self, var: str = "w") -> str:
+    def render(self) -> str:
+        """The polynomial in the variable w, top exponent first."""
         if not self._c:
             return "0"
         parts = []
@@ -171,7 +172,7 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             else:
-                pw = var if e == 1 else f"{var}^{e}"
+                pw = "w" if e == 1 else f"w^{e}"
                 body = pw if mag == 1 else f"{mag}*{pw}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]

@@ -243,8 +243,6 @@ def to_comodule(mod: FGModule, spec: CoalgebraSpec) -> CoactionTable:
 @dataclass(frozen=True)
 class AnnihilatorSearch:
     witness: int | None
-    tried: tuple[int, ...]
-    pigeonhole: tuple[int, int] | None
 
     def __bool__(self):
         return self.witness is not None
@@ -259,8 +257,6 @@ def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> Annihilato
     zero, so for a valid table the search succeeds as soon as the shifts
     reach that far; a failure certifies the input is not a
     discrete-module table.
-    Also reports the first pair of shifts with equal torsion action, in
-    the spirit of the pigeonhole step of the finiteness argument.
     Raises ValueError, naming the matrix and the entry, on a table that
     is not square or not p-locally integral.
     """
@@ -279,20 +275,8 @@ def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> Annihilato
         return tuple(_reduce_mod(mat[r][c], p, exps[r]) for r in range(lo, d) for c in range(lo, d))
 
     zero = (Fraction(0),) * (d - lo) ** 2
-    seen: dict[tuple, int] = {}
-    tried = []
-    pigeonhole = None
-    for m in islice(admissible_shifts(spec, s), _ANNIHILATOR_TRIES):
-        tried.append(m)
-        block = torsion_block(m)
-        if block == zero:
-            return AnnihilatorSearch(m, tuple(tried), pigeonhole)
-        if pigeonhole is None:
-            if block in seen:
-                pigeonhole = (seen[block], m)
-            else:
-                seen[block] = m
-    return AnnihilatorSearch(None, tuple(tried), pigeonhole)
+    shifts = islice(admissible_shifts(spec, s), _ANNIHILATOR_TRIES)
+    return AnnihilatorSearch(next((m for m in shifts if torsion_block(m) == zero), None))
 
 
 def _reduce_mod(v: Fraction, p: int, e: int) -> Fraction:

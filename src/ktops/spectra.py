@@ -147,18 +147,18 @@ def _periodic_wrap(conn: Basis) -> Basis:
     return basis
 
 
-def make_spectrum(name: str, q: int | None = None, periodic: bool | None = None) -> SpectrumSpec:
+def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
     """Build one of the stock algebras by name, e.g. "k(3)" or "KO".
 
-    q is the Adams parameter.  For odd p it must generate the units
-    mod p**2 and defaults to the least such generator; 2-locally it is
-    pinned to 3.
+    The family letter fixes the rest: K, G and KO are periodic, k, g and
+    ko connective.  q is the Adams parameter.  For odd p it must
+    generate the units mod p**2 and defaults to the least such
+    generator; 2-locally it is pinned to 3.
     """
     family, p = parse_name(name)
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
-    if periodic is None:
-        periodic = family in ("K", "G", "KO")
+    periodic = family in ("K", "G", "KO")
     if family in ("KO", "ko") and p != 2:
         raise ValueError("the real theories are 2-local only")
     if family in ("G", "g") and p == 2:

@@ -51,6 +51,9 @@ Gamma tables coefficient by coefficient instead:
 * invert_by_elimination: the inverse solved coefficient by coefficient,
   with the step-i pivot taken from the last column of G_i;
 * expand_by_value_on: coefficient n as P paired with basis element n;
+* is_unit_by_fractions: the exact unit test on the Fraction values
+  P((beta**r)**j) over one period of j; the library reads their
+  residues mod p;
 * monomial_pairing_by_coords: the pairing with w**(rk) summed over the
   Fraction coordinates from basis_coords.
 
@@ -75,6 +78,7 @@ from ktops.dual import (
     NotIntegralError,
     NotInvertibleError,
     PrecisionError,
+    UnitVerdict,
 )
 from ktops.laurent import LaurentPoly
 from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
@@ -392,14 +396,14 @@ def multiply_by_contraction(spec: CoalgebraSpec, a: DualElement, b: DualElement)
     return DualElement(out)
 
 
-def invert_by_elimination(spec: CoalgebraSpec, a: DualElement, precision: int | None = None) -> DualElement:
+def invert_by_elimination(spec: CoalgebraSpec, a: DualElement) -> DualElement:
     """The inverse, coefficient s_i forced at step i so that coefficient i
     of a * s matches the counit; the divisor is sum_k a_k G_i[k][i]."""
     if spec.prime is None:
         raise ValueError("this operation needs a p-local coalgebra")
     p = spec.prime
-    n = a.precision if precision is None else min(precision, a.precision)
-    for v in a.coeffs[:n]:
+    n = a.precision
+    for v in a.coeffs:
         if not spec.in_ground_ring(v):
             raise NotIntegralError(f"coefficient {v} is not integral over the ground ring")
     s = [Fraction(0)] * n
@@ -431,6 +435,27 @@ def expand_by_value_on(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> Dua
             )
         out.append(v)
     return DualElement(out)
+
+
+def is_unit_by_fractions(spec: CoalgebraSpec, a: AdamsPoly) -> UnitVerdict:
+    """The exact unit test: P at the Fraction base**j, base = beta**r, for
+    j below ord_p(base), each value tested for a p-adic unit."""
+    p = spec.prime
+    beta = a.beta
+    if beta.denominator != 1 or beta.numerator % p == 0:
+        raise ValueError(
+            "periodicity unavailable: the exact test needs an integer base coprime to p"
+        )
+    for _, v in a.poly.items():
+        if not spec.in_ground_ring(v):
+            raise NotIntegralError(f"coefficient {v} is not integral, unit test undefined")
+    base = int(beta) ** spec.step
+    t = multiplicative_order(base, p)
+    for j in range(t):
+        v = a.poly(Fraction(base) ** j)
+        if not is_p_local_unit(p, v):
+            return UnitVerdict(unit=False, exact=True, witness=j, period=t)
+    return UnitVerdict(unit=True, exact=True, period=t)
 
 
 def monomial_pairing_by_coords(spec: CoalgebraSpec, a: DualElement, k: int) -> Fraction:

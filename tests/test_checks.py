@@ -280,29 +280,66 @@ def test_gamma_transfer_validates_families():
 
 def test_coalgebra_conditions_even_shifts_hold():
     # interleaved 2-local table: even shifts satisfy both conditions
-    v = check_coalgebra_conditions(K2, 2, 4, 1, bound=8)
+    v = check_coalgebra_conditions(K2, 2, 4, 1)
     assert v.holds
 
 
 def test_coalgebra_conditions_odd_shift_counterexample():
     # the diagonal structure constant for (1,1) vanishes instead of
     # being 1, so the product congruence genuinely fails at odd shifts
-    v = check_coalgebra_conditions(K2, 1, 1, 1, bound=6)
+    v = check_coalgebra_conditions(K2, 1, 1, 1)
     assert not v.holds
     g = K2.coalgebra.coproduct_entry(1, 1, 2)
     assert g == 0
+
+
+def test_coalgebra_conditions_read_the_entry_point_table_verdict():
+    # at m + n = 24 the table reading runs to target 24, as the entry
+    # point's does, and both give the same verdict, witness and bound
+    for sp in (K2, BIG_K2):
+        for l in (1, 2, 3):
+            v = check_coalgebra_conditions(sp, 12, 12, l)
+            assert v == replace(check_congruence_condition(sp, 12, 12, l), condition="coalgebra")
+            assert v.checked == 24
+
+
+def _first_unit_slot(sp, index):
+    """The first slot resolvable by index whose index-th coordinate p does not divide."""
+    C = sp.coalgebra
+    for k in C.monomial_slots(index):
+        coords = C.basis_coords(k)
+        if len(coords) > index and coords[index] and nu(sp.prime, coords[index]) < 1:
+            return k
+    return None
+
+
+def test_unit_table_route_reaches_the_index_it_decides():
+    # past index 20 the table routes read every slot resolvable by index
+    # n - m, and say so; the verdict is the literal reading of coordinate n - m
+    for sp, m, n in ((K2, 0, 30), (BIG_K2, 1, 26), (K2, 3, 24)):
+        v = check_unit_condition(sp, m, n)
+        assert (v.holds, v.checked) == (_first_unit_slot(sp, n - m) is None, n - m), (sp, m, n)
+        assert v.holds
+    # at p = 29 the unit condition fails for n - m < 28 = ord_29(2), and the
+    # tables show it at the slot whose coordinate n - m is a 29-adic unit
+    for sp, m, n in ((make_spectrum("k(29)"), 0, 21), (make_spectrum("K(29)"), 1, 23)):
+        want = _first_unit_slot(sp, n - m)
+        assert want is not None and not check_unit_condition(sp, m, n).holds
+        v = check_coalgebra_conditions(sp, m, n, 1)
+        assert (v.holds, v.witness, v.checked) == (False, {"part": "unit", "slot": want}, n - m)
 
 
 def test_coalgebra_conditions_reject_negative_indices():
     K2 = make_spectrum("K(2)")
     for m, n in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError, match="non-negative"):
-            check_coalgebra_conditions(K2, m, n, 1, bound=8)
+            check_coalgebra_conditions(K2, m, n, 1)
 
 
 def test_coalgebra_conditions_injected_corruption():
     # a doctored structure-constant table must be caught
-    real = K2.coalgebra.coproduct_entry
+    sp = make_spectrum("K(2)")
+    real = sp.coalgebra.coproduct_entry
 
     def doctored(i, j, n):
         v = real(i, j, n)
@@ -310,8 +347,9 @@ def test_coalgebra_conditions_injected_corruption():
             return v + 1
         return v
 
-    good = check_coalgebra_conditions(K2, 2, 4, 1, bound=8)
-    bad = check_coalgebra_conditions(K2, 2, 4, 1, bound=8, gamma=doctored)
+    good = check_coalgebra_conditions(sp, 2, 4, 1)
+    sp.coalgebra.coproduct_entry = doctored
+    bad = check_coalgebra_conditions(sp, 2, 4, 1)
     assert good.holds and not bad.holds
 
 
@@ -321,9 +359,9 @@ def test_periodic_interleaved_diagonal_defect():
     g = BIG_K2.coalgebra.coproduct_entry(2, 2, 4)
     assert g == Fraction(1, 9)
     for l in (1, 2, 3):
-        v = check_coalgebra_conditions(BIG_K2, 2, 2, l, bound=6)
+        v = check_coalgebra_conditions(BIG_K2, 2, 2, l)
         assert v.holds and v.min_valuation == 3, l
-    v = check_coalgebra_conditions(BIG_K2, 2, 2, 4, bound=6)
+    v = check_coalgebra_conditions(BIG_K2, 2, 2, 4)
     assert not v.holds
     assert v.witness == {"part": "product", "target": 4, "value": "1/9"}
 
@@ -331,12 +369,12 @@ def test_periodic_interleaved_diagonal_defect():
 def test_condition_report_theta_specs_hold():
     for name in ("k(3)", "g(3)", "ko(2)"):
         sp = make_spectrum(name)
-        rep = condition_report(sp, 2, sample_size=3, n_range=4)
+        rep = condition_report(sp, 2, sample_size=3)
         assert rep.all_hold, rep.summary()
 
 
 def test_condition_report_controls_fail_at_odd_primes():
-    rep = condition_report(K3, 1, sample_size=3, n_range=3, include_controls=True)
+    rep = condition_report(K3, 1, sample_size=3, include_controls=True)
     assert rep.all_hold
     assert rep.failing_controls  # shifts off the admissible set must fail
 
@@ -345,12 +383,12 @@ def test_condition_report_controls_at_two_hold_shallow():
     # 2-locally the congruence survives shallow depths even off the
     # even set: nu2(3^i - 1) >= 3 for even i, and odd entries only
     # appear from depth 4 up
-    rep = condition_report(make_spectrum("KO(2)"), 3, sample_size=3, n_range=3)
+    rep = condition_report(make_spectrum("KO(2)"), 3, sample_size=3)
     assert not rep.failing_controls
 
 
 def test_condition_report_min_valuations_monotone():
-    rep = condition_report(K3, 3, sample_size=3, n_range=4)
+    rep = condition_report(K3, 3, sample_size=3)
     vals = rep.min_valuations()
     assert vals[1] >= 1 and vals[2] >= 2 and vals[3] >= 3
 

@@ -26,6 +26,26 @@ def test_monomial_coalgebra_regular():
         assert verify_regularity(C, 8).ok
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_monomial_slots_are_the_extending_slots(periodic):
+    # brute force over every slot near the window: resolvable by index
+    # <= L exactly when listed, and each index resolves its own slot
+    coalgebras = [monomial_coalgebra(step=2, prime=3, periodic=periodic),
+                  make_spectrum("K(3)" if periodic else "k(3)").coalgebra]
+    for C in coalgebras:
+        for i in range(61):
+            assert C.resolving_index(C.extending_slot(i)) == i
+        for limit in range(61):
+            want = []
+            for k in range(-limit - 1, limit + 2):
+                try:
+                    if C.resolving_index(k) <= limit:
+                        want.append(k)
+                except NotRegularError:
+                    pass
+            assert C.monomial_slots(limit) == want, limit
+
+
 def _binom(x, n):
     out = Fraction(1)
     for i in range(n):

@@ -135,8 +135,6 @@ def test_torsion_annihilator_no_witness_control():
     fake = FGModule(3, 0, (3,), mats)
     res = torsion_annihilator(fake, K3, 1)
     assert res.witness is None
-    assert len(res.tried) == 10
-    assert res.pigeonhole == (2, 4)
 
 
 def test_json_roundtrip():
