@@ -27,12 +27,31 @@ memoized:
 
 The tables are built on Python ints.  The coordinates of a monomial are
 found by fraction-free elimination and kept as integers over one
-denominator, their lcm; each Gamma table is summed as integers over one
-denominator for the whole table.  A Fraction is made once per entry
-handed out, and every zero entry is one shared Fraction(0).  The older
-route, which clears a LaurentPoly remainder one Fraction operation at a
-time, is kept in tests/oracles.py as the oracle the kernel is checked
-against.
+denominator, their lcm.  A Gamma table has two routes, chosen by the
+type of the coalgebra and by nothing else:
+
+* the monomial-sum kernel of CoalgebraSpec sums Gamma_n over the
+  monomials of c_n as integers over one denominator for the whole table,
+  O(n**3) products of big coordinates per table;
+* ThetaCoalgebra, the theta-form coalgebras of node base b (k, K, g, G
+  at odd p, ko(2) and KO(2)), works on the dual side.  Its dual basis is
+  a_n = sigma_n theta_n(T) with theta_n(T) = prod_{l<n} (T - y_l) on the
+  nodes y_l = b**extending_slot(l), so Gamma_n[i][j] = <a_i a_j, c_n> =
+  (sigma_i sigma_j / sigma_n) Q_n(i, j) with Q_n(i, j) the coefficient
+  of theta_n in theta_i theta_j.  Multiplying theta_(j-1) by T - y_(j-1)
+  and reading theta_k (T - y) = theta_(k+1) + (y_k - y) theta_k gives
+  Q_n(i, 0) = delta_in and Q_n(i, j) = Q_(n-1)(i, j-1) + (y_n - y_(j-1))
+  Q_n(i, j-1): table n comes from table n-1 in O(n**2) multiplies by a
+  node difference.  Q_n(i, j) = 0 unless max(i, j) <= n <= i + j, since
+  theta_max(i,j) divides theta_i theta_j, of degree i + j.
+  ThetaCoalgebra._gamma_table has the proofs and the integer scaling.
+
+k(2), K(2), the binomial and monomial coalgebras and every user-built
+CoalgebraSpec run the kernel, which is also the reference the recursion
+is checked against.  A Fraction is made once per entry handed out, and
+every zero entry is one shared Fraction(0).  The older route, which
+clears a LaurentPoly remainder one Fraction operation at a time, is
+kept in tests/oracles.py as the oracle both are checked against.
 """
 from __future__ import annotations
 
@@ -224,15 +243,30 @@ class CoalgebraSpec:
     def coproduct_matrix(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
         """Structure constants G with Delta(c_n) = sum_{i,j} G[i][j] c_i (x) c_j.
 
-        Since w is grouplike, Delta(c_n) = (1/d) sum_k m_k w**(rk) (x) w**(rk);
-        expanding each monomial through basis_coords gives
-        G[i][j] = sum_k coords_k[i] * coords_k[j] * m_k / d.  Each term is
-        symmetric in i and j, so only i <= j is summed.  With
+        Memoized per n in _gamma, the one table memo.  The route is
+        chosen by the type of the coalgebra.  ThetaCoalgebra builds table
+        n from table n-1 on its dual basis a_n = sigma_n theta_n(T): G[i][j]
+        = (sigma_i sigma_j / sigma_n) Q_n(i, j) with Q_n(i, j) =
+        Q_(n-1)(i, j-1) + (y_n - y_(j-1)) Q_n(i, j-1), Q_n(i, 0) = delta_in
+        (proven in its _gamma_table).  Every other coalgebra runs the
+        monomial-sum kernel below, the reference the recursion is
+        checked against.
+
+        Kernel: since w is grouplike, Delta(c_n) = (1/d) sum_k m_k
+        w**(rk) (x) w**(rk); expanding each monomial through basis_coords
+        gives G[i][j] = sum_k coords_k[i] * coords_k[j] * m_k / d.  Each
+        term is symmetric in i and j, so only i <= j is summed.  With
         coords_k = A_k / D_k and L the lcm of the D_k**2, the sum runs on
         integers and G[i][j] = (sum_k m_k (L / D_k**2) A_ki A_kj) / (d L).
         """
         if n in self._gamma:
             return self._gamma[n]
+        out = self._gamma_table(n)
+        self._gamma[n] = out
+        return out
+
+    def _gamma_table(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
+        """The monomial-sum kernel of coproduct_matrix."""
         d, mono = self.monomial_form(n)
         forms = [(mk, *self._int_coords(k)) for k, mk in mono.items()]
         big = lcm(*(dk * dk for _, dk, _ in forms))
@@ -251,9 +285,7 @@ class CoalgebraSpec:
             for j in range(i, size):
                 if row[j]:
                     g[i][j] = g[j][i] = Fraction(row[j], den)
-        out = tuple(tuple(row) for row in g)
-        self._gamma[n] = out
-        return out
+        return tuple(tuple(row) for row in g)
 
     def coproduct_entry(self, i: int, j: int, n: int) -> Fraction:
         """G[i][j] of element n, with the triangular zeros filled in."""
@@ -270,6 +302,140 @@ class CoalgebraSpec:
         are the extending slots of 0..limit, in increasing order.
         """
         return sorted(map(self.extending_slot, range(limit + 1)))
+
+
+class ThetaCoalgebra(CoalgebraSpec):
+    """The theta-form coalgebra of node base b, on the exponent grid of step r.
+
+    Element n is theta_n(w**r) / theta_n(b**n) with theta_n(x) =
+    prod_{i<n} (x - b**i), times w**(-r floor(n/2)) in the periodic
+    case.  Its dual basis is a product too: with the nodes y_l = b**s_l,
+    s_l = extending_slot(l), and theta_n(T) = prod_{l<n} (T - y_l), it is
+    a_n = sigma_n theta_n(T), sigma_n = b**(n floor(n/2)) periodically
+    and 1 connectively (spectra.dual_theta_basis), so the Gamma tables
+    come from the dual side; see _gamma_table.
+    """
+
+    def __init__(self, base: int, step: int, prime: int | None = None,
+                 periodic: bool = False, name: str = ""):
+        self.base = base
+        self._raw = None  # (n, E, Q): the last raw table of the recursion
+        super().__init__(step=step, basis=_theta_basis(base, periodic), prime=prime,
+                         periodic=periodic, name=name)
+
+    def _nodes(self, e: int, count: int) -> list[int]:
+        """The integer dual nodes b**(e + s_l), l < count, s_l = extending_slot(l)."""
+        return [self.base ** (e + self.extending_slot(l)) for l in range(count)]
+
+    def _gamma_table(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
+        """Gamma_n by the Newton recursion on the dual basis.
+
+        Pairing is dual to the coproduct and a_i pairs to delta_in with
+        c_n, so G[i][j] = <a_i a_j, c_n>.  Write theta_i theta_j =
+        sum_n Q_n(i, j) theta_n in the Newton basis of the nodes; then
+        a_i a_j = sum_n (sigma_i sigma_j / sigma_n) Q_n(i, j) a_n and
+
+            G[i][j] = (sigma_i sigma_j / sigma_n) Q_n(i, j).
+
+        Recursion: theta_0 = 1 gives Q_n(i, 0) = delta_in, and from
+        theta_j = theta_(j-1) (T - y_(j-1)) and theta_k (T - y_(j-1)) =
+        theta_(k+1) + (y_k - y_(j-1)) theta_k,
+
+            Q_n(i, j) = Q_(n-1)(i, j-1) + (y_n - y_(j-1)) Q_n(i, j-1).
+
+        So table n comes from table n-1 with one multiply by a node
+        difference per entry.  Band: G[i][j] = 0 unless max(i, j) <= n
+        <= i + j.  Proof: theta_i theta_j has degree i + j, so no theta_n
+        with n > i + j occurs.  And theta_k divides it, k = max(i, j):
+        theta_i theta_j = theta_k f with f of degree d = min(i, j).  The
+        products prod_(k<=l'<k+l) (T - y_l'), l = 0..d, are monic of
+        degree l, so f = sum_l c_l of them, and theta_k times the l-th
+        one is theta_(k+l); no theta_n with n < k occurs.
+
+        On integers: with the nodes b**(E + s_l), E >= floor(n/2) in the
+        periodic case and 0 otherwise, prod (Y - b**E y_l) at Y = b**E T
+        is b**(kE) theta_k(T), so the recursion returns Q'_n(i, j) =
+        b**((i+j-n)E) Q_n(i, j), an integer, with exponent >= 0 in the
+        band.  Then G[i][j] = b**(t_i + t_j - t_n) Q'_n(i, j), t_k =
+        k floor(k/2) - kE periodically and 0 otherwise, and each Fraction
+        takes its gcd against that power of b only.  Q is symmetric:
+        row i keeps j >= i, and Q_n(i, i-1) is read as Q_n(i-1, i).
+        Only the previous raw table is kept, in _raw; _gamma holds the
+        Fractions.
+        """
+        b = self.base
+        e = n // 2 if self.periodic else 0
+        if self._raw is None or self._raw[0] > n:
+            m, q = 0, [[1]]
+        else:
+            m, e0, q = self._raw
+            if e0 >= e:
+                e = e0
+            else:
+                f = b ** (e - e0)
+                q = [[v * f ** (i + j - m) if v else 0 for j, v in enumerate(row)]
+                     for i, row in enumerate(q)]
+        ys = self._nodes(e, n + 1)
+        while m < n:
+            m += 1
+            q = _newton_step(q, ys, m)
+        self._raw = (n, e, q)
+
+        size = n + 1
+        t = [k * (k // 2 - e) if self.periodic else 0 for k in range(size)]
+        powers = {0: 1}
+        g = [[_ZERO] * size for _ in range(size)]
+        for i, row in enumerate(q):
+            for j in range(i, size):
+                v = row[j]
+                if v:
+                    s = t[i] + t[j] - t[n]
+                    if s not in powers:
+                        powers[s] = b ** abs(s)
+                    g[i][j] = g[j][i] = Fraction(v * powers[s]) if s >= 0 else Fraction(v, powers[s])
+        return tuple(tuple(row) for row in g)
+
+
+def _theta_basis(b: int, periodic: bool) -> Basis:
+    # integer coefficients of theta_n(x) = prod_{i<n} (x - b**i), constant
+    # term first, each one linear factor on the last; slot k carries the
+    # coefficient of x**(k + floor(n/2)) periodically, of x**k otherwise.
+    # A closure, not a method, so the coalgebra holds no reference cycle
+    thetas = [[1]]
+
+    def basis(n: int):
+        while len(thetas) <= n:
+            thetas.append(times_linear(thetas[-1], b ** (len(thetas) - 1)))
+        num, x, den = thetas[n], b**n, 0
+        for c in reversed(num):
+            den = den * x + c
+        shift = n // 2 if periodic else 0
+        return den, {k - shift: c for k, c in enumerate(num)}
+
+    return basis
+
+
+def _newton_step(prev: list[list[int]], ys: list[int], m: int) -> list[list[int]]:
+    """Q'_m from Q'_(m-1) (ThetaCoalgebra._gamma_table), rows kept for j >= i.
+
+    Row i starts at lo = max(i, m - i), the lower edge of the band, from
+    Q_m(i, lo-1): zero below the band, else Q_m(i-1, i) in the row above.
+    """
+    diff = [ys[m] - y for y in ys[:m]]  # diff[j-1] = y_m - y_(j-1)
+    rows: list[list[int]] = []
+    for i in range(m + 1):
+        row = [0] * (m + 1)
+        lo = max(i, m - i)
+        if lo == i:
+            acc, p = rows[i - 1][i], (prev[i - 1][i] if i < m else 0)
+        else:
+            acc, p = 0, prev[i][lo - 1]
+        acc = row[lo] = p + diff[lo - 1] * acc
+        if i < m:
+            for j, (p, d) in enumerate(zip(prev[i][lo:], diff[lo:]), lo + 1):
+                acc = row[j] = p + d * acc
+        rows.append(row)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +468,15 @@ class RegularityReport:
 
 
 def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
-    """Run every regularity check on basis indices and monomials up to limit."""
+    """Run every regularity check on basis indices and monomials up to limit.
+
+    On a ThetaCoalgebra the table checks compare two independent routes:
+    the Gamma tables come from the Newton recursion on the dual basis,
+    while the last column is checked against the monomial coordinates of
+    the fraction-free elimination and the counit law against the counit
+    values of the basis.  On any other coalgebra the tables come from the
+    monomial-sum kernel, which is built from those same coordinates.
+    """
     checks: list[CheckResult] = []
 
     bad = ""

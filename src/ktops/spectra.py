@@ -7,9 +7,13 @@ step r, with b a power of the Adams parameter q.  The remaining two
 companions and have no single product form; their dual-side questions
 are answered through the coalgebra tables instead.
 
-Every basis is built on integers and handed to CoalgebraSpec in its
-monomial form (d, {k: m_k}); the node products are grown one linear
-factor at a time by ktops.laurent.times_linear.
+Every basis is built on integers in its monomial form (d, {k: m_k});
+the node products are grown one linear factor at a time by
+ktops.laurent.times_linear.  The six theta-form algebras are
+coalgebra.ThetaCoalgebra on their node base, which builds the basis,
+and the Gamma tables by a Newton recursion on the dual basis; the
+interleaved bases of k(2) and K(2) read the base-9 theta basis of the
+real theory and run the monomial-sum kernel of CoalgebraSpec.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from typing import Iterator
 
-from .coalgebra import Basis, CoalgebraSpec
+from .coalgebra import Basis, CoalgebraSpec, ThetaCoalgebra
 from .dual import AdamsPoly
 from .laurent import LaurentPoly, times_linear
 from .rationals import (_int_valuation, check_primitive_root, is_prime, least_primitive_root,
@@ -82,7 +86,7 @@ def product_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
     if b % p == 0:
         raise ValueError(f"node base {b} of {spec.name} is not a {p}-adic unit")
     e = count // 2 if spec.periodic else 0
-    return e, [b ** (e + spec.coalgebra.extending_slot(i)) for i in range(count)]
+    return e, spec.coalgebra._nodes(e, count)
 
 
 @cache
@@ -101,48 +105,20 @@ def node_gap_valuation(spec: SpectrumSpec, k: int) -> int:
     return v + _int_valuation(spec.prime, k) if k % o == 0 else 0
 
 
-def _theta_basis(b: int) -> Basis:
-    # integer coefficients of theta_n(x) = prod_{i<n} (x - b**i), constant
-    # term first, each one linear factor on the last; element n is
-    # theta_n(w**r) / theta_n(b**n), slot e carrying the coefficient of x**e
-    thetas = [[1]]
-
-    def basis(n: int):
-        while len(thetas) <= n:
-            thetas.append(times_linear(thetas[-1], b ** (len(thetas) - 1)))
-        num = thetas[n]
-        x, den = b**n, 0
-        for c in reversed(num):
-            den = den * x + c
-        return den, dict(enumerate(num))
-
-    return basis
-
-
-def _interleaved_basis(b: int, q: int) -> Basis:
+def _interleaved_basis(real: ThetaCoalgebra, q: int, periodic: bool) -> Basis:
     # even slots reuse the real basis h_m in w**2; odd slots multiply in the
     # degree-one factor (q**m - w) / (2 q**m) = (w - q**m) / (-2 q**m), which
-    # kills w = q**m and keeps the coefficients 2-locally integral
-    even = _theta_basis(b)
-
+    # kills w = q**m and keeps the coefficients 2-locally integral; the
+    # periodic element n moves down by floor(n/2) slots
     def basis(n: int):
         m, odd = divmod(n, 2)
-        den, h = even(m)
+        den, h = real.basis(m)
         h = {2 * e: c for e, c in h.items()}
-        if not odd:
-            return den, h
-        dense = [h.get(j, 0) for j in range(2 * m + 1)]
-        return -2 * q**m * den, dict(enumerate(times_linear(dense, q**m)))
-
-    return basis
-
-
-def _periodic_wrap(conn: Basis) -> Basis:
-    # element n of the periodic basis is element n of the connective one
-    # times w**(-r * floor(n/2)): its slots move down by floor(n/2)
-    def basis(n: int):
-        d, mono = conn(n)
-        return d, {k - n // 2: m for k, m in mono.items()}
+        if odd:
+            dense = [h.get(j, 0) for j in range(2 * m + 1)]
+            den, h = -2 * q**m * den, dict(enumerate(times_linear(dense, q**m)))
+        shift = n // 2 if periodic else 0
+        return den, {k - shift: c for k, c in h.items()}
 
     return basis
 
@@ -176,23 +152,18 @@ def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
             raise ValueError(f"q = {q} does not generate the units mod {p}**2")
 
     canonical = f"{family}({p})"
-    if family in ("K", "k"):
-        if p == 2:
-            step, base = 1, None
-            conn = _interleaved_basis(q * q, q)
-        else:
-            step, base = 1, q
-            conn = _theta_basis(q)
-    elif family in ("G", "g"):
-        step = p - 1
-        base = q ** (p - 1)
-        conn = _theta_basis(base)
+    if family in ("K", "k") and p == 2:
+        step, base = 1, None
+        basis = _interleaved_basis(ThetaCoalgebra(q * q, 2), q, periodic)
+        coalg = CoalgebraSpec(step=step, basis=basis, prime=p, periodic=periodic, name=canonical)
     else:
-        step, base = 2, q * q
-        conn = _theta_basis(q * q)
-
-    basis = _periodic_wrap(conn) if periodic else conn
-    coalg = CoalgebraSpec(step=step, basis=basis, prime=p, periodic=periodic, name=canonical)
+        if family in ("K", "k"):
+            step, base = 1, q
+        elif family in ("G", "g"):
+            step, base = p - 1, q ** (p - 1)
+        else:
+            step, base = 2, q * q
+        coalg = ThetaCoalgebra(base, step, prime=p, periodic=periodic, name=canonical)
     return SpectrumSpec(
         name=canonical,
         family=family,
