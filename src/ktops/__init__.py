@@ -55,7 +55,6 @@ from .checks import (
     check_unit_condition,
     check_congruence_condition,
     check_coalgebra_conditions,
-    product_identity_holds,
     check_pow3_valuations,
     check_gamma_transfer,
     condition_report,

@@ -15,13 +15,16 @@ For the product-form algebras both conditions are decided exactly: (1)
 is periodic in the evaluation exponent mod p, and (2) is the complete
 expansion of a_m a_n - a_{m+n} in the dual basis, after a diagonal test
 and a short-cut over differences of the product nodes that can only
-prove it.  The nodes are z_i = b**s_i, s_i = extending_slot(i - 1), for
-a p-adic unit b: p | b**j - z_i exactly when ord_p(b) | j - s_i, and
+prove it.  The nodes are z_l = b**s_l, s_l = extending_slot(l), l >= 0,
+for a p-adic unit b: p | b**j - z_l exactly when ord_p(b) | j - s_l, and
 z_a - z_b is a unit times b**(s_b - s_a) - 1, whose valuation is
 ktops.spectra.node_gap_valuation.  The unit condition, the diagonal and
-the short-cut read only these slot facts; only the expansion builds the
-integer nodes y_i = b**E z_i of ktops.spectra.product_nodes, on which
-each coordinate is a power of b times the one on the z_i.  The 2-local
+the short-cut read only these slot facts.  The expansion and the
+short-cut's proof both rest on the Newton step of the Gamma recursion
+(ThetaCoalgebra._gamma_table), theta_t (T - y) = theta_(t+1) +
+(y_t - y) theta_t; the expansion runs it along one row on 2 min(m, n)
+integer nodes y_l = b**E z_l of ThetaCoalgebra._nodes, on which each
+coordinate is a power of b times the one on the z_l.  The 2-local
 complex theories have no product form, so both conditions are read off
 the coalgebra coefficient tables up to a stated bound.
 """
@@ -29,12 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, combinations, islice
+from functools import partial
+from itertools import combinations, islice
+from typing import Callable, Iterable
 
-from .laurent import times_linear
 from .rationals import _int_valuation, nu
-from .spectra import SpectrumSpec, _base_order, admissible_shifts, node_gap_valuation, product_nodes
+from .spectra import SpectrumSpec, _base_order, admissible_shifts, node_gap_valuation
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ def check_unit_condition(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict
     and demands the value land in p Z_(p).  The values only matter mod
     p and b**j cycles with period o = ord_p(b), so j < o decides every
     exponent, exactly.  p | b**j - b**s_i exactly when o | j - s_i; the
-    slots s_1..s_(n-m) are consecutive, so the first min(n - m, o) reach
+    slots s_0..s_(n-m-1) are consecutive, so the first min(n - m, o) reach
     every residue they can, and the witness is the least j they miss.
     Without a product form the same statement is read off the monomial
     coordinate tables: p must divide the (n-m)-th coordinate of every
@@ -133,17 +136,22 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
 
     1. the diagonal: if u != 0 and nu(b**|u| - 1) < l the cell fails
        with witness m + n;
-    2. the node differences d_i = y_{n-i} - y_{m+n-i}, i < n: if every
-       nonzero one has valuation >= l the cell holds.  This is sound by
-       the identity of product_identity_holds: T_m T_n - T_{m+n} is
-       -sum_i d_i T_{m+n-i-1} prod_{k=n-i+1..n} (X - y_k); since
-       T_j (X - y) = T_{j+1} + (y_{j+1} - y) T_j, each such product has
-       integral coordinates in the basis T_j, so every coordinate of
-       the difference is an integral combination of the d_i, each read
-       as node_gap_valuation of its slot gap (zero when the slots agree);
-    3. otherwise the complete expansion of the difference, all m + n
-       coordinates, decides; the witness is the first coordinate index
-       (the target t) with valuation < l.
+    2. the node differences y_(m+k) - y_k, k < n: if every nonzero one
+       has valuation >= l the cell holds.  Proof, by the Newton step
+       theta_t (T - y) = theta_(t+1) + (y_t - y) theta_t: multiply
+       theta_m by the factors T - y_k, k < n, of theta_n.  After k of
+       them the product is theta_(m+k) plus lower theta_t whose
+       coordinates lie in the ideal I_k generated by y_(m+k') - y_k',
+       k' < k.  The next factor sends theta_(m+k) to theta_(m+k+1) +
+       (y_(m+k) - y_k) theta_(m+k), a generator of I_(k+1), and
+       c theta_t to c theta_(t+1) + c (y_t - y_k) theta_t, both in I_k
+       as the nodes are p-local integers.  So every coordinate of
+       theta_m theta_n - theta_{m+n} lies in I_n, and its valuation is
+       at least the least one of the generators, each read as
+       node_gap_valuation of its slot gap (none when the slots agree);
+    3. otherwise the complete expansion of the difference
+       (_expansion_valuations) decides; the witness is the first
+       coordinate index (the target t) with valuation < l.
 
     min_valuation is the least valuation among what the route read:
     the diagonal alone when it fails; the node differences and b**|u| - 1
@@ -170,55 +178,49 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
     if vals and vals[0] < l:
         return verdict(False, m + n)
     slot = spec.coalgebra.extending_slot
-    gaps = (abs(slot(n - i - 1) - slot(m + n - i - 1)) for i in range(n))
+    gaps = (abs(slot(m + k) - slot(k)) for k in range(n))
     diffs = [node_gap_valuation(spec, g) for g in gaps if g]
     if min(diffs, default=l) >= l:
         vals += diffs
         return verdict(True)
-    _, ys = product_nodes(spec, m + n)
-    coords = _expansion_valuations(spec.prime, ys, m, n)
-    vals += [v for v in coords if v is not None]
-    bad = next((t for t, v in enumerate(coords) if v is not None and v < l), None)
+    e = (m + n) // 2 if spec.periodic else 0
+    coords = _expansion_valuations(spec.prime, partial(spec.coalgebra._nodes, e), m, n)
+    vals += coords.values()
+    bad = next((t for t, v in coords.items() if v < l), None)
     return verdict(bad is None, bad)
 
 
-def _expansion_valuations(p: int, ys: list[int], m: int, n: int) -> list[int | None]:
-    """Valuations of all m + n coordinates of theta_m theta_n - theta_{m+n}
-    in the basis theta_0, theta_1, ... (None for a zero coordinate); the
-    difference has degree below m + n, so these are all of them.
+def _expansion_valuations(p: int, nodes: Callable[[Iterable[int]], list[int]],
+                          m: int, n: int) -> dict[int, int]:
+    """Valuations of the nonzero coordinates of theta_m theta_n - theta_(m+n)
+    in the basis theta_0, theta_1, ..., keyed by the index t, increasing.
 
-    The expansion runs on the integer nodes ys = y_1, ..., y_{m+n}, with
-    y_i = b**E z_i.  With theta'_k = prod_{i<=k} (Y - y_i) we have
-    theta_k(X) = b**(-kE) theta'_k(b**E X), so the k-th coordinate is
-    b**((k-m-n)E) times the k-th coordinate of
-    theta'_m theta'_n - theta'_{m+n} in the basis theta'_k, an integer.
-    b is a p-adic unit, so both have the same zeroness and valuation.
+    These coordinates are Q_t(m, n), and this is the recursion of
+    ThetaCoalgebra._gamma_table run along one row.  With M = max(m, n)
+    and N = min(m, n), theta_M is multiplied by the N factors T - y_k,
+    k < N, of theta_N, each by the Newton step
+
+        theta_t (T - y_k) = theta_(t+1) + (y_t - y_k) theta_t.
+
+    After k factors the product is theta_(M+k) plus coordinates at
+    M..M+k-1 only.  So the coordinates below M are zero, the one at m + n
+    cancels theta_(m+n), and only the N at M..M+N-1 are built, in
+    N(N+1)/2 multiplies by a node difference.  nodes(indices) returns the
+    integer nodes y_l = b**E z_l at those indices (ThetaCoalgebra._nodes);
+    the sweep reads the 2N nodes y_0..y_(N-1) and y_M..y_(M+N-1).  With
+    theta'_k = prod_(l<k) (Y - y_l), theta'_k(b**E T) = b**(kE) theta_k(T),
+    so the coordinate at t is b**((t-m-n)E) times the integer the sweep
+    finds; b is a p-adic unit, so both have the same valuation.
     """
-    # integer coefficients of theta'_k, constant term first, one linear
-    # factor at a time; only theta'_m, theta'_n and theta'_{m+n} are kept
-    t = tm = tn = [1]
-    for k, y in enumerate(ys, 1):
-        t = times_linear(t, y)
-        if k == m:
-            tm = t
-        if k == n:
-            tn = t
-    diff = [-c for c in t]
-    for i, a in enumerate(tm):
-        for j, c in enumerate(tn):
-            diff[i + j] += a * c
-    out = []
-    for y in ys:
-        # one synthetic-division pass by (Y - y): the last value is the
-        # remainder, the next coordinate; the others are the quotient
-        acc, quo = 0, []
-        for a in reversed(diff):
-            acc = acc * y + a
-            quo.append(acc)
-        g = quo.pop()
-        diff = quo[::-1]
-        out.append(_int_valuation(p, g) if g else None)
-    return out
+    big, small = max(m, n), min(m, n)
+    low, high = nodes(range(small)), nodes(range(big, big + small))
+    row: list[int] = []  # coordinates at M, M+1, ...; the top one, 1, implied
+    for y in low:
+        row.append(1)
+        carry = 0
+        for i, h in enumerate(high[:len(row)]):
+            carry, row[i] = row[i], carry + (h - y) * row[i]
+    return {big + i: _int_valuation(p, c) for i, c in enumerate(row) if c}
 
 
 def _monomial_divisibility(spec: SpectrumSpec, index: int) -> tuple[int | None, int]:
@@ -281,34 +283,6 @@ def check_coalgebra_conditions(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
             return ConditionVerdict(spec.name, "coalgebra", False, False, m, n, level=l,
                                     witness={"part": "unit", "slot": slot}, checked=bound)
     return _gamma_congruence(spec, "coalgebra", m, n, l)
-
-
-def product_identity_holds(spec: SpectrumSpec, m: int, n: int) -> bool:
-    """The exact polynomial identity behind the congruence short-cut.
-
-    The product of the degree-m and degree-n node polynomials differs
-    from the degree-(m+n) one by a sum of corrections, each carrying a
-    node difference y_{n-i} - y_{m+n-i} as a factor:
-
-        T_{m+n} = T_m T_n + sum_{i<n} (y_{n-i} - y_{m+n-i})
-                  * prod_{k=n-i+1..n} (X - y_k) * T_{m+n-i-1}
-
-    Checked on integer coefficient lists over product_nodes, built by
-    times_linear as the expansion builds them; the identity is homogeneous
-    of degree m + n, so scaling the nodes by b**E does not change it.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be non-negative")
-    _, ys = product_nodes(spec, m + n)
-    thetas = list(accumulate(ys, times_linear, initial=[1]))
-    # T_m T_n is T_m times the n linear factors of T_n
-    rhs = reduce(times_linear, ys[:n], thetas[m])
-    for i in range(n):
-        term = reduce(times_linear, ys[n - i:n], thetas[m + n - i - 1])
-        d = ys[n - i - 1] - ys[m + n - i - 1]
-        for k, c in enumerate(term):
-            rhs[k] += d * c
-    return rhs == thetas[m + n]
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
-from typing import Callable
+from typing import Callable, Iterable
 
 from .laurent import LaurentPoly, times_linear
 from .rationals import is_p_local_integer, is_prime
@@ -323,9 +323,10 @@ class ThetaCoalgebra(CoalgebraSpec):
         super().__init__(step=step, basis=_theta_basis(base, periodic), prime=prime,
                          periodic=periodic, name=name)
 
-    def _nodes(self, e: int, count: int) -> list[int]:
-        """The integer dual nodes b**(e + s_l), l < count, s_l = extending_slot(l)."""
-        return [self.base ** (e + self.extending_slot(l)) for l in range(count)]
+    def _nodes(self, e: int, indices: Iterable[int]) -> list[int]:
+        """The integer dual nodes y_l = b**(e + s_l), s_l = extending_slot(l),
+        for each node index l in indices."""
+        return [self.base ** (e + self.extending_slot(l)) for l in indices]
 
     def _gamma_table(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
         """Gamma_n by the Newton recursion on the dual basis.
@@ -375,7 +376,7 @@ class ThetaCoalgebra(CoalgebraSpec):
                 f = b ** (e - e0)
                 q = [[v * f ** (i + j - m) if v else 0 for j, v in enumerate(row)]
                      for i, row in enumerate(q)]
-        ys = self._nodes(e, n + 1)
+        ys = self._nodes(e, range(n + 1))
         while m < n:
             m += 1
             q = _newton_step(q, ys, m)
@@ -476,7 +477,10 @@ def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
     the fraction-free elimination and the counit law against the counit
     values of the basis.  On any other coalgebra the tables come from the
     monomial-sum kernel, which is built from those same coordinates.
+    Raises ValueError on a negative limit.
     """
+    if limit < 0:
+        raise ValueError("the limit must be non-negative")
     checks: list[CheckResult] = []
 
     bad = ""

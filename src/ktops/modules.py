@@ -258,11 +258,14 @@ def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> Annihilato
     reach that far; a failure certifies the input is not a
     discrete-module table.
     Raises ValueError, naming the matrix and the entry, on a table that
-    is not square or not p-locally integral.
+    is not square or not p-locally integral, and, naming both primes, on
+    a spectrum of another prime.
     """
     if s < 1:
         raise ValueError("the torsion exponent must be a positive integer")
     p = mod.prime
+    if spec.prime != p:
+        raise ValueError(f"prime mismatch between module ({p}) and spectrum {spec.name} ({spec.prime})")
     lo = mod.free_rank
     d = mod.dimension
     bad = _malformed(mod)

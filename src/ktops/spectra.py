@@ -74,11 +74,13 @@ def parse_name(name: str) -> tuple[str, int]:
 
 
 def product_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
-    """The shift E and the integer nodes y_1..y_count, y_i = b**(E + s_i).
+    """The shift E and the first count integer nodes y_0..y_(count-1).
 
-    The node slots are s_i = extending_slot(i - 1), E = 0 connectively and
-    count // 2 periodically; scaling by b**E keeps valuations only for a
-    p-adic unit b.  Of the verdicts only the complete expansion builds these.
+    y_l = b**(E + s_l), s_l = extending_slot(l), is ThetaCoalgebra._nodes,
+    the one node formula; the Gamma recursion and the congruence expansion
+    call it on the indices they read.  E = 0 connectively and count // 2
+    periodically, so every node is an integer; scaling by b**E keeps
+    valuations only for a p-adic unit b.  dual_theta_basis builds on these.
     """
     b, p = spec.base, spec.prime
     if b is None:
@@ -86,7 +88,7 @@ def product_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
     if b % p == 0:
         raise ValueError(f"node base {b} of {spec.name} is not a {p}-adic unit")
     e = count // 2 if spec.periodic else 0
-    return e, spec.coalgebra._nodes(e, count)
+    return e, spec.coalgebra._nodes(e, range(count))
 
 
 @cache

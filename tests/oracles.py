@@ -39,7 +39,17 @@ b and read them directly, as the library once did:
 * unit_condition_by_nodes: the degree n-m node product evaluated at
   b**j, one factor b**(j+E) - y_i at a time, for j over one period;
 * congruence_by_nodes: the diagonal b**|u| - 1, the node differences
-  y_{n-i} - y_{m+n-i} and, past them, the same complete expansion;
+  y_{n-i} - y_{m+n-i} and, past them, the complete expansion by
+  expansion_by_division;
+* expansion_by_division: all m + n coordinates of
+  theta_m theta_n - theta_{m+n}, from theta_m, theta_n and theta_{m+n}
+  built over all m + n integer nodes by times_linear, one synthetic
+  division by Y - y_i per coordinate; the library runs the Newton step
+  of the Gamma recursion along one row on 2 min(m, n) nodes instead;
+* product_identity_holds: theta_{m+n} as theta_m theta_n plus
+  corrections, each with a node difference y_{n-i} - y_{m+n-i} as a
+  factor, on integer coefficient lists; the node short-cut once rested
+  on it, and check_congruence_condition now proves it by the Newton step;
 * support_step_table: the hand table of admissible steps, keyed on the
   family letter.
 
@@ -69,6 +79,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 from typing import Callable
 
 from ktops.coalgebra import CoalgebraSpec, NotRegularError
@@ -80,9 +92,9 @@ from ktops.dual import (
     PrecisionError,
     UnitVerdict,
 )
-from ktops.laurent import LaurentPoly
+from ktops.laurent import LaurentPoly, times_linear
 from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
-from ktops.checks import ConditionVerdict, _expansion_valuations
+from ktops.checks import ConditionVerdict
 from ktops.rationals import _int_valuation, is_p_local_unit, multiplicative_order, nu
 from ktops.spectra import SpectrumSpec
 from ktops.spectra import product_nodes as integer_nodes
@@ -357,10 +369,77 @@ def congruence_by_nodes(spec: SpectrumSpec, m: int, n: int, l: int) -> Condition
     if min(diffs, default=l) >= l:
         vals += diffs
         return verdict(True)
-    coords = _expansion_valuations(p, ys, m, n)
+    coords = expansion_by_division(p, ys, m, n)
     vals += [v for v in coords if v is not None]
     bad = next((t for t, v in enumerate(coords) if v is not None and v < l), None)
     return verdict(bad is None, bad)
+
+
+def expansion_by_division(p: int, ys: list[int], m: int, n: int) -> list[int | None]:
+    """Valuations of all m + n coordinates of theta_m theta_n - theta_{m+n}
+    in the basis theta_0, theta_1, ... (None for a zero coordinate); the
+    difference has degree below m + n, so these are all of them.
+
+    The expansion runs on the integer nodes ys = y_1, ..., y_{m+n}, with
+    y_i = b**E z_i.  With theta'_k = prod_{i<=k} (Y - y_i) we have
+    theta_k(X) = b**(-kE) theta'_k(b**E X), so the k-th coordinate is
+    b**((k-m-n)E) times the k-th coordinate of
+    theta'_m theta'_n - theta'_{m+n} in the basis theta'_k, an integer.
+    b is a p-adic unit, so both have the same zeroness and valuation.
+    """
+    # integer coefficients of theta'_k, constant term first, one linear
+    # factor at a time; only theta'_m, theta'_n and theta'_{m+n} are kept
+    t = tm = tn = [1]
+    for k, y in enumerate(ys, 1):
+        t = times_linear(t, y)
+        if k == m:
+            tm = t
+        if k == n:
+            tn = t
+    diff = [-c for c in t]
+    for i, a in enumerate(tm):
+        for j, c in enumerate(tn):
+            diff[i + j] += a * c
+    out = []
+    for y in ys:
+        # one synthetic-division pass by (Y - y): the last value is the
+        # remainder, the next coordinate; the others are the quotient
+        acc, quo = 0, []
+        for a in reversed(diff):
+            acc = acc * y + a
+            quo.append(acc)
+        g = quo.pop()
+        diff = quo[::-1]
+        out.append(_int_valuation(p, g) if g else None)
+    return out
+
+
+def product_identity_holds(spec: SpectrumSpec, m: int, n: int) -> bool:
+    """The exact polynomial identity behind the congruence short-cut.
+
+    The product of the degree-m and degree-n node polynomials differs
+    from the degree-(m+n) one by a sum of corrections, each carrying a
+    node difference y_{n-i} - y_{m+n-i} as a factor:
+
+        T_{m+n} = T_m T_n + sum_{i<n} (y_{n-i} - y_{m+n-i})
+                  * prod_{k=n-i+1..n} (X - y_k) * T_{m+n-i-1}
+
+    Checked on integer coefficient lists over product_nodes, built by
+    times_linear as the expansion builds them; the identity is homogeneous
+    of degree m + n, so scaling the nodes by b**E does not change it.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("degrees must be non-negative")
+    _, ys = integer_nodes(spec, m + n)
+    thetas = list(accumulate(ys, times_linear, initial=[1]))
+    # T_m T_n is T_m times the n linear factors of T_n
+    rhs = reduce(times_linear, ys[:n], thetas[m])
+    for i in range(n):
+        term = reduce(times_linear, ys[n - i:n], thetas[m + n - i - 1])
+        d = ys[n - i - 1] - ys[m + n - i - 1]
+        for k, c in enumerate(term):
+            rhs[k] += d * c
+    return rhs == thetas[m + n]
 
 
 def support_step_table(spec: SpectrumSpec, l: int) -> int:

@@ -15,7 +15,6 @@ from ktops.checks import (
     check_congruence_condition,
     check_gamma_transfer,
     check_unit_condition,
-    product_identity_holds,
 )
 from ktops.coalgebra import verify_regularity
 from ktops.dual import (
@@ -42,6 +41,7 @@ from ktops.spectra import (
     make_spectrum,
     spectrum_names,
 )
+from oracles import product_identity_holds
 
 THETA_SPECS = ("k(3)", "K(3)", "g(3)", "G(3)", "ko(2)", "KO(2)")
 DUALITY_SPECS = THETA_SPECS + ("k(5)", "K(5)", "g(5)", "G(5)")

@@ -14,7 +14,6 @@ from ktops.checks import (
     check_pow3_valuations,
     check_unit_condition,
     condition_report,
-    product_identity_holds,
 )
 from ktops.rationals import nu
 from ktops.spectra import admissible_shifts, make_spectrum, product_nodes, support_step
@@ -22,6 +21,8 @@ import oracles
 from oracles import (
     congruence_by_nodes,
     cross_check_coefficients,
+    expansion_by_division,
+    product_identity_holds,
     table_congruence,
     theta_table,
     unit_condition_by_nodes,
@@ -99,9 +100,9 @@ def test_congruence_matches_table_reading(monkeypatch):
     # and a lower bound for it where the node short-cut did
     expanded = []
 
-    def spy(p, ys, m, n):
+    def spy(p, nodes, m, n):
         expanded.append((m, n))
-        return _expansion_valuations(p, ys, m, n)
+        return _expansion_valuations(p, nodes, m, n)
 
     monkeypatch.setattr(checks, "_expansion_valuations", spy)
     for name in THETA_SPECTRA:
@@ -166,13 +167,12 @@ def test_unit_condition_matches_node_oracle():
 
 
 def test_congruence_matches_node_oracle(monkeypatch):
-    # slot gaps and node_gap_valuation against the big node differences:
-    # the same verdict, witness and min_valuation on every cell
-    # m <= 12, n <= 10, l <= 4.  Both routes end in the same expansion,
-    # which does not depend on l, so each one is computed once
-    memo = functools.cache(lambda p, ys, m, n: _expansion_valuations(p, list(ys), m, n))
-    for module in (checks, oracles):
-        monkeypatch.setattr(module, "_expansion_valuations", lambda p, ys, m, n: memo(p, tuple(ys), m, n))
+    # slot gaps, node_gap_valuation and the row sweep against the big
+    # node differences and the division expansion: the same verdict,
+    # witness and min_valuation on every cell m <= 12, n <= 10, l <= 4.
+    # The oracle's expansion does not depend on l, so it is computed once
+    memo = functools.cache(lambda p, ys, m, n: expansion_by_division(p, list(ys), m, n))
+    monkeypatch.setattr(oracles, "expansion_by_division", lambda p, ys, m, n: memo(p, tuple(ys), m, n))
     cells = 0
     for name in SLOT_SPECTRA:
         sp = make_spectrum(name)
@@ -234,8 +234,75 @@ def test_cross_validation_matches_fraction_expansion():
                 if key not in oracle:
                     coeffs = cross_check_coefficients(sp, thetas, m, n, m + n)
                     oracle[key] = [nu(sp.prime, g) if g else None for g in coeffs]
+                coords = _expansion_valuations(sp.prime, node_reader(sp, m + n), m, n)
+                assert [coords.get(t) for t in range(m + n)] == oracle[key], (name, m, n)
+
+
+def node_reader(sp, count, log=None):
+    # the nodes of product_nodes(sp, count) by index list, as the sweep
+    # asks for them; each index asked for is appended to log
+    _, ys = product_nodes(sp, count)
+
+    def nodes(indices):
+        indices = list(indices)
+        if log is not None:
+            log.extend(indices)
+        return [ys[i] for i in indices]
+
+    return nodes
+
+
+def test_row_sweep_matches_division_oracle():
+    # the Newton step along one row against the synthetic divisions over
+    # all m + n nodes: all m + n coordinates on every cell m, n <= 16
+    cells = 0
+    for name in THETA_SPECTRA:
+        sp = make_spectrum(name)
+        for m in range(17):
+            for n in range(17):
                 _, ys = product_nodes(sp, m + n)
-                assert _expansion_valuations(sp.prime, ys, m, n) == oracle[key], (name, m, n)
+                coords = _expansion_valuations(sp.prime, node_reader(sp, m + n), m, n)
+                assert [coords.get(t) for t in range(m + n)] == expansion_by_division(sp.prime, ys, m, n), \
+                    (name, m, n)
+                cells += 1
+    assert cells == 3468
+
+
+def test_row_sweep_reads_two_min_nodes():
+    # y_0..y_(N-1) for the factors of theta_N, y_M..y_(M+N-1) for the
+    # coordinates, each once, N = min(m, n) and M = max(m, n)
+    for name in ("k(3)", "KO(2)"):
+        sp = make_spectrum(name)
+        for m, n in ((9, 4), (4, 9), (6, 6), (12, 1), (0, 7), (30, 3)):
+            big, small = max(m, n), min(m, n)
+            log = []
+            _expansion_valuations(sp.prime, node_reader(sp, m + n, log), m, n)
+            assert sorted(log) == [*range(small), *range(big, big + small)], (name, m, n)
+
+
+# (spectrum, m, n) -> (holds, witness, min_valuation) at l = 3, as the
+# division route decided them
+LARGE_CELLS = {
+    ("k(3)", 485, 10): (False, 491, 1),
+    ("k(3)", 10, 485): (False, 491, 1),
+    ("k(5)", 499, 10): (False, 499, 0),
+    ("g(5)", 301, 10): (False, 310, 2),
+}
+
+
+def test_large_non_admissible_cells_by_the_sweep(monkeypatch):
+    expanded = []
+
+    def spy(p, nodes, m, n):
+        expanded.append((m, n))
+        return _expansion_valuations(p, nodes, m, n)
+
+    monkeypatch.setattr(checks, "_expansion_valuations", spy)
+    for (name, m, n), want in LARGE_CELLS.items():
+        expanded.clear()
+        v = check_congruence_condition(make_spectrum(name), m, n, 3)
+        assert (v.holds, v.witness, v.min_valuation) == want and v.exact, (name, m, n)
+        assert expanded == [(m, n)], (name, m, n)
 
 
 def test_product_nodes_need_a_unit_base():

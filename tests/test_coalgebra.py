@@ -197,6 +197,13 @@ def test_corrupted_basis_caught_by_regularity():
         assert "coproduct constants integral" in bad
 
 
+def test_verify_regularity_rejects_negative_limit():
+    # a negative limit would check nothing and report ok
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_regularity(make_spectrum("k(3)").coalgebra, -3)
+    assert verify_regularity(make_spectrum("k(3)").coalgebra, 0).ok
+
+
 def test_eight_stock_coalgebras_regular_small():
     from ktops.spectra import spectrum_names
 

@@ -137,6 +137,14 @@ def test_torsion_annihilator_no_witness_control():
     assert res.witness is None
 
 
+def test_torsion_annihilator_refuses_other_prime():
+    # a 5-local module has no 3-adic shift; both primes are named
+    m = trivial_module(5, 1, (25,), 3)
+    with pytest.raises(ValueError, match=r"prime mismatch.*\(5\).*k\(3\) \(3\)"):
+        torsion_annihilator(m, K3, 2)
+    assert torsion_annihilator(m, make_spectrum("k(5)"), 2).witness == 4 * 5
+
+
 def test_json_roundtrip():
     for m in (
         trivial_module(3, 1, (3, 9), 3),
