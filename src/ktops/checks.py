@@ -18,26 +18,25 @@ and a short-cut over differences of the product nodes that can only
 prove it.  The nodes are z_l = b**s_l, s_l = extending_slot(l), l >= 0,
 for a p-adic unit b: p | b**j - z_l exactly when ord_p(b) | j - s_l, and
 z_a - z_b is a unit times b**(s_b - s_a) - 1, whose valuation is
-ktops.spectra.node_gap_valuation.  The unit condition, the diagonal and
+ThetaCoalgebra.gap_valuation.  The unit condition, the diagonal and
 the short-cut read only these slot facts.  The expansion and the
 short-cut's proof both rest on the Newton step of the Gamma recursion
 (ThetaCoalgebra._gamma_table), theta_t (T - y) = theta_(t+1) +
-(y_t - y) theta_t; the expansion runs it along one row on 2 min(m, n)
-integer nodes y_l = b**E z_l of ThetaCoalgebra._nodes, on which each
-coordinate is a power of b times the one on the z_l.  The 2-local
-complex theories have no product form, so both conditions are read off
-the coalgebra coefficient tables up to a stated bound.
+(y_t - y) theta_t; the expansion is ThetaCoalgebra.product_row, which
+runs it along one row on 2 min(m, n) integer nodes, and this module
+takes the valuations of its coordinates.  The 2-local complex theories
+have no product form, so both conditions are read off the coalgebra
+coefficient tables up to a stated bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, islice
-from typing import Callable, Iterable
 
+from .coalgebra import ThetaCoalgebra
 from .rationals import _int_valuation, nu
-from .spectra import SpectrumSpec, _base_order, admissible_shifts, node_gap_valuation
+from .spectra import SpectrumSpec, admissible_shifts
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,10 @@ def check_unit_condition(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict
         raise ValueError("the shift must be non-negative")
     if m >= n:
         raise ValueError("the unit condition needs m < n")
-    if spec.has_theta_form:
-        o, _ = _base_order(spec.prime, spec.base)
-        hit = {spec.coalgebra.extending_slot(i) % o for i in range(min(n - m, o))}
+    C = spec.coalgebra
+    if isinstance(C, ThetaCoalgebra):
+        o, _ = C.order
+        hit = {C.extending_slot(i) % o for i in range(min(n - m, o))}
         j = next((j for j in range(o) if j not in hit), None)
         return ConditionVerdict(spec.name, "unit", j is None, True, m, n, witness=j, checked=o)
 
@@ -148,9 +148,10 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
        as the nodes are p-local integers.  So every coordinate of
        theta_m theta_n - theta_{m+n} lies in I_n, and its valuation is
        at least the least one of the generators, each read as
-       node_gap_valuation of its slot gap (none when the slots agree);
+       ThetaCoalgebra.gap_valuation of its slot gap (none when the
+       slots agree);
     3. otherwise the complete expansion of the difference
-       (_expansion_valuations) decides; the witness is the first
+       (ThetaCoalgebra.product_row) decides; the witness is the first
        coordinate index (the target t) with valuation < l.
 
     min_valuation is the least valuation among what the route read:
@@ -166,10 +167,12 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
         raise ValueError("the depth must be a positive integer")
     if m < 0 or n < 0:
         raise ValueError("shift and index must be non-negative")
-    if not spec.has_theta_form:
+    C = spec.coalgebra
+    if not isinstance(C, ThetaCoalgebra):
         return _gamma_congruence(spec, "congruence", m, n, l)
-    u = m * (m // 2) + n * (n // 2) - (m + n) * ((m + n) // 2) if spec.periodic else 0
-    vals = [node_gap_valuation(spec, u)] if u else []
+    u = m * (m // 2) + n * (n // 2) - (m + n) * ((m + n) // 2) if C.periodic else 0
+    gap = C.gap_valuation
+    vals = [gap(u)] if u else []
 
     def verdict(holds, witness=None):
         return ConditionVerdict(spec.name, "congruence", holds, True, m, n, level=l,
@@ -177,50 +180,16 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
 
     if vals and vals[0] < l:
         return verdict(False, m + n)
-    slot = spec.coalgebra.extending_slot
+    slot = C.extending_slot
     gaps = (abs(slot(m + k) - slot(k)) for k in range(n))
-    diffs = [node_gap_valuation(spec, g) for g in gaps if g]
+    diffs = [gap(g) for g in gaps if g]
     if min(diffs, default=l) >= l:
         vals += diffs
         return verdict(True)
-    e = (m + n) // 2 if spec.periodic else 0
-    coords = _expansion_valuations(spec.prime, partial(spec.coalgebra._nodes, e), m, n)
+    coords = {t: _int_valuation(C.prime, c) for t, c in C.product_row(m, n).items()}
     vals += coords.values()
     bad = next((t for t, v in coords.items() if v < l), None)
     return verdict(bad is None, bad)
-
-
-def _expansion_valuations(p: int, nodes: Callable[[Iterable[int]], list[int]],
-                          m: int, n: int) -> dict[int, int]:
-    """Valuations of the nonzero coordinates of theta_m theta_n - theta_(m+n)
-    in the basis theta_0, theta_1, ..., keyed by the index t, increasing.
-
-    These coordinates are Q_t(m, n), and this is the recursion of
-    ThetaCoalgebra._gamma_table run along one row.  With M = max(m, n)
-    and N = min(m, n), theta_M is multiplied by the N factors T - y_k,
-    k < N, of theta_N, each by the Newton step
-
-        theta_t (T - y_k) = theta_(t+1) + (y_t - y_k) theta_t.
-
-    After k factors the product is theta_(M+k) plus coordinates at
-    M..M+k-1 only.  So the coordinates below M are zero, the one at m + n
-    cancels theta_(m+n), and only the N at M..M+N-1 are built, in
-    N(N+1)/2 multiplies by a node difference.  nodes(indices) returns the
-    integer nodes y_l = b**E z_l at those indices (ThetaCoalgebra._nodes);
-    the sweep reads the 2N nodes y_0..y_(N-1) and y_M..y_(M+N-1).  With
-    theta'_k = prod_(l<k) (Y - y_l), theta'_k(b**E T) = b**(kE) theta_k(T),
-    so the coordinate at t is b**((t-m-n)E) times the integer the sweep
-    finds; b is a p-adic unit, so both have the same valuation.
-    """
-    big, small = max(m, n), min(m, n)
-    low, high = nodes(range(small)), nodes(range(big, big + small))
-    row: list[int] = []  # coordinates at M, M+1, ...; the top one, 1, implied
-    for y in low:
-        row.append(1)
-        carry = 0
-        for i, h in enumerate(high[:len(row)]):
-            carry, row[i] = row[i], carry + (h - y) * row[i]
-    return {big + i: _int_valuation(p, c) for i, c in enumerate(row) if c}
 
 
 def _monomial_divisibility(spec: SpectrumSpec, index: int) -> tuple[int | None, int]:
@@ -303,7 +272,7 @@ def check_pow3_valuations(i_max: int) -> SweepReport:
 
     The valuation is 1 for odd i and 2 + nu_2(i) for even i.  The
     verdicts do not call this sweep: they take nu_2(9**k - 1) = 3 + nu_2(k),
-    the even case, from spectra.node_gap_valuation at the 2-local node
+    the even case, from ThetaCoalgebra.gap_valuation at the 2-local node
     base 9 = 3**2.  Here the closed form is checked against nu on the
     big integers.
     """

@@ -45,6 +45,11 @@ type of the coalgebra and by nothing else:
   node difference.  Q_n(i, j) = 0 unless max(i, j) <= n <= i + j, since
   theta_max(i,j) divides theta_i theta_j, of degree i + j.
   ThetaCoalgebra._gamma_table has the proofs and the integer scaling.
+  ThetaCoalgebra owns every fact of the node sequence: the integer nodes
+  (nodes), the base's order (o, v) = (ord_p b, nu_p(b**o - 1)) and the
+  valuation of a node gap (gap_valuation), and the same Newton step run
+  along one row of theta_m theta_n - theta_(m+n) (product_row), which
+  the congruence condition of ktops.checks reads.
 
 k(2), K(2), the binomial and monomial coalgebras and every user-built
 CoalgebraSpec run the kernel, which is also the reference the recursion
@@ -57,12 +62,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import factorial, gcd, lcm
 from typing import Callable, Iterable
 
 from .laurent import LaurentPoly, times_linear
-from .rationals import is_p_local_integer, is_prime
+from .rationals import _int_valuation, is_p_local_integer, is_prime, multiplicative_order
 
 
 _ZERO = Fraction(0)
@@ -313,20 +318,77 @@ class ThetaCoalgebra(CoalgebraSpec):
     s_l = extending_slot(l), and theta_n(T) = prod_{l<n} (T - y_l), it is
     a_n = sigma_n theta_n(T), sigma_n = b**(n floor(n/2)) periodically
     and 1 connectively (spectra.dual_theta_basis), so the Gamma tables
-    come from the dual side; see _gamma_table.
+    come from the dual side; see _gamma_table.  |b| >= 2, or the nodes
+    repeat.
     """
 
     def __init__(self, base: int, step: int, prime: int | None = None,
                  periodic: bool = False, name: str = ""):
+        if abs(base) < 2:
+            raise ValueError(f"node base {base} repeats its nodes; it needs |b| >= 2")
         self.base = base
         self._raw = None  # (n, E, Q): the last raw table of the recursion
         super().__init__(step=step, basis=_theta_basis(base, periodic), prime=prime,
                          periodic=periodic, name=name)
 
-    def _nodes(self, e: int, indices: Iterable[int]) -> list[int]:
+    def nodes(self, e: int, indices: Iterable[int]) -> list[int]:
         """The integer dual nodes y_l = b**(e + s_l), s_l = extending_slot(l),
-        for each node index l in indices."""
+        for each node index l in indices: the one node formula."""
         return [self.base ** (e + self.extending_slot(l)) for l in indices]
+
+    @cached_property
+    def order(self) -> tuple[int, int]:
+        """(o, v) = (ord_p(b), nu_p(b**o - 1)), the one fact about the node
+        base that the verdicts read; b must be a p-adic unit, and 1 mod 4
+        at p = 2, where gap_valuation's closed form needs it."""
+        p, b = self.prime, self.base
+        if p is None or b % p == 0:
+            raise ValueError(f"node base {b} is not a unit at the prime {p}")
+        if p == 2 and b % 4 != 1:
+            raise ValueError(f"node base {b} is not 1 mod 4 at the prime 2")
+        o = multiplicative_order(b, p)
+        return o, _int_valuation(p, b**o - 1)
+
+    def gap_valuation(self, k: int) -> int:
+        """nu_p(b**|k| - 1), k != 0: the valuation of a node difference k slots
+        apart.  By lifting the exponent it is 0 when o does not divide k and
+        v + nu_p(k) when it does, (o, v) = order; that needs p odd, or p = 2
+        with b = 1 mod 4, as order checks (every stock 2-local base is 9)."""
+        o, v = self.order
+        return v + _int_valuation(self.prime, k) if k % o == 0 else 0
+
+    def product_row(self, m: int, n: int) -> dict[int, int]:
+        """The nonzero coordinates of theta_m theta_n - theta_(m+n) in the basis
+        theta_0, theta_1, ..., keyed by the index t, increasing, each scaled
+        by the power b**((m+n-t)E) that makes it an integer.
+
+        These coordinates are Q_t(m, n), and this is the recursion of
+        _gamma_table run along one row.  With M = max(m, n) and N =
+        min(m, n), theta_M is multiplied by the N factors T - y_k, k < N,
+        of theta_N, each by the Newton step
+
+            theta_t (T - y_k) = theta_(t+1) + (y_t - y_k) theta_t.
+
+        After k factors the product is theta_(M+k) plus coordinates at
+        M..M+k-1 only.  So the coordinates below M are zero, the one at
+        m + n cancels theta_(m+n), and only the N at M..M+N-1 are built, in
+        N(N+1)/2 multiplies by a node difference, on the 2N integer nodes
+        y_0..y_(N-1) and y_M..y_(M+N-1) of nodes(E, .), E = floor((m+n)/2)
+        periodically and 0 connectively.  With theta'_k = prod_(l<k)
+        (Y - y_l), theta'_k(b**E T) = b**(kE) theta_k(T), so the coordinate
+        at t is b**((t-m-n)E) times the integer returned; for a p-adic
+        unit b both have the same valuation.
+        """
+        big, small = max(m, n), min(m, n)
+        e = (m + n) // 2 if self.periodic else 0
+        low, high = self.nodes(e, range(small)), self.nodes(e, range(big, big + small))
+        row: list[int] = []  # coordinates at M, M+1, ...; the top one, 1, implied
+        for y in low:
+            row.append(1)
+            carry = 0
+            for i, h in enumerate(high[:len(row)]):
+                carry, row[i] = row[i], carry + (h - y) * row[i]
+        return {big + i: c for i, c in enumerate(row) if c}
 
     def _gamma_table(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
         """Gamma_n by the Newton recursion on the dual basis.
@@ -376,7 +438,7 @@ class ThetaCoalgebra(CoalgebraSpec):
                 f = b ** (e - e0)
                 q = [[v * f ** (i + j - m) if v else 0 for j, v in enumerate(row)]
                      for i, row in enumerate(q)]
-        ys = self._nodes(e, range(n + 1))
+        ys = self.nodes(e, range(n + 1))
         while m < n:
             m += 1
             q = _newton_step(q, ys, m)

@@ -11,43 +11,49 @@ Every basis is built on integers in its monomial form (d, {k: m_k});
 the node products are grown one linear factor at a time by
 ktops.laurent.times_linear.  The six theta-form algebras are
 coalgebra.ThetaCoalgebra on their node base, which builds the basis,
-and the Gamma tables by a Newton recursion on the dual basis; the
-interleaved bases of k(2) and K(2) read the base-9 theta basis of the
+the Gamma tables by a Newton recursion on the dual basis, and owns every
+fact of the node sequence (nodes, order, gap_valuation, product_row);
+the interleaved bases of k(2) and K(2) read the base-9 theta basis of the
 real theory and run the monomial-sum kernel of CoalgebraSpec.
+SpectrumSpec only names a coalgebra: its prime, step, periodicity and
+node base are the coalgebra's.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from typing import Iterator
 
 from .coalgebra import Basis, CoalgebraSpec, ThetaCoalgebra
 from .dual import AdamsPoly
 from .laurent import LaurentPoly, times_linear
-from .rationals import (_int_valuation, check_primitive_root, is_prime, least_primitive_root,
-                        multiplicative_order)
+from .rationals import check_primitive_root, is_prime, least_primitive_root
 
 _NAME = re.compile(r"^(KO|ko|K|k|G|g)(?:\((\d+)\))?$")
+
+# the node base 9 of ko(2) and KO(2), whose steps k(2) and K(2) keep
+_REAL_NODES = ThetaCoalgebra(9, 2, prime=2)
 
 
 @dataclass(frozen=True)
 class SpectrumSpec:
-    """One of the stock algebras, bundled with its coalgebra."""
+    """One of the stock algebras: a name and Adams parameter q bundled
+    with its coalgebra, which holds everything else."""
 
     name: str
     family: str
-    prime: int
     q: int
-    step: int
-    periodic: bool
-    base: int | None
     coalgebra: CoalgebraSpec = field(compare=False)
 
-    @property
-    def has_theta_form(self) -> bool:
-        return self.base is not None
+    # read off the coalgebra, so no second copy can disagree with it;
+    # base is the node base b of the theta form, or None
+    prime = property(lambda self: self.coalgebra.prime)
+    step = property(lambda self: self.coalgebra.step)
+    periodic = property(lambda self: self.coalgebra.periodic)
+    has_theta_form = property(lambda self: isinstance(self.coalgebra, ThetaCoalgebra))
+    base = property(lambda self: self.coalgebra.base if self.has_theta_form else None)
 
     def __repr__(self):
         return f"SpectrumSpec({self.name!r}, q={self.q})"
@@ -71,40 +77,6 @@ def parse_name(name: str) -> tuple[str, int]:
     else:
         p = int(m.group(2))
     return family, p
-
-
-def product_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
-    """The shift E and the first count integer nodes y_0..y_(count-1).
-
-    y_l = b**(E + s_l), s_l = extending_slot(l), is ThetaCoalgebra._nodes,
-    the one node formula; the Gamma recursion and the congruence expansion
-    call it on the indices they read.  E = 0 connectively and count // 2
-    periodically, so every node is an integer; scaling by b**E keeps
-    valuations only for a p-adic unit b.  dual_theta_basis builds on these.
-    """
-    b, p = spec.base, spec.prime
-    if b is None:
-        raise ValueError(f"{spec.name} has no product-form basis; work through the coalgebra tables")
-    if b % p == 0:
-        raise ValueError(f"node base {b} of {spec.name} is not a {p}-adic unit")
-    e = count // 2 if spec.periodic else 0
-    return e, spec.coalgebra._nodes(e, range(count))
-
-
-@cache
-def _base_order(p: int, b: int) -> tuple[int, int]:
-    """(o, v) = (ord_p(b), nu_p(b**o - 1)) for a p-adic unit b != 1."""
-    o = multiplicative_order(b, p)
-    return o, _int_valuation(p, b**o - 1)
-
-
-def node_gap_valuation(spec: SpectrumSpec, k: int) -> int:
-    """nu_p(b**|k| - 1), k != 0: the valuation of a node difference k slots
-    apart.  By lifting the exponent it is 0 when o does not divide k and
-    v + nu_p(k) when it does, (o, v) = _base_order(p, b); that needs p odd,
-    or p = 2 with b = 1 mod 4, and every stock 2-local base is 9."""
-    o, v = _base_order(spec.prime, spec.base)
-    return v + _int_valuation(spec.prime, k) if k % o == 0 else 0
 
 
 def _interleaved_basis(real: ThetaCoalgebra, q: int, periodic: bool) -> Basis:
@@ -155,9 +127,8 @@ def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
 
     canonical = f"{family}({p})"
     if family in ("K", "k") and p == 2:
-        step, base = 1, None
         basis = _interleaved_basis(ThetaCoalgebra(q * q, 2), q, periodic)
-        coalg = CoalgebraSpec(step=step, basis=basis, prime=p, periodic=periodic, name=canonical)
+        coalg = CoalgebraSpec(step=1, basis=basis, prime=p, periodic=periodic, name=canonical)
     else:
         if family in ("K", "k"):
             step, base = 1, q
@@ -166,20 +137,13 @@ def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
         else:
             step, base = 2, q * q
         coalg = ThetaCoalgebra(base, step, prime=p, periodic=periodic, name=canonical)
-    return SpectrumSpec(
-        name=canonical,
-        family=family,
-        prime=p,
-        q=q,
-        step=step,
-        periodic=periodic,
-        base=base,
-        coalgebra=coalg,
-    )
+    return SpectrumSpec(name=canonical, family=family, q=q, coalgebra=coalg)
 
 
 def spectrum_names(p_odd: int = 3) -> list[str]:
     """Canonical names of the eight stock algebras at a chosen odd prime."""
+    if p_odd == 2 or not is_prime(p_odd):
+        raise ValueError(f"{p_odd} is not an odd prime")
     return [
         f"K({p_odd})",
         f"k({p_odd})",
@@ -199,16 +163,19 @@ def dual_theta_basis(spec: SpectrumSpec, n: int) -> AdamsPoly:
     degree-raising operation T; in the periodic case the nodes walk
     outward through 0, 1, -1, 2, -2, ... and the product is rescaled by
     b**(n * floor(n/2)) so that pairing against the coalgebra basis is
-    the identity matrix.  On the nodes y_i = b**E z_i of product_nodes,
-    b**(nE) theta_n(T) = theta'_n(b**E T) with theta'_n = prod (Y - y_i),
-    so the coefficient of T**k is theta'_n[k] * b**(Ek)  (E = floor(n/2)
-    periodically, 0 connectively).
+    the identity matrix.  On the integer nodes y_i = b**E z_i of
+    ThetaCoalgebra.nodes, b**(nE) theta_n(T) = theta'_n(b**E T) with
+    theta'_n = prod (Y - y_i), so the coefficient of T**k is
+    theta'_n[k] * b**(Ek)  (E = floor(n/2) periodically, 0 connectively).
     """
     if n < 0:
         raise ValueError("basis indices start at 0")
-    e, ys = product_nodes(spec, n)
-    t = reduce(times_linear, ys, [1])
-    scale = spec.base**e
+    C = spec.coalgebra
+    if not isinstance(C, ThetaCoalgebra):
+        raise ValueError(f"{spec.name} has no product-form basis; work through the coalgebra tables")
+    e = n // 2 if C.periodic else 0
+    t = reduce(times_linear, C.nodes(e, range(n)), [1])
+    scale = C.base**e
     return AdamsPoly(Fraction(spec.q), LaurentPoly({k: c * scale**k for k, c in enumerate(t)}))
 
 
@@ -217,7 +184,7 @@ def support_step(spec: SpectrumSpec, l: int) -> int:
 
     Depth l admissibility asks the unit and congruence conditions mod
     p**l; admissible_shifts yields the positive multiples of the value
-    returned here, d = o p**max(0, l - v) with (o, v) = _base_order(p, b):
+    returned here, d = o p**max(0, l - v) with (o, v) = ThetaCoalgebra.order:
     the order of b mod p**l, doubled when the spectrum is periodic.
 
     Theorem: if d | m, every value the short-cut reads has valuation >= l
@@ -233,9 +200,10 @@ def support_step(spec: SpectrumSpec, l: int) -> int:
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")
-    o, v = _base_order(spec.prime, spec.base if spec.has_theta_form else 9)
-    d = o * spec.prime ** max(0, l - v)
-    return 2 * d if spec.periodic else d
+    C = spec.coalgebra
+    o, v = (C if isinstance(C, ThetaCoalgebra) else _REAL_NODES).order
+    d = o * C.prime ** max(0, l - v)
+    return 2 * d if C.periodic else d
 
 
 def admissible_shifts(spec: SpectrumSpec, l: int) -> Iterator[int]:

@@ -12,12 +12,14 @@ once did, so that a disagreement with the fast kernel is caught:
 * coproduct_by_solve: structure constants from a dense linear solve in
   the two-variable monomial basis.
 
-The product nodes and node products (ktops.spectra.product_nodes and
-ktops.laurent.times_linear) run on integers scaled by a power of b;
+The product nodes and node products (ktops.coalgebra.ThetaCoalgebra.nodes
+and ktops.laurent.times_linear) run on integers scaled by a power of b;
 the reference here is the Fraction form they replace:
 
 * geometric_powers, alternating_powers: the Fraction nodes z_i = b**(i-1)
   and b**0, b**1, b**-1, b**2, ...;
+* integer_nodes: those nodes times b**E, E = floor(count/2) periodically,
+  the integers the library's node formula must give;
 * theta: the monic product prod_{i=1..n} (X - z_i) as a LaurentPoly.
 
 The congruence expansion (ktops.checks) runs on integer nodes; the
@@ -33,7 +35,7 @@ and Fractions, and the literal reading works on the Gamma tables:
 
 The verdicts (ktops.checks) read node slots and one fact about the node
 base, (ord_p(b), nu_p(b**ord_p(b) - 1)), before any expansion.  The
-routes here build the integer nodes of product_nodes as big powers of
+routes here build the integer nodes of integer_nodes as big powers of
 b and read them directly, as the library once did:
 
 * unit_condition_by_nodes: the degree n-m node product evaluated at
@@ -97,7 +99,6 @@ from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
 from ktops.checks import ConditionVerdict
 from ktops.rationals import _int_valuation, is_p_local_unit, multiplicative_order, nu
 from ktops.spectra import SpectrumSpec
-from ktops.spectra import product_nodes as integer_nodes
 
 
 def solve(matrix, rhs):
@@ -292,6 +293,19 @@ def product_nodes(spec: SpectrumSpec):
     return (alternating_powers if spec.periodic else geometric_powers)(spec.base)
 
 
+def integer_nodes(spec: SpectrumSpec, count: int) -> tuple[int, list[int]]:
+    """(E, [y_0, ..., y_(count-1)]): the Fraction nodes z_1..z_count of
+    product_nodes times b**E, E = count // 2 periodically and 0
+    connectively, so that each is an integer."""
+    if spec.base is None:
+        raise ValueError(f"{spec.name} has no product form")
+    e = count // 2 if spec.periodic else 0
+    z, scale = product_nodes(spec), Fraction(spec.base) ** e
+    ys = [scale * z(i) for i in range(1, count + 1)]
+    assert all(y.denominator == 1 for y in ys), (spec.name, count)
+    return e, [y.numerator for y in ys]
+
+
 def theta_table(spec: SpectrumSpec, top: int) -> list[LaurentPoly]:
     """theta_0, ..., theta_top over the product nodes, each one linear
     factor on the last (theta_k equals theta(k, product_nodes(spec)))."""
@@ -424,7 +438,7 @@ def product_identity_holds(spec: SpectrumSpec, m: int, n: int) -> bool:
         T_{m+n} = T_m T_n + sum_{i<n} (y_{n-i} - y_{m+n-i})
                   * prod_{k=n-i+1..n} (X - y_k) * T_{m+n-i-1}
 
-    Checked on integer coefficient lists over product_nodes, built by
+    Checked on integer coefficient lists over integer_nodes, built by
     times_linear as the expansion builds them; the identity is homogeneous
     of degree m + n, so scaling the nodes by b**E does not change it.
     """

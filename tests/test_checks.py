@@ -5,9 +5,7 @@ from itertools import takewhile
 
 import pytest
 
-from ktops import checks
 from ktops.checks import (
-    _expansion_valuations,
     check_coalgebra_conditions,
     check_congruence_condition,
     check_gamma_transfer,
@@ -15,13 +13,15 @@ from ktops.checks import (
     check_unit_condition,
     condition_report,
 )
+from ktops.coalgebra import ThetaCoalgebra
 from ktops.rationals import nu
-from ktops.spectra import admissible_shifts, make_spectrum, product_nodes, support_step
+from ktops.spectra import SpectrumSpec, admissible_shifts, make_spectrum, support_step
 import oracles
 from oracles import (
     congruence_by_nodes,
     cross_check_coefficients,
     expansion_by_division,
+    integer_nodes,
     product_identity_holds,
     table_congruence,
     theta_table,
@@ -85,8 +85,25 @@ def test_congruence_expansion_decides_past_node_differences():
     assert v.holds and v.exact and v.checked is None
     assert v.min_valuation == 1
     assert table_congruence(K3, 1, 2, 1) == (True, None, 1)
-    _, ys = product_nodes(K3, 3)
+    ys = K3.coalgebra.nodes(0, range(3))
     assert ys[1] - ys[2] == 2 - 4 and nu(3, 2 - 4) == 0
+
+
+def spy_on_rows(monkeypatch):
+    # the (m, n) of every row sweep ThetaCoalgebra.product_row runs
+    expanded, row = [], ThetaCoalgebra.product_row
+
+    def spy(self, m, n):
+        expanded.append((m, n))
+        return row(self, m, n)
+
+    monkeypatch.setattr(ThetaCoalgebra, "product_row", spy)
+    return expanded
+
+
+def row_valuations(sp, m, n):
+    # the valuations of the row sweep's coordinates, as the congruence reads them
+    return {t: nu(sp.prime, c) for t, c in sp.coalgebra.product_row(m, n).items()}
 
 
 THETA_SPECTRA = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
@@ -98,13 +115,7 @@ def test_congruence_matches_table_reading(monkeypatch):
     # every cell m <= 12, n <= 10, l <= 3: same verdict and witness
     # target; the same least valuation wherever the expansion decided,
     # and a lower bound for it where the node short-cut did
-    expanded = []
-
-    def spy(p, nodes, m, n):
-        expanded.append((m, n))
-        return _expansion_valuations(p, nodes, m, n)
-
-    monkeypatch.setattr(checks, "_expansion_valuations", spy)
+    expanded = spy_on_rows(monkeypatch)
     for name in THETA_SPECTRA:
         sp = make_spectrum(name)
         for m in range(13):
@@ -140,7 +151,7 @@ def test_admissible_cells_never_expand(monkeypatch):
     def refuse(*args):
         raise AssertionError("an admissible cell built a node product")
 
-    monkeypatch.setattr(checks, "_expansion_valuations", refuse)
+    monkeypatch.setattr(ThetaCoalgebra, "product_row", refuse)
     for name, m, n in (("G(7)", 490, 5), ("K(5)", 600, 12)):
         v = check_congruence_condition(make_spectrum(name), m, n, 3)
         assert v.holds and v.exact, (name, v)
@@ -167,7 +178,7 @@ def test_unit_condition_matches_node_oracle():
 
 
 def test_congruence_matches_node_oracle(monkeypatch):
-    # slot gaps, node_gap_valuation and the row sweep against the big
+    # slot gaps, gap_valuation and the row sweep against the big
     # node differences and the division expansion: the same verdict,
     # witness and min_valuation on every cell m <= 12, n <= 10, l <= 4.
     # The oracle's expansion does not depend on l, so it is computed once
@@ -191,7 +202,7 @@ def test_admissible_cells_never_expand_at_any_index(monkeypatch):
     def refuse(*args):
         raise AssertionError("an admissible cell reached the expansion")
 
-    monkeypatch.setattr(checks, "_expansion_valuations", refuse)
+    monkeypatch.setattr(ThetaCoalgebra, "product_row", refuse)
     cells = 0
     for name in theta_forms((3, 5, 7, 11)):
         sp = make_spectrum(name)
@@ -234,22 +245,8 @@ def test_cross_validation_matches_fraction_expansion():
                 if key not in oracle:
                     coeffs = cross_check_coefficients(sp, thetas, m, n, m + n)
                     oracle[key] = [nu(sp.prime, g) if g else None for g in coeffs]
-                coords = _expansion_valuations(sp.prime, node_reader(sp, m + n), m, n)
+                coords = row_valuations(sp, m, n)
                 assert [coords.get(t) for t in range(m + n)] == oracle[key], (name, m, n)
-
-
-def node_reader(sp, count, log=None):
-    # the nodes of product_nodes(sp, count) by index list, as the sweep
-    # asks for them; each index asked for is appended to log
-    _, ys = product_nodes(sp, count)
-
-    def nodes(indices):
-        indices = list(indices)
-        if log is not None:
-            log.extend(indices)
-        return [ys[i] for i in indices]
-
-    return nodes
 
 
 def test_row_sweep_matches_division_oracle():
@@ -260,23 +257,31 @@ def test_row_sweep_matches_division_oracle():
         sp = make_spectrum(name)
         for m in range(17):
             for n in range(17):
-                _, ys = product_nodes(sp, m + n)
-                coords = _expansion_valuations(sp.prime, node_reader(sp, m + n), m, n)
+                _, ys = integer_nodes(sp, m + n)
+                coords = row_valuations(sp, m, n)
                 assert [coords.get(t) for t in range(m + n)] == expansion_by_division(sp.prime, ys, m, n), \
                     (name, m, n)
                 cells += 1
     assert cells == 3468
 
 
-def test_row_sweep_reads_two_min_nodes():
+def test_row_sweep_reads_two_min_nodes(monkeypatch):
     # y_0..y_(N-1) for the factors of theta_N, y_M..y_(M+N-1) for the
     # coordinates, each once, N = min(m, n) and M = max(m, n)
     for name in ("k(3)", "KO(2)"):
-        sp = make_spectrum(name)
+        C = make_spectrum(name).coalgebra
+        nodes, log = C.nodes, []
+
+        def logged(e, indices):
+            indices = list(indices)
+            log.extend(indices)
+            return nodes(e, indices)
+
+        monkeypatch.setattr(C, "nodes", logged)
         for m, n in ((9, 4), (4, 9), (6, 6), (12, 1), (0, 7), (30, 3)):
             big, small = max(m, n), min(m, n)
-            log = []
-            _expansion_valuations(sp.prime, node_reader(sp, m + n, log), m, n)
+            log.clear()
+            C.product_row(m, n)
             assert sorted(log) == [*range(small), *range(big, big + small)], (name, m, n)
 
 
@@ -291,13 +296,7 @@ LARGE_CELLS = {
 
 
 def test_large_non_admissible_cells_by_the_sweep(monkeypatch):
-    expanded = []
-
-    def spy(p, nodes, m, n):
-        expanded.append((m, n))
-        return _expansion_valuations(p, nodes, m, n)
-
-    monkeypatch.setattr(checks, "_expansion_valuations", spy)
+    expanded = spy_on_rows(monkeypatch)
     for (name, m, n), want in LARGE_CELLS.items():
         expanded.clear()
         v = check_congruence_condition(make_spectrum(name), m, n, 3)
@@ -306,8 +305,8 @@ def test_large_non_admissible_cells_by_the_sweep(monkeypatch):
 
 
 def test_product_nodes_need_a_unit_base():
-    # the integer scaling is exact only when b is a p-adic unit
-    bad = replace(K3, base=3)
+    # the integer scaling keeps valuations only when b is a p-adic unit
+    bad = SpectrumSpec("K(3)", "K", 3, ThetaCoalgebra(3, 1, prime=3, periodic=True))
     with pytest.raises(ValueError):
         check_congruence_condition(bad, 2, 1, 1)
     with pytest.raises(ValueError):

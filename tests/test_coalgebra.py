@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ktops.coalgebra import (
     CoalgebraSpec,
     NotRegularError,
+    ThetaCoalgebra,
     binomial_coalgebra,
     monomial_coalgebra,
     verify_regularity,
@@ -247,3 +248,14 @@ def test_negative_indices_refused_by_coproduct_entry():
     for i, j, n in ((-1, 0, 3), (0, -1, 3), (0, 0, -1)):
         with pytest.raises(ValueError, match="start at 0"):
             C.coproduct_entry(i, j, n)
+
+
+@pytest.mark.parametrize("base", [-1, 0, 1])
+def test_degenerate_node_base_refused(base):
+    # b**s repeats for |b| < 2, so no theta form is built on it
+    with pytest.raises(ValueError, match=f"node base {base} repeats"):
+        ThetaCoalgebra(base, 1, prime=3, periodic=True)
+
+
+def test_negative_node_base_is_regular():
+    assert verify_regularity(ThetaCoalgebra(-2, 1, prime=3, periodic=True), 10).ok

@@ -1,22 +1,23 @@
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
+from ktops.coalgebra import ThetaCoalgebra
 from ktops.dual import AdamsPoly, expand
 from ktops.laurent import LaurentPoly
 from ktops.rationals import _int_valuation
 from ktops.spectra import (
+    SpectrumSpec,
     admissible_shifts,
     dual_theta_basis,
     make_spectrum,
-    node_gap_valuation,
     parse_name,
-    product_nodes,
     spectrum_names,
     support_step,
 )
-from oracles import product_nodes as fraction_nodes, support_step_table, theta
+from oracles import integer_nodes, product_nodes as fraction_nodes, support_step_table, theta
 
 W = LaurentPoly.variable()
 
@@ -121,12 +122,11 @@ THETA_FORMS = [f"{f}({p})" for p in (3, 5, 7) for f in "kKgG"] + ["ko(2)", "KO(2
 @pytest.mark.parametrize("name", THETA_FORMS)
 def test_integer_nodes_and_dual_basis_match_fraction_oracle(name):
     sp = make_spectrum(name)
-    b, z = sp.base, fraction_nodes(sp)
+    C, b, z = sp.coalgebra, sp.base, fraction_nodes(sp)
     for count in range(41):
-        e, ys = product_nodes(sp, count)
-        assert e == (count // 2 if sp.periodic else 0)
-        assert ys == [b**e * z(i) for i in range(1, count + 1)], count
-        assert ys == [b ** (e + sp.coalgebra.extending_slot(i - 1)) for i in range(1, count + 1)]
+        e, ys = integer_nodes(sp, count)
+        assert C.nodes(e, range(count)) == ys, count
+        assert C.nodes(e, reversed(range(count))) == ys[::-1], count
     for n in range(25):
         scale = Fraction(b) ** (n * (n // 2)) if sp.periodic else 1
         want = AdamsPoly(Fraction(sp.q), theta(n, z) * scale)
@@ -176,9 +176,22 @@ def test_node_gap_valuation_lifts_the_exponent():
         for k in range(-60, 300):
             if k:
                 want = _int_valuation(sp.prime, sp.base ** abs(k) - 1)
-                assert node_gap_valuation(sp, k) == want, (name, k)
+                assert sp.coalgebra.gap_valuation(k) == want, (name, k)
     with pytest.raises(ValueError, match="zero"):
-        node_gap_valuation(sp, 0)
+        sp.coalgebra.gap_valuation(0)
+
+
+def test_node_base_order_needs_a_unit_base():
+    C = ThetaCoalgebra(6, 1, prime=3)
+    with pytest.raises(ValueError, match="node base 6 .* prime 3"):
+        C.order
+    with pytest.raises(ValueError, match="prime None"):
+        ThetaCoalgebra(9, 2).order
+    # nu_2(3**2 - 1) = 3 is not nu_2(3 - 1) + nu_2(2): the closed form
+    # would make exact verdicts of a regular coalgebra wrong
+    with pytest.raises(ValueError, match="node base 3 is not 1 mod 4"):
+        ThetaCoalgebra(3, 1, prime=2).order
+    assert ThetaCoalgebra(9, 2, prime=2).order == (1, 3)
 
 
 def test_admissible_shifts_increasing_multiples():
@@ -193,6 +206,30 @@ def test_spectrum_names_roundtrip():
     for name in names:
         sp = make_spectrum(name)
         assert sp.name == name
+
+
+def test_spectrum_names_need_an_odd_prime():
+    for p in (-3, 0, 1, 2, 4, 9, 15):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            spectrum_names(p)
+    for p in (5, 7, 10007):
+        names = spectrum_names(p)
+        assert len(set(names)) == 8
+        assert [make_spectrum(n).name for n in names] == names
+
+
+def test_spectrum_keeps_one_copy_of_the_coalgebra_facts():
+    # prime, step, periodicity and node base are read off the coalgebra
+    names = [n for p in (3, 5, 7) for n in spectrum_names(p)] + ["k(10007)"]
+    for name in dict.fromkeys(names):
+        sp = make_spectrum(name)
+        C = sp.coalgebra
+        assert (sp.prime, sp.step, sp.periodic) == (C.prime, C.step, C.periodic), name
+        assert sp.has_theta_form == isinstance(C, ThetaCoalgebra), name
+        assert sp.base == (C.base if sp.has_theta_form else None), name
+    assert [f.name for f in fields(SpectrumSpec)] == ["name", "family", "q", "coalgebra"]
+    with pytest.raises(TypeError):
+        replace(make_spectrum("K(3)"), base=4)
 
 
 def test_interleaved_bridge_identity():
