@@ -320,6 +320,11 @@ class ThetaCoalgebra(CoalgebraSpec):
     and 1 connectively (spectra.dual_theta_basis), so the Gamma tables
     come from the dual side; see _gamma_table.  |b| >= 2, or the nodes
     repeat.
+
+    (base, step, prime, periodic) fix every table, so two theta-form
+    coalgebras are equal, and hash alike, when these four agree; the
+    name and the memoized tables play no part.  A plain CoalgebraSpec
+    holds its basis as a function and stays compared by identity.
     """
 
     def __init__(self, base: int, step: int, prime: int | None = None,
@@ -330,6 +335,17 @@ class ThetaCoalgebra(CoalgebraSpec):
         self._raw = None  # (n, E, Q): the last raw table of the recursion
         super().__init__(step=step, basis=_theta_basis(base, periodic), prime=prime,
                          periodic=periodic, name=name)
+
+    def _key(self) -> tuple:
+        return self.base, self.step, self.prime, self.periodic
+
+    def __eq__(self, other):
+        if not isinstance(other, ThetaCoalgebra):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def nodes(self, e: int, indices: Iterable[int]) -> list[int]:
         """The integer dual nodes y_l = b**(e + s_l), s_l = extending_slot(l),

@@ -180,21 +180,38 @@ def _from_pairings(spec: CoalgebraSpec, pi: list[Fraction], count: int) -> Itera
     Coefficient t is the pairing against c_t = (1/d_t) sum_k m_{t,k} w**(rk),
     that is (1/d_t) sum_k m_{t,k} pi_{i(k)} with i(k) the resolving index
     of slot k.  Every slot of window(t) has i(k) <= t, so the first
-    count pairings fix the first count coefficients.  The pairings read
-    so far are kept as integers over the lcm of their denominators, so
-    each coefficient is one integer sum and one Fraction.
+    count pairings fix the first count coefficients.
+
+    The pairings are read over their running lcm L_t = f_0 f_1 ... f_t,
+    f_i the factor pi_i's denominator adds, and each is stored once, as
+    the numerator b_i = pi_i L_i it has over L_i; over L_t it is b_i
+    f_(i+1) ... f_t.  So coefficient t is acc / (d_t L_t), with acc built
+    by one Horner pass over i <= t,
+
+        acc = acc f_i + m_(t, s_i) b_i,   s_i = extending_slot(i),
+
+    instead of rescaling every stored numerator each time L grows.
     """
     den = 1
+    fs: list[int] = []
     nums: list[int] = []
+    slots: list[int] = []
     for t in range(count):
         v = pi[t]
         f = v.denominator // gcd(den, v.denominator)
-        if f != 1:
-            den *= f
-            nums = [x * f for x in nums]
+        den *= f
+        fs.append(f)
         nums.append(v.numerator * (den // v.denominator))
+        slots.append(spec.extending_slot(t))
         d, mono = spec.monomial_form(t)
-        yield Fraction(sum(m * nums[spec.resolving_index(k)] for k, m in mono.items()), d * den)
+        acc = 0
+        for f, b, s in zip(fs, nums, slots):
+            if f != 1:
+                acc *= f
+            m = mono.get(s)
+            if m:
+                acc += m * b
+        yield Fraction(acc, d * den)
 
 
 def expand(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> DualElement:

@@ -11,6 +11,10 @@ themselves, both read against each row's torsion modulus.  Everything
 is checked by validate_module; to_comodule only validates and wraps.
 validate_module works on integer matrices: each law is scaled by p-adic
 units and by the lcm L of its denominators, torsion rows mod p**(e + nu_p(L)).
+On a theta-form coalgebra whose node base is a unit at its prime the k**2
+relations of a level-k table follow from k Newton steps
+M_(n+1) = (sigma_(n+1)/sigma_n) M_n (A - y_n), A = y_0 + M_1/sigma_1, M_k = 0,
+which validate_module checks instead; _newton_steps holds the proof.
 
 Columns index source generators and rows index targets, so column g of
 M_i is the image of generator g.  Free generators come first, then the
@@ -21,19 +25,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .coalgebra import CoalgebraSpec
+from .coalgebra import CoalgebraSpec, ThetaCoalgebra
 from .rationals import _int_valuation, as_fraction, is_prime
 from .spectra import SpectrumSpec, admissible_shifts
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-# admissible shifts torsion_annihilator tries before it gives up
-_ANNIHILATOR_TRIES = 10
 
 
 def _freeze(rows: Iterable[Iterable]) -> Matrix:
@@ -142,6 +142,13 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     L may hold p on a coalgebra without a prime, so a torsion row of
     order p**e compares modulo p**(e + nu_p(L)).  A failed relation
     reports its sides unscaled, as lhs/D**2 and rhs/(L D).
+
+    The k**2 relations (k the level) are the definition, and
+    _relation_scan checks them on every coalgebra but one kind: on a
+    ThetaCoalgebra with a prime that does not divide its base, k Newton
+    steps decide the same verdict (_newton_steps, which holds the proof).
+    Only when a step fails is the relation scan run, to name the first
+    failing relation and its cell.
     """
     p = mod.prime
     if spec.prime not in (None, p):
@@ -150,32 +157,11 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     if bad is not None:
         return ModuleVerdict(False, *bad)
     d, k, exps = mod.dimension, mod.level, mod.row_exponents
-    den = lcm(*(v.denominator for m in mod.matrices for row in m for v in row))
-    a = [[[v.numerator * (den // v.denominator) for v in row] for row in m] for m in mod.matrices]
+    den, a = _integer_table(mod)
 
-    def scaled(weights: list[Fraction]) -> tuple[int, list[int], list[int | None]]:
-        """L, the weights times L, and the row moduli p**(e + nu_p(L)), None if free."""
-        big = lcm(*(w.denominator for w in weights))
-        s = _int_valuation(p, big)
-        return (big, [w.numerator * (big // w.denominator) for w in weights],
-                [None if e is None else p ** (e + s) for e in exps])
-
-    def miss(xs: list[int], ys: list[int], q: int | None) -> int | None:
-        """First column where two scaled rows differ: exactly, or mod q."""
-        return next((c for c, (x, y) in enumerate(zip(xs, ys))
-                     if x != y and (q is None or (x - y) % q)), None)
-
-    def combination(ws: list[int], r: int) -> list[int]:
-        """Row r of sum_n ws[n] A_n."""
-        out = [0] * d
-        for w, m in zip(ws, a):
-            if w:
-                out = [x + w * y for x, y in zip(out, m[r])]
-        return out
-
-    big, eps, qs = scaled([spec.counit_value(n) for n in range(k)])
+    big, eps, qs = _scaled(p, exps, [spec.counit_value(n) for n in range(k)])
     for r in range(d):
-        c = miss(combination(eps, r), [big * den * (col == r) for col in range(d)], qs[r])
+        c = _miss(_combination(a, eps, r, d), [big * den * (col == r) for col in range(d)], qs[r])
         if c is not None:
             return ModuleVerdict(False, f"the counit does not act as the identity at entry ({r},{c})",
                                  {"row": r, "col": c})
@@ -194,22 +180,120 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
                     continue
                 return ModuleVerdict(False, f"matrix {i} {why}", {"i": i, "row": r, "col": c})
 
+    if (isinstance(spec, ThetaCoalgebra) and spec.prime is not None and spec.base % p
+            and _newton_steps(spec, mod, den, a)):
+        return ModuleVerdict(True)
+    return _relation_scan(spec, mod, den, a)
+
+
+def _integer_table(mod: FGModule) -> tuple[int, list[list[list[int]]]]:
+    """(D, [A_0, ...]) with A_n = D M_n, D the lcm of the entry denominators."""
+    den = lcm(*(v.denominator for m in mod.matrices for row in m for v in row))
+    return den, [[[v.numerator * (den // v.denominator) for v in row] for row in m]
+                 for m in mod.matrices]
+
+
+def _scaled(p: int, exps, weights: list[Fraction]) -> tuple[int, list[int], list[int | None]]:
+    """L, the weights times L, and the row moduli p**(e + nu_p(L)), None if free."""
+    big = lcm(*(w.denominator for w in weights))
+    s = _int_valuation(p, big)
+    return (big, [w.numerator * (big // w.denominator) for w in weights],
+            [None if e is None else p ** (e + s) for e in exps])
+
+
+def _miss(xs: list[int], ys: list[int], q: int | None) -> int | None:
+    """First column where two scaled rows differ: exactly, or mod q."""
+    return next((c for c, (x, y) in enumerate(zip(xs, ys))
+                 if x != y and (q is None or (x - y) % q)), None)
+
+
+def _combination(a: list, ws: list[int], r: int, d: int) -> list[int]:
+    """Row r of sum_n ws[n] A_n."""
+    out = [0] * d
+    for w, m in zip(ws, a):
+        if w:
+            out = [x + w * y for x, y in zip(out, m[r])]
+    return out
+
+
+def _relation_scan(spec: CoalgebraSpec, mod: FGModule, den: int, a: list) -> ModuleVerdict:
+    """Every relation M_i M_j = sum_n G[i,j -> n] M_n, i, j below the level,
+    on the integer table (D, A) of _integer_table; the first failure with
+    its cell and both sides unscaled."""
+    p, d, k, exps = mod.prime, mod.dimension, mod.level, mod.row_exponents
     gammas = [spec.coproduct_matrix(n) for n in range(k)]
     cols = [list(zip(*m)) for m in a]
     for i in range(k):
         for j in range(k):
-            big, gs, qs = scaled([g[i][j] if n >= max(i, j) else Fraction(0)
-                                  for n, g in enumerate(gammas)])
+            big, gs, qs = _scaled(p, exps, [g[i][j] if n >= max(i, j) else Fraction(0)
+                                            for n, g in enumerate(gammas)])
             for r in range(d):
                 prod = [sum(map(mul, a[i][r], col)) for col in cols[j]]
-                comb = combination(gs, r)
-                c = miss([big * x for x in prod], [den * y for y in comb], qs[r])
+                comb = _combination(a, gs, r, d)
+                c = _miss([big * x for x in prod], [den * y for y in comb], qs[r])
                 if c is not None:
                     return ModuleVerdict(False, f"relation ({i},{j}) fails at entry ({r},{c})", {
                         "i": i, "j": j, "row": r, "col": c,
                         "lhs": str(Fraction(prod[c], den * den)),
                         "rhs": str(Fraction(comb[c], big * den))})
     return ModuleVerdict(True)
+
+
+def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> bool:
+    """Whether a table that passed the counit and torsion-column scans
+    satisfies every relation of a theta-form coalgebra, by k Newton steps.
+
+    C has a prime p that does not divide its base b.  With A = y_0 + M_1 /
+    sigma_1 (y_0 = sigma_1 = 1), the steps are
+
+        M_(n+1) = (sigma_(n+1) / sigma_n) M_n (A - y_n),   n < k,   M_k = 0,
+
+    compared as the relations are: exactly on free rows, modulo p**e on a
+    torsion row of order p**e.  They hold exactly when all k**2 relations
+    do.  Proof, in End(M) of the module M, where the torsion-column scan
+    makes each M_n a well-defined endomorphism and row-wise comparison
+    is equality of endomorphisms:
+
+    * the counit is eps(c_n) = delta_n0, since c_n vanishes at the node
+      w = 1 for n >= 1, so the counit law reads M_0 = 1;
+    * on the dual basis a_n = sigma_n theta_n(T) (coalgebra.ThetaCoalgebra),
+      theta_n (T - y_0) = theta_(n+1) + (y_n - y_0) theta_n gives the band
+      a_n a_1 = (y_n - y_0) a_n + (sigma_n / sigma_(n+1)) a_(n+1), so the
+      relation (n, 1) is the step n, with M_1 = A - y_0;
+    * conversely the steps give M_n = sigma_n theta_n(A) for every n, zero
+      from k on.  The product identity a_i a_j = sum_n G[i,j -> n] a_n holds
+      in Q[T], with every coefficient p-local (b is a p-adic unit), so it
+      holds at A in End(M): every relation (i, j) holds.
+
+    On integers, with A_n = D M_n and the nodes y'_l = b**E y_l of
+    C.nodes(E, .), E = floor(k/2) periodically and 0 connectively, step n
+    reads D b**E A_(n+1) = b**g_n A_n (b**E A_1 + D (y'_0 - y'_n)), b**g_n =
+    sigma_(n+1) / sigma_n.  D, b**E and b**g_n are p-adic units, and each
+    step checks against the table's own A_(n+1), so no entry grows.
+    """
+    p, d, k, exps = mod.prime, mod.dimension, mod.level, mod.row_exponents
+    b = C.base
+    e = k // 2 if C.periodic else 0
+    ys = C.nodes(e, range(k))
+    unit = b**e
+    zero = [[0] * d for _ in range(d)]
+    mats = [*a, zero]
+    # rows of b**E A_1, sparse; A_1 = 0 at level 1
+    one = [[(c, unit * v) for c, v in enumerate(row) if v] for row in mats[1]]
+    t = [n * (n // 2) if C.periodic else 0 for n in range(k + 1)]  # sigma_n = b**t_n
+    qs = [None if x is None else p**x for x in exps]
+    for n in range(k):
+        g, shift = b ** (t[n + 1] - t[n]), den * (ys[0] - ys[n])
+        for r, row in enumerate(mats[n]):
+            acc = [shift * v for v in row]
+            for s, v in enumerate(row):
+                if v:
+                    for c, w in one[s]:
+                        acc[c] += v * w
+            lhs = [den * unit * x for x in mats[n + 1][r]]
+            if _miss(lhs, [g * x for x in acc], qs[r]) is not None:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -242,21 +326,16 @@ def to_comodule(mod: FGModule, spec: CoalgebraSpec) -> CoactionTable:
 
 @dataclass(frozen=True)
 class AnnihilatorSearch:
-    witness: int | None
-
-    def __bool__(self):
-        return self.witness is not None
+    witness: int
 
 
 def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> AnnihilatorSearch:
-    """Search the depth-s admissible shifts for one killing the torsion.
+    """The first depth-s admissible shift that kills the torsion.
 
-    Walks m through the first ten admissible shifts in increasing order
-    and returns the first m whose matrix vanishes on the torsion block
-    (mod the row orders).  Past the table's level everything acts as
-    zero, so for a valid table the search succeeds as soon as the shifts
-    reach that far; a failure certifies the input is not a
-    discrete-module table.
+    Walks m through the admissible shifts in increasing order and
+    returns the first m whose matrix vanishes on the torsion block (mod
+    the row orders).  Past the table's level everything acts as zero, so
+    the walk ends at the latest at the first shift at or past the level.
     Raises ValueError, naming the matrix and the entry, on a table that
     is not square or not p-locally integral, and, naming both primes, on
     a spectrum of another prime.
@@ -278,8 +357,8 @@ def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> Annihilato
         return tuple(_reduce_mod(mat[r][c], p, exps[r]) for r in range(lo, d) for c in range(lo, d))
 
     zero = (Fraction(0),) * (d - lo) ** 2
-    shifts = islice(admissible_shifts(spec, s), _ANNIHILATOR_TRIES)
-    return AnnihilatorSearch(next((m for m in shifts if torsion_block(m) == zero), None))
+    return AnnihilatorSearch(next(m for m in admissible_shifts(spec, s)
+                                  if m >= mod.level or torsion_block(m) == zero))
 
 
 def _reduce_mod(v: Fraction, p: int, e: int) -> Fraction:

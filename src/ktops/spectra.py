@@ -21,7 +21,7 @@ node base are the coalgebra's.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Iterator
@@ -40,12 +40,19 @@ _REAL_NODES = ThetaCoalgebra(9, 2, prime=2)
 @dataclass(frozen=True)
 class SpectrumSpec:
     """One of the stock algebras: a name and Adams parameter q bundled
-    with its coalgebra, which holds everything else."""
+    with its coalgebra, which holds everything else.
+
+    Equality and the hash read all four fields.  A ThetaCoalgebra
+    compares by its base, step, prime and periodicity, so two
+    make_spectrum("K(3)") are equal and a spec over another node base is
+    not; the coalgebras of k(2) and K(2) are plain CoalgebraSpecs,
+    compared by identity, so two make_spectrum("k(2)") are not equal.
+    """
 
     name: str
     family: str
     q: int
-    coalgebra: CoalgebraSpec = field(compare=False)
+    coalgebra: CoalgebraSpec
 
     # read off the coalgebra, so no second copy can disagree with it;
     # base is the node base b of the theta form, or None

@@ -198,9 +198,9 @@ def test_criterion_9_module_roundtrip_and_annihilators():
             assert table.action_matrix(i) == mod.matrices[i]
         if mod.torsion_orders:
             torsion_examples += 1
-            res = torsion_annihilator(mod, sp, 1)
-            assert res.witness is not None
-            res2 = torsion_annihilator(mod, sp, 2)
-            assert res2.witness is not None
+            # the search always ends at the level; the criterion asks for
+            # a witness among the first ten shifts
+            for s in (1, 2):
+                assert torsion_annihilator(mod, sp, s).witness in islice(admissible_shifts(sp, s), 10)
     assert torsion_examples == 2
     print("criterion 9 PASS: ten modules roundtrip exactly; torsion annihilators found within ten shifts")

@@ -1,6 +1,7 @@
 """The dual algebra's pairing transforms against the Gamma contractions in oracles.py."""
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from ktops.dual import (
     AdamsPoly,
     DualElement,
     PrecisionError,
+    _pairings,
     algebra_one,
     expand,
     invert,
@@ -193,3 +195,36 @@ def test_multiply_of_expansions_is_expansion_of_product(name, f, g):
     Q = AdamsPoly(sp.q, LaurentPoly(dict(enumerate(g))))
     prec = 8
     assert multiply(C, expand(C, P, prec), expand(C, Q, prec)) == expand(C, P * Q, prec)
+
+
+def _shared_lcm_steps(pi):
+    """How often the back transform's lcm grows by a factor f sharing a
+    prime with the lcm so far."""
+    den, shared = 1, 0
+    for v in pi:
+        f = v.denominator // gcd(den, v.denominator)
+        shared += f != 1 and gcd(f, den) != 1
+        den *= f
+    return shared
+
+
+@pytest.mark.parametrize("name", ["G(5)", "KO(2)"])
+def test_back_transform_on_shared_denominators(name):
+    # coefficients over 3, 9 and 27 give pairing denominators 3**a D_k, so
+    # the running lcm of the back transform grows by factors it already has
+    C = make_spectrum(name).coalgebra
+    p, prec = C.prime, 24
+    rng = random.Random(name)
+    one = algebra_one(C, prec)
+    shared = 0
+    for _ in range(4):
+        a = DualElement(Fraction(rng.randint(-9, 9), rng.choice((1, 3, 9, 27))) for _ in range(prec))
+        b = DualElement(Fraction(rng.randint(-9, 9), rng.choice((3, 9, 27))) for _ in range(prec))
+        u = DualElement(c + p * Fraction(rng.randint(-4, 4), rng.choice((1, 3, 9, 27)))
+                        for c in one.coeffs)
+        assert multiply(C, a, b) == multiply_by_contraction(C, a, b)
+        assert invert(C, u) == invert_by_elimination(C, u)
+        pa, pb, pu = (_pairings(C, x, prec) for x in (a, b, u))
+        shared += _shared_lcm_steps([x * y for x, y in zip(pa, pb)])
+        shared += _shared_lcm_steps([1 / v for v in pu])
+    assert shared

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ktops.coalgebra import CoalgebraSpec, binomial_coalgebra, monomial_coalgebra
+from ktops import modules
+from ktops.coalgebra import CoalgebraSpec, ThetaCoalgebra, binomial_coalgebra, monomial_coalgebra
 from ktops.modules import (
     FGModule,
     ModuleVerdict,
@@ -15,6 +16,7 @@ from ktops.modules import (
     trivial_module,
     validate_module,
 )
+from ktops.rationals import nu
 from ktops.spectra import make_spectrum
 from oracles import validate_module_by_fractions
 
@@ -130,11 +132,29 @@ def test_torsion_annihilator_counts_mod_orders():
 
 
 def test_torsion_annihilator_no_witness_control():
-    # unit scalars throughout the bound: certifies a non-discrete table
+    # unit scalars on every index below the level 40: no shift below it
+    # kills the torsion, and the walk ends at the first shift past it,
+    # where the table is zero; a finite table is discrete by construction
     mats = tuple(((Fraction(1),),) for _ in range(40))
     fake = FGModule(3, 0, (3,), mats)
     res = torsion_annihilator(fake, K3, 1)
-    assert res.witness is None
+    assert res.witness == 40
+    assert torsion_annihilator(FGModule(3, 0, (3,), mats[:39]), K3, 1).witness == 40
+
+
+@pytest.mark.parametrize("slot, e, want", [(60, 20, 26), (80, 40, 54)])
+def test_torsion_annihilator_walks_to_the_level(slot, e, want):
+    # the Z/3**e quotient of a character module is a valid table of level
+    # slot + 1 whose torsion survives every shift below want, past the
+    # tenth admissible shift 20 at depth 1
+    char = character_module(C3, slot)
+    quotient = FGModule(3, 0, (3**e,), char.matrices)
+    assert quotient.level == slot + 1 and validate_module(quotient, C3)
+    coords = C3.basis_coords(slot)
+    shifts = range(2, quotient.level + 2, 2)
+    assert want == next(m for m in shifts 
+                       if m >= quotient.level or not coords[m] or nu(3, coords[m]) >= e)
+    assert torsion_annihilator(quotient, K3, 1).witness == want
 
 
 def test_torsion_annihilator_refuses_other_prime():
@@ -261,6 +281,8 @@ def _assert_agrees(mod: FGModule, spec) -> ModuleVerdict:
 
 _SWEEP = {
     "k(3)": make_spectrum("k(3)").coalgebra,
+    "K(3)": make_spectrum("K(3)").coalgebra,
+    "g(5)": make_spectrum("g(5)").coalgebra,
     "KO(2)": make_spectrum("KO(2)").coalgebra,
     "k(2)": make_spectrum("k(2)").coalgebra,
     "G(5)": make_spectrum("G(5)").coalgebra,
@@ -270,13 +292,19 @@ _SWEEP = {
 }
 
 
+def _stock(spec) -> list[FGModule]:
+    """A comodule, the character modules and two torsion trivial modules."""
+    p = spec.prime
+    stock = [comodule_on_basis(spec, 3)]
+    stock += [character_module(spec, s) for s in spec.monomial_slots(3)]
+    return stock + [trivial_module(p, 1, (p, p * p), 3), trivial_module(p, 0, (p * p, p), 2)]
+
+
 @pytest.mark.parametrize("name", list(_SWEEP))
 def test_validate_agrees_with_fraction_oracle_on_corruptions(name):
     spec = _SWEEP[name]
     p = spec.prime
-    stock = [comodule_on_basis(spec, 3)]
-    stock += [character_module(spec, s) for s in spec.monomial_slots(3)]
-    stock += [trivial_module(p, 1, (p, p * p), 3), trivial_module(p, 0, (p * p, p), 2)]
+    stock = _stock(spec)
     assert all([_assert_agrees(m, spec) for m in stock])
     for m in stock:
         for bad in _corruptions(m, (1, p, Fraction(1, p), -2)):
@@ -312,3 +340,68 @@ def test_negative_basis_index_refused():
 def test_trivial_module_refuses_level_below_one(level):
     with pytest.raises(ValueError, match="level"):
         trivial_module(3, level=level)
+
+
+# ----------------------------------------------------------------------
+# the Newton steps against the relation scan
+# ----------------------------------------------------------------------
+
+THETA_SWEEP = ("k(3)", "K(3)", "g(5)", "G(5)", "KO(2)")
+
+
+@pytest.mark.parametrize("name", THETA_SWEEP)
+def test_newton_steps_agree_with_relation_scan_on_corruptions(name):
+    # on every table that passes the scans before the relations, the steps
+    # hold exactly when every relation does; the oracle sweep above pins
+    # the verdicts of these same tables
+    C = make_spectrum(name).coalgebra
+    p = C.prime
+    held = failed = 0
+    for m in _stock(C):
+        for t in [m, *_corruptions(m, (1, p, Fraction(1, p), -2))]:
+            v = validate_module(t, C)
+            if not (v.ok or v.reason.startswith("relation")):
+                continue
+            den, a = modules._integer_table(t)
+            steps = modules._newton_steps(C, t, den, a)
+            assert steps == modules._relation_scan(C, t, den, a).ok == v.ok, module_to_json(t)
+            held += steps
+            failed += not steps
+    assert held > 20 and failed > 150, (held, failed)
+
+
+@pytest.mark.parametrize("name", THETA_SWEEP + ("ko(2)",))
+def test_theta_tables_validate_without_the_relation_scan(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the relation scan ran on a valid theta-form table")
+
+    monkeypatch.setattr(modules, "_relation_scan", refuse)
+    C = make_spectrum(name).coalgebra
+    p = C.prime
+    tables = [comodule_on_basis(C, 12), trivial_module(p, 1, (p, p**3), 5),
+              trivial_module(p, 0, (p**2, p), 2)]
+    tables += [character_module(C, s) for s in C.monomial_slots(12)[::3]]
+    for t in tables:
+        assert validate_module(t, C), (name, t.level)
+
+
+@pytest.mark.parametrize("spec", [
+    ThetaCoalgebra(3, 1, prime=3),
+    ThetaCoalgebra(2, 1),
+    make_spectrum("k(2)").coalgebra,
+], ids=["base-divisible-by-p", "no-prime", "k(2)"])
+def test_other_coalgebras_take_the_relation_scan(spec, monkeypatch):
+    calls = []
+    scan = modules._relation_scan
+
+    def spy(*args):
+        calls.append(args[1].level)
+        return scan(*args)
+
+    monkeypatch.setattr(modules, "_relation_scan", spy)
+    p = spec.prime or 3
+    tables = [trivial_module(p, 1, (p,), 2), trivial_module(p, 2, (p * p,), 3),
+              FGModule(p, 0, (p,), (((1,),), ((2,),)))]
+    for t in tables:
+        _assert_agrees(t, spec)
+    assert calls == [t.level for t in tables]

@@ -232,6 +232,25 @@ def test_spectrum_keeps_one_copy_of_the_coalgebra_facts():
         replace(make_spectrum("K(3)"), base=4)
 
 
+def test_spectrum_equality_reads_the_coalgebra():
+    K3 = make_spectrum("K(3)")
+    assert K3 == make_spectrum("K(3)") and hash(K3) == hash(make_spectrum("K(3)"))
+    other = SpectrumSpec("K(3)", "K", 2, ThetaCoalgebra(4, 1, prime=3, periodic=True))
+    assert K3.base == 2 and other.base == 4
+    assert K3 != other and hash(K3) != hash(other)
+    # a theta-form coalgebra is its (base, step, prime, periodic), not its name
+    named = ThetaCoalgebra(2, 1, prime=3, periodic=True, name="another name")
+    assert K3.coalgebra == named and hash(K3.coalgebra) == hash(named)
+    assert SpectrumSpec("K(3)", "K", 2, named) == K3
+    for C in (ThetaCoalgebra(2, 1, prime=3), ThetaCoalgebra(2, 1, prime=5, periodic=True),
+              ThetaCoalgebra(2, 2, prime=3, periodic=True), ThetaCoalgebra(2, 1, periodic=True)):
+        assert C != K3.coalgebra
+    # k(2) runs on a plain CoalgebraSpec, compared by identity
+    k2 = make_spectrum("k(2)")
+    assert k2 == k2 and k2 != make_spectrum("k(2)")
+    assert k2.coalgebra != make_spectrum("k(2)").coalgebra
+
+
 def test_interleaved_bridge_identity():
     # w f_{2m} = 3^m f_{2m} - 2 3^m f_{2m+1}
     C = make_spectrum("k(2)").coalgebra
