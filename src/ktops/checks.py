@@ -129,8 +129,8 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
     a_m a_n - a_{m+n} in the dual basis has valuation >= l, that is
     nu(Gamma[m,n->t] - delta_{t,m+n}) >= l for every target t.
 
-    Product-form route, exact.  a_k = b**(e_k) theta_k, e_k = k floor(k/2)
-    periodically and 0 connectively, so the coordinate at t != m+n is a
+    Product-form route, exact.  a_k = b**(e_k) theta_k, e_k = k E_k with
+    E_k = ThetaCoalgebra.scale(k), so the coordinate at t != m+n is a
     power of b times that of theta_m theta_n - theta_{m+n}, and the
     diagonal one is b**u - 1, u = e_m + e_n - e_{m+n}.  In this order:
 
@@ -170,7 +170,7 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
     C = spec.coalgebra
     if not isinstance(C, ThetaCoalgebra):
         return _gamma_congruence(spec, "congruence", m, n, l)
-    u = m * (m // 2) + n * (n // 2) - (m + n) * ((m + n) // 2) if C.periodic else 0
+    u = m * C.scale(m) + n * C.scale(n) - (m + n) * C.scale(m + n)
     gap = C.gap_valuation
     vals = [gap(u)] if u else []
 

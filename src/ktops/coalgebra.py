@@ -45,11 +45,12 @@ type of the coalgebra and by nothing else:
   node difference.  Q_n(i, j) = 0 unless max(i, j) <= n <= i + j, since
   theta_max(i,j) divides theta_i theta_j, of degree i + j.
   ThetaCoalgebra._gamma_table has the proofs and the integer scaling.
-  ThetaCoalgebra owns every fact of the node sequence: the integer nodes
-  (nodes), the base's order (o, v) = (ord_p b, nu_p(b**o - 1)) and the
-  valuation of a node gap (gap_valuation), and the same Newton step run
-  along one row of theta_m theta_n - theta_(m+n) (product_row), which
-  the congruence condition of ktops.checks reads.
+  ThetaCoalgebra owns every fact of the node sequence: their integer
+  scale (scale), the integer nodes (nodes) and dual basis (dual_basis),
+  the base's order (o, v) = (ord_p b, nu_p(b**o - 1)), the valuation of
+  a node gap (gap_valuation), and the same Newton step run along one
+  row of theta_m theta_n - theta_(m+n) (product_row), which the
+  congruence condition of ktops.checks reads.
 
 k(2), K(2), the binomial and monomial coalgebras and every user-built
 CoalgebraSpec run the kernel, which is also the reference the recursion
@@ -316,10 +317,16 @@ class ThetaCoalgebra(CoalgebraSpec):
     prod_{i<n} (x - b**i), times w**(-r floor(n/2)) in the periodic
     case.  Its dual basis is a product too: with the nodes y_l = b**s_l,
     s_l = extending_slot(l), and theta_n(T) = prod_{l<n} (T - y_l), it is
-    a_n = sigma_n theta_n(T), sigma_n = b**(n floor(n/2)) periodically
-    and 1 connectively (spectra.dual_theta_basis), so the Gamma tables
-    come from the dual side; see _gamma_table.  |b| >= 2, or the nodes
-    repeat.
+    a_n = sigma_n theta_n(T), sigma_n = b**(n E_n) with E_n = scale(n),
+    floor(n/2) periodically and 0 connectively (dual_basis), so the
+    Gamma tables come from the dual side; see _gamma_table.  |b| >= 2,
+    or the nodes repeat.
+
+    On integers: s_l >= -floor(l/2), so at the scale E = E_n of an index
+    n the nodes y'_l = b**E y_l, l <= n, are integers (nodes), and with
+    theta'_k(Y) = prod_(l<k) (Y - y'_l), theta'_k(b**E T) = b**(kE)
+    theta_k(T).  Every exact route (dual_basis, product_row, _gamma_table,
+    modules._newton_steps) runs on these nodes and reads b**E back off.
 
     (base, step, prime, periodic) fix every table, so two theta-form
     coalgebras are equal, and hash alike, when these four agree; the
@@ -347,10 +354,30 @@ class ThetaCoalgebra(CoalgebraSpec):
     def __hash__(self):
         return hash(self._key())
 
-    def nodes(self, e: int, indices: Iterable[int]) -> list[int]:
-        """The integer dual nodes y_l = b**(e + s_l), s_l = extending_slot(l),
-        for each node index l in indices: the one node formula."""
-        return [self.base ** (e + self.extending_slot(l)) for l in indices]
+    def scale(self, n: int) -> int:
+        """E_n = floor(n/2) periodically and 0 connectively: the scale of the
+        integer nodes of index n, and sigma_n = b**(n E_n)."""
+        return n // 2 if self.periodic else 0
+
+    def nodes(self, n: int, indices: Iterable[int]) -> list[int]:
+        """The integer dual nodes y'_l = b**(E_n + s_l), s_l = extending_slot(l),
+        at the scale of index n, for each node index l <= n in indices: the
+        one node formula.  Raises ValueError on an index above n, whose node
+        need not be an integer there."""
+        e, b, slot, ys = self.scale(n), self.base, self.extending_slot, []
+        for l in indices:
+            if l > n:
+                raise ValueError(f"node index {l} is above {n}, the index of the node scale")
+            ys.append(b ** (e + slot(l)))
+        return ys
+
+    def dual_basis(self, n: int) -> list[int]:
+        """The integer coefficients of a_n = sigma_n theta_n(T), constant term
+        first: the coefficient of T**k is theta'_n[k] b**(kE), E = E_n."""
+        if n < 0:
+            raise ValueError("basis indices start at 0")
+        f = self.base ** self.scale(n)
+        return [c * f**k for k, c in enumerate(reduce(times_linear, self.nodes(n, range(n)), [1]))]
 
     @cached_property
     def order(self) -> tuple[int, int]:
@@ -376,7 +403,7 @@ class ThetaCoalgebra(CoalgebraSpec):
     def product_row(self, m: int, n: int) -> dict[int, int]:
         """The nonzero coordinates of theta_m theta_n - theta_(m+n) in the basis
         theta_0, theta_1, ..., keyed by the index t, increasing, each scaled
-        by the power b**((m+n-t)E) that makes it an integer.
+        by the power b**((m+n-t)E), E = scale(m + n), that makes it an integer.
 
         These coordinates are Q_t(m, n), and this is the recursion of
         _gamma_table run along one row.  With M = max(m, n) and N =
@@ -389,15 +416,13 @@ class ThetaCoalgebra(CoalgebraSpec):
         M..M+k-1 only.  So the coordinates below M are zero, the one at
         m + n cancels theta_(m+n), and only the N at M..M+N-1 are built, in
         N(N+1)/2 multiplies by a node difference, on the 2N integer nodes
-        y_0..y_(N-1) and y_M..y_(M+N-1) of nodes(E, .), E = floor((m+n)/2)
-        periodically and 0 connectively.  With theta'_k = prod_(l<k)
-        (Y - y_l), theta'_k(b**E T) = b**(kE) theta_k(T), so the coordinate
-        at t is b**((t-m-n)E) times the integer returned; for a p-adic
-        unit b both have the same valuation.
+        y_0..y_(N-1) and y_M..y_(M+N-1) of nodes(m + n, .).  By the integer
+        form of the class docstring the coordinate at t is b**((t-m-n)E)
+        times the integer returned; for a p-adic unit b both have the same
+        valuation.
         """
         big, small = max(m, n), min(m, n)
-        e = (m + n) // 2 if self.periodic else 0
-        low, high = self.nodes(e, range(small)), self.nodes(e, range(big, big + small))
+        low, high = self.nodes(m + n, range(small)), self.nodes(m + n, range(big, big + small))
         row: list[int] = []  # coordinates at M, M+1, ...; the top one, 1, implied
         for y in low:
             row.append(1)
@@ -431,37 +456,32 @@ class ThetaCoalgebra(CoalgebraSpec):
         degree l, so f = sum_l c_l of them, and theta_k times the l-th
         one is theta_(k+l); no theta_n with n < k occurs.
 
-        On integers: with the nodes b**(E + s_l), E >= floor(n/2) in the
-        periodic case and 0 otherwise, prod (Y - b**E y_l) at Y = b**E T
-        is b**(kE) theta_k(T), so the recursion returns Q'_n(i, j) =
-        b**((i+j-n)E) Q_n(i, j), an integer, with exponent >= 0 in the
-        band.  Then G[i][j] = b**(t_i + t_j - t_n) Q'_n(i, j), t_k =
-        k floor(k/2) - kE periodically and 0 otherwise, and each Fraction
-        takes its gcd against that power of b only.  Q is symmetric:
-        row i keeps j >= i, and Q_n(i, i-1) is read as Q_n(i-1, i).
-        Only the previous raw table is kept, in _raw; _gamma holds the
-        Fractions.
+        On integers (class docstring): on the nodes of nodes(n, .), E =
+        scale(n), the recursion returns Q'_n(i, j) = b**((i+j-n)E) Q_n(i, j),
+        an integer, with exponent >= 0 in the band.  Then G[i][j] =
+        b**(t_i + t_j - t_n) Q'_n(i, j), t_k = k (E_k - E), and each
+        Fraction takes its gcd against that power of b only.  Q is
+        symmetric: row i keeps j >= i, and Q_n(i, i-1) is read as
+        Q_n(i-1, i).  Only the previous raw table is kept, in _raw, at its
+        own scale, at most E; _gamma holds the Fractions.
         """
-        b = self.base
-        e = n // 2 if self.periodic else 0
+        b, e = self.base, self.scale(n)
         if self._raw is None or self._raw[0] > n:
             m, q = 0, [[1]]
         else:
             m, e0, q = self._raw
-            if e0 >= e:
-                e = e0
-            else:
+            if e0 < e:
                 f = b ** (e - e0)
                 q = [[v * f ** (i + j - m) if v else 0 for j, v in enumerate(row)]
                      for i, row in enumerate(q)]
-        ys = self.nodes(e, range(n + 1))
+        ys = self.nodes(n, range(n + 1))
         while m < n:
             m += 1
             q = _newton_step(q, ys, m)
         self._raw = (n, e, q)
 
         size = n + 1
-        t = [k * (k // 2 - e) if self.periodic else 0 for k in range(size)]
+        t = [k * (self.scale(k) - e) for k in range(size)]
         powers = {0: 1}
         g = [[_ZERO] * size for _ in range(size)]
         for i, row in enumerate(q):

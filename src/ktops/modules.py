@@ -265,22 +265,20 @@ def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> bool:
       in Q[T], with every coefficient p-local (b is a p-adic unit), so it
       holds at A in End(M): every relation (i, j) holds.
 
-    On integers, with A_n = D M_n and the nodes y'_l = b**E y_l of
-    C.nodes(E, .), E = floor(k/2) periodically and 0 connectively, step n
-    reads D b**E A_(n+1) = b**g_n A_n (b**E A_1 + D (y'_0 - y'_n)), b**g_n =
-    sigma_(n+1) / sigma_n.  D, b**E and b**g_n are p-adic units, and each
-    step checks against the table's own A_(n+1), so no entry grows.
+    On integers (ThetaCoalgebra), with A_n = D M_n and the nodes y'_l =
+    b**E y_l of C.nodes(k, .), E = C.scale(k), step n reads D b**E A_(n+1)
+    = b**g_n A_n (b**E A_1 + D (y'_0 - y'_n)), b**g_n = sigma_(n+1) /
+    sigma_n.  D, b**E and b**g_n are p-adic units, and each step checks
+    against the table's own A_(n+1), so no entry grows.
     """
     p, d, k, exps = mod.prime, mod.dimension, mod.level, mod.row_exponents
     b = C.base
-    e = k // 2 if C.periodic else 0
-    ys = C.nodes(e, range(k))
-    unit = b**e
+    ys, unit = C.nodes(k, range(k)), b ** C.scale(k)
     zero = [[0] * d for _ in range(d)]
     mats = [*a, zero]
     # rows of b**E A_1, sparse; A_1 = 0 at level 1
     one = [[(c, unit * v) for c, v in enumerate(row) if v] for row in mats[1]]
-    t = [n * (n // 2) if C.periodic else 0 for n in range(k + 1)]  # sigma_n = b**t_n
+    t = [n * C.scale(n) for n in range(k + 1)]  # sigma_n = b**t_n
     qs = [None if x is None else p**x for x in exps]
     for n in range(k):
         g, shift = b ** (t[n + 1] - t[n]), den * (ys[0] - ys[n])
@@ -345,28 +343,18 @@ def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> Annihilato
     p = mod.prime
     if spec.prime != p:
         raise ValueError(f"prime mismatch between module ({p}) and spectrum {spec.name} ({spec.prime})")
-    lo = mod.free_rank
-    d = mod.dimension
     bad = _malformed(mod)
     if bad is not None:
         raise ValueError(bad[0])
-    exps = mod.row_exponents
+    lo, d, exps = mod.free_rank, mod.dimension, mod.row_exponents
 
-    def torsion_block(m: int) -> tuple:
+    def kills_torsion(m: int) -> bool:
+        # every denominator is prime to p, so v = 0 mod p**e iff p**e divides its numerator
         mat = mod.matrix(m)
-        return tuple(_reduce_mod(mat[r][c], p, exps[r]) for r in range(lo, d) for c in range(lo, d))
+        return all(mat[r][c].numerator % p ** exps[r] == 0 for r in range(lo, d) for c in range(lo, d))
 
-    zero = (Fraction(0),) * (d - lo) ** 2
     return AnnihilatorSearch(next(m for m in admissible_shifts(spec, s)
-                                  if m >= mod.level or torsion_block(m) == zero))
-
-
-def _reduce_mod(v: Fraction, p: int, e: int) -> Fraction:
-    """Canonical representative of a p-local integer mod p**e."""
-    q = p**e
-    num, den = v.numerator, v.denominator
-    inv = pow(den, -1, q)
-    return Fraction((num * inv) % q)
+                                  if m >= mod.level or kills_torsion(m)))
 
 
 # ----------------------------------------------------------------------

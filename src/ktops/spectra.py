@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterator
 
 from .coalgebra import Basis, CoalgebraSpec, ThetaCoalgebra
@@ -164,26 +163,18 @@ def spectrum_names(p_odd: int = 3) -> list[str]:
 
 
 def dual_theta_basis(spec: SpectrumSpec, n: int) -> AdamsPoly:
-    """The n-th element of the product-form topological basis of the dual.
+    """The n-th element of the product-form topological basis of the dual,
+    ThetaCoalgebra.dual_basis(n) in the degree-raising operation T.
 
-    Connectively this is the plain product prod_{i<n} (T - b**i) in the
-    degree-raising operation T; in the periodic case the nodes walk
-    outward through 0, 1, -1, 2, -2, ... and the product is rescaled by
-    b**(n * floor(n/2)) so that pairing against the coalgebra basis is
-    the identity matrix.  On the integer nodes y_i = b**E z_i of
-    ThetaCoalgebra.nodes, b**(nE) theta_n(T) = theta'_n(b**E T) with
-    theta'_n = prod (Y - y_i), so the coefficient of T**k is
-    theta'_n[k] * b**(Ek)  (E = floor(n/2) periodically, 0 connectively).
+    Connectively this is the plain product prod_{i<n} (T - b**i); in the
+    periodic case the nodes walk outward through 0, 1, -1, 2, -2, ... and
+    the product is rescaled by sigma_n so that pairing against the
+    coalgebra basis is the identity matrix.
     """
-    if n < 0:
-        raise ValueError("basis indices start at 0")
     C = spec.coalgebra
     if not isinstance(C, ThetaCoalgebra):
         raise ValueError(f"{spec.name} has no product-form basis; work through the coalgebra tables")
-    e = n // 2 if C.periodic else 0
-    t = reduce(times_linear, C.nodes(e, range(n)), [1])
-    scale = C.base**e
-    return AdamsPoly(Fraction(spec.q), LaurentPoly({k: c * scale**k for k, c in enumerate(t)}))
+    return AdamsPoly(Fraction(spec.q), LaurentPoly(dict(enumerate(C.dual_basis(n)))))
 
 
 def support_step(spec: SpectrumSpec, l: int) -> int:

@@ -85,7 +85,7 @@ def test_congruence_expansion_decides_past_node_differences():
     assert v.holds and v.exact and v.checked is None
     assert v.min_valuation == 1
     assert table_congruence(K3, 1, 2, 1) == (True, None, 1)
-    ys = K3.coalgebra.nodes(0, range(3))
+    ys = K3.coalgebra.nodes(2, range(3))
     assert ys[1] - ys[2] == 2 - 4 and nu(3, 2 - 4) == 0
 
 

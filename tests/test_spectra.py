@@ -125,12 +125,21 @@ def test_integer_nodes_and_dual_basis_match_fraction_oracle(name):
     C, b, z = sp.coalgebra, sp.base, fraction_nodes(sp)
     for count in range(41):
         e, ys = integer_nodes(sp, count)
-        assert C.nodes(e, range(count)) == ys, count
-        assert C.nodes(e, reversed(range(count))) == ys[::-1], count
+        assert C.scale(count) == e, count
+        assert C.nodes(count, range(count)) == ys, count
+        assert C.nodes(count, reversed(range(count))) == ys[::-1], count
     for n in range(25):
         scale = Fraction(b) ** (n * (n // 2)) if sp.periodic else 1
-        want = AdamsPoly(Fraction(sp.q), theta(n, z) * scale)
-        assert dual_theta_basis(sp, n) == want, n
+        want = theta(n, z) * scale
+        coeffs = C.dual_basis(n)
+        assert all(type(c) is int for c in coeffs), n
+        assert coeffs == [want.coeff(k) for k in range(n + 1)], n
+        assert dual_theta_basis(sp, n) == AdamsPoly(Fraction(sp.q), want), n
+    # nodes refuses every index above n; periodically, for odd n, the slot
+    # -(n + 1)/2 of index n + 1 lies below -E_n and its node is no integer
+    for n in range(25):
+        with pytest.raises(ValueError):
+            C.nodes(n, [n + 1])
 
 
 def test_dual_theta_basis_refused_off_theta_form():
