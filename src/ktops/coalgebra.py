@@ -68,7 +68,7 @@ from math import factorial, gcd, lcm
 from typing import Callable, Iterable
 
 from .laurent import LaurentPoly, times_linear
-from .rationals import _int_valuation, is_p_local_integer, is_prime, multiplicative_order
+from .rationals import _int_valuation, is_prime, multiplicative_order
 
 
 _ZERO = Fraction(0)
@@ -175,9 +175,14 @@ class CoalgebraSpec:
         return LaurentPoly({self.step * k: Fraction(m, d) for k, m in mono.items()})
 
     def in_ground_ring(self, x: Fraction) -> bool:
+        """Whether the int or Fraction x lies in Z, or in Z_(p) for a prime p.
+
+        The prime was checked once in __post_init__, so the denominator
+        is read directly.
+        """
         if self.prime is None:
-            return Fraction(x).denominator == 1
-        return is_p_local_integer(self.prime, x)
+            return x.denominator == 1
+        return x.denominator % self.prime != 0
 
     def counit_value(self, n: int) -> Fraction:
         """Value of the counit on basis element n (evaluation at w = 1)."""

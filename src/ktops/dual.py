@@ -23,6 +23,12 @@ resolving index <= t.  So a product multiplies pairings pointwise, an
 inverse takes their reciprocals, and an AdamsPoly's pairings are its
 values at beta**(r k_i).  The Gamma-table contractions these replace are
 kept in tests/oracles.py as the reference they are checked against.
+
+A pairing is carried as an integer pair (x, d), d > 0, standing for
+x / d and not reduced: a product multiplies pairs componentwise, an
+inverse swaps them, and an operation polynomial is evaluated by integer
+Horner at beta**e = u / v (AdamsPoly.values).  The back transform
+reduces each pair once and builds one Fraction per coefficient.
 """
 from __future__ import annotations
 
@@ -33,7 +39,9 @@ from typing import Iterable, Iterator
 
 from .coalgebra import CoalgebraSpec, NotRegularError
 from .laurent import LaurentPoly
-from .rationals import as_fraction, is_p_local_unit, multiplicative_order
+from .rationals import _int_valuation, as_fraction, multiplicative_order
+
+Pair = tuple[int, int]
 
 
 class PrecisionError(ValueError):
@@ -108,6 +116,37 @@ class AdamsPoly:
             raise ValueError("cannot mix operation bases")
         return AdamsPoly(self.beta, self.poly * other.poly)
 
+    def values(self, exponents: Iterable[int]) -> list[Pair]:
+        """P(beta**e) for each e, as integer pairs (x, d) with d > 0.
+
+        P = (1/D) sum_j N_j X**j over integers and beta**e = u / v with
+        v > 0, so P(beta**e) = (sum_j N_j u**j v**(deg - j)) / (D v**deg),
+        whose numerator one Horner pass over the N_j builds.
+        """
+        if self.poly.is_zero:
+            return [(0, 1) for _ in exponents]
+        deg = self.poly.degree
+        den = lcm(*(c.denominator for _, c in self.poly.items()))
+        nums = [0] * (deg + 1)
+        for j, c in self.poly.items():
+            nums[j] = c.numerator * (den // c.denominator)
+        top = nums.pop()
+        nums.reverse()
+        out = []
+        for e in exponents:
+            u, v = self.beta.numerator, self.beta.denominator
+            if e < 0:
+                u, v, e = v, u, -e
+                if v < 0:
+                    u, v = -u, -v
+            u, v = u**e, v**e
+            acc, vk = top, 1
+            for n in nums:
+                vk *= v
+                acc = acc * u + n * vk
+            out.append((acc, den * vk))
+        return out
+
     def value_on(self, f: LaurentPoly) -> Fraction:
         """Pair with a Laurent polynomial: sum over monomials of P(beta**e)."""
         total = Fraction(0)
@@ -150,43 +189,41 @@ def pair(spec: CoalgebraSpec, a, f: LaurentPoly) -> Fraction:
     return sum((f.coeff(r * k) * monomial_pairing(spec, a, k) for k in slots), Fraction(0))
 
 
-def _pairings(spec: CoalgebraSpec, a: DualElement, count: int) -> list[Fraction]:
-    """The pairings pi_i = <a, w**(r k_i)> for k_i = extending_slot(i), i < count.
+def _pairings(spec: CoalgebraSpec, a: DualElement, count: int, start: int = 0) -> list[Pair]:
+    """The pairings pi_i = <a, w**(r k_i)> for k_i = extending_slot(i), start <= i < count.
 
     Slot k_i is resolved by basis indices <= i, so pi_i reads only the
-    first i + 1 coefficients of a.  With a's coefficients over one
-    denominator L and the cached monomial coordinates A_k / D_k, each
-    pairing is one integer dot product over L * D_k.
+    first i + 1 coefficients of a.  With the first count coefficients
+    over one denominator L, r_n = N_n / L, and the cached monomial
+    coordinates A_k / D_k, each pairing is the unreduced pair
+    (sum_n N_n A_(k, n), L D_k).
     """
-    den, nums = _int_coeffs(a, count)
-    return [_int_pairing(spec, den, nums, spec.extending_slot(i)) for i in range(count)]
-
-
-def _int_coeffs(a: DualElement, count: int) -> tuple[int, list[int]]:
-    """The first count coefficients of a as (L, [N_0, ...]) with r_n = N_n / L."""
     cs = a.coeffs[:count]
     den = lcm(*(c.denominator for c in cs))
-    return den, [c.numerator * (den // c.denominator) for c in cs]
+    nums = [c.numerator * (den // c.denominator) for c in cs]
+    out = []
+    for i in range(start, count):
+        d, nz = spec._int_coords(spec.extending_slot(i))
+        out.append((sum(nums[n] * v for n, v in nz), den * d))
+    return out
 
 
-def _int_pairing(spec: CoalgebraSpec, den: int, nums: list[int], k: int) -> Fraction:
-    d, nz = spec._int_coords(k)
-    return Fraction(sum(nums[i] * v for i, v in nz), den * d)
-
-
-def _from_pairings(spec: CoalgebraSpec, pi: list[Fraction], count: int) -> Iterator[Fraction]:
+def _from_pairings(spec: CoalgebraSpec, pi: list[Pair], count: int) -> Iterator[Fraction]:
     """The coefficients, in index order, of the element with pairings pi.
 
-    Coefficient t is the pairing against c_t = (1/d_t) sum_k m_{t,k} w**(rk),
-    that is (1/d_t) sum_k m_{t,k} pi_{i(k)} with i(k) the resolving index
-    of slot k.  Every slot of window(t) has i(k) <= t, so the first
-    count pairings fix the first count coefficients.
+    Each pairing is an integer pair (x, d), d > 0, standing for x / d,
+    and need not be reduced.  Coefficient t is the pairing against
+    c_t = (1/d_t) sum_k m_{t,k} w**(rk), that is
+    (1/d_t) sum_k m_{t,k} pi_{i(k)} with i(k) the resolving index of
+    slot k.  Every slot of window(t) has i(k) <= t, so the first count
+    pairings fix the first count coefficients.
 
-    The pairings are read over their running lcm L_t = f_0 f_1 ... f_t,
-    f_i the factor pi_i's denominator adds, and each is stored once, as
-    the numerator b_i = pi_i L_i it has over L_i; over L_t it is b_i
-    f_(i+1) ... f_t.  So coefficient t is acc / (d_t L_t), with acc built
-    by one Horner pass over i <= t,
+    Each pair is reduced once, and the pairings are read over their
+    running lcm L_t = f_0 f_1 ... f_t, f_i the factor pi_i's reduced
+    denominator adds.  Each is stored once, as the numerator b_i it has
+    over L_i; over L_t it is b_i f_(i+1) ... f_t.  So coefficient t is
+    acc / (d_t L_t), the one Fraction built per coefficient, with acc
+    built by one Horner pass over i <= t,
 
         acc = acc f_i + m_(t, s_i) b_i,   s_i = extending_slot(i),
 
@@ -197,11 +234,14 @@ def _from_pairings(spec: CoalgebraSpec, pi: list[Fraction], count: int) -> Itera
     nums: list[int] = []
     slots: list[int] = []
     for t in range(count):
-        v = pi[t]
-        f = v.denominator // gcd(den, v.denominator)
+        x, dx = pi[t]
+        g = gcd(x, dx)
+        if g != 1:
+            x, dx = x // g, dx // g
+        f = dx // gcd(den, dx)
         den *= f
         fs.append(f)
-        nums.append(v.numerator * (den // v.denominator))
+        nums.append(x * (den // dx))
         slots.append(spec.extending_slot(t))
         d, mono = spec.monomial_form(t)
         acc = 0
@@ -214,6 +254,11 @@ def _from_pairings(spec: CoalgebraSpec, pi: list[Fraction], count: int) -> Itera
         yield Fraction(acc, d * den)
 
 
+def _is_unit_pair(p: int, x: int, d: int) -> bool:
+    """Whether x / d is a unit of the p-local integers: x != 0 and nu_p(x) == nu_p(d)."""
+    return x != 0 and _int_valuation(p, x) == _int_valuation(p, d)
+
+
 def expand(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> DualElement:
     """Coefficients of an operation polynomial in the dual basis.
 
@@ -223,7 +268,7 @@ def expand(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> DualElement:
     value.  The polynomial is evaluated once per monomial slot and the
     coefficients are read off by the back transform.
     """
-    pi = [a.poly(a.beta ** (spec.step * spec.extending_slot(i))) for i in range(precision)]
+    pi = a.values([spec.step * spec.extending_slot(i) for i in range(precision)])
     out = []
     for n, v in enumerate(_from_pairings(spec, pi, precision)):
         if not spec.in_ground_ring(v):
@@ -243,7 +288,7 @@ def multiply(spec: CoalgebraSpec, a: DualElement, b: DualElement) -> DualElement
     the factors, so truncation commutes with multiplication.
     """
     n = min(a.precision, b.precision)
-    pi = [x * y for x, y in zip(_pairings(spec, a, n), _pairings(spec, b, n))]
+    pi = [(x * y, d * e) for (x, d), (y, e) in zip(_pairings(spec, a, n), _pairings(spec, b, n))]
     return DualElement(_from_pairings(spec, pi, n))
 
 
@@ -254,7 +299,9 @@ def monomial_pairing(spec: CoalgebraSpec, a: DualElement, k: int) -> Fraction:
         raise PrecisionError(
             f"monomial slot {k} needs {need} coefficients; only {a.precision} known"
         )
-    return _int_pairing(spec, *_int_coeffs(a, need), k)
+    # k is extending_slot(need - 1), the last pairing of precision need
+    (x, d), = _pairings(spec, a, need, need - 1)
+    return Fraction(x, d)
 
 
 def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
@@ -301,8 +348,8 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
     if isinstance(a, AdamsPoly):
         raise ValueError("the truncated unit test needs a truncated element")
     n = a.precision
-    for i, v in enumerate(_pairings(spec, a, n)):
-        if not is_p_local_unit(p, v):
+    for i, (x, d) in enumerate(_pairings(spec, a, n)):
+        if not _is_unit_pair(p, x, d):
             return UnitVerdict(unit=False, exact=False, witness=spec.extending_slot(i), checked=n)
     return UnitVerdict(unit=True, exact=False, checked=n)
 
@@ -326,10 +373,10 @@ def invert(spec: CoalgebraSpec, a: DualElement) -> DualElement:
         if not spec.in_ground_ring(v):
             raise NotIntegralError(f"coefficient {v} is not integral over the ground ring")
     pi = _pairings(spec, a, n)
-    for i, pivot in enumerate(pi):
-        if not is_p_local_unit(p, pivot):
-            raise NotInvertibleError(i, spec.extending_slot(i), pivot)
-    return DualElement(_from_pairings(spec, [1 / v for v in pi], n))
+    for i, (x, d) in enumerate(pi):
+        if not _is_unit_pair(p, x, d):
+            raise NotInvertibleError(i, spec.extending_slot(i), Fraction(x, d))
+    return DualElement(_from_pairings(spec, [(d, x) if x > 0 else (-d, -x) for x, d in pi], n))
 
 
 def algebra_one(spec: CoalgebraSpec, precision: int) -> DualElement:

@@ -11,6 +11,7 @@ from ktops.dual import (
     AdamsPoly,
     DualElement,
     PrecisionError,
+    _from_pairings,
     _pairings,
     algebra_one,
     expand,
@@ -144,11 +145,51 @@ def test_expand_matches_value_on_oracle(name):
         LaurentPoly({e: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 7))) for e in range(3)}),
     ]
     cases = [AdamsPoly(beta, f) for f in polys] + [AdamsPoly(Fraction(1, 2), polys[0])]
+    # a negative base: odd slots pair with negative values of beta**(rk)
+    cases += [AdamsPoly(-beta, polys[0]), AdamsPoly(-beta, polys[2])]
     if sp is not None and sp.has_theta_form:
         cases += [dual_theta_basis(sp, n) for n in (0, 3, TOP - 1)]
     for a in cases:
         for prec in (1, TOP):
             assert _outcome(expand, C, a, prec) == _outcome(expand_by_value_on, C, a, prec)
+
+
+@pytest.mark.parametrize("beta", [Fraction(make_spectrum("G(5)").q), Fraction(-3),
+                                  Fraction(1, 2), Fraction(-2, 3)])
+def test_adams_values_match_fraction_evaluation(beta):
+    # integer Horner at beta**e = u / v against LaurentPoly.__call__ at the
+    # Fraction beta**e, on negative, zero and positive exponents
+    rng = random.Random(str(beta))
+    polys = [LaurentPoly(), LaurentPoly.one(), LaurentPoly({4: Fraction(-2, 5)})]
+    polys += [
+        LaurentPoly({rng.randint(0, 7): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                     for _ in range(rng.randint(1, 6))})
+        for _ in range(20)
+    ]
+    exponents = range(-6, 7)
+    for f in polys:
+        got = AdamsPoly(beta, f).values(exponents)
+        assert all(d > 0 for _, d in got)
+        assert [Fraction(x, d) for x, d in got] == [f(beta**e) for e in exponents], f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(SPECTRA + ["k(2)", "K(2)", "KO(2)"] + list(OTHERS)),
+    coeffs=st.lists(st.tuples(st.one_of(st.just(0), st.integers(-9, 9)), st.integers(1, 12)),
+                    min_size=1, max_size=TOP),
+    scales=st.lists(st.integers(1, 30), min_size=TOP, max_size=TOP),
+)
+def test_back_transform_inverts_pairings(name, coeffs, scales):
+    # the back transform reads the coefficients off the pairings, reduced
+    # or carried with a further common factor in each pair
+    C, _, _ = _algebra(name)
+    a = DualElement(Fraction(x, d) for x, d in coeffs)
+    n = a.precision
+    pi = _pairings(C, a, n)
+    assert list(_from_pairings(C, pi, n)) == list(a.coeffs)
+    loose = [(x * g, d * g) for (x, d), g in zip(pi, scales)]
+    assert list(_from_pairings(C, loose, n)) == list(a.coeffs)
 
 
 def test_exact_unit_residues_match_fraction_oracle():
@@ -224,7 +265,7 @@ def test_back_transform_on_shared_denominators(name):
                         for c in one.coeffs)
         assert multiply(C, a, b) == multiply_by_contraction(C, a, b)
         assert invert(C, u) == invert_by_elimination(C, u)
-        pa, pb, pu = (_pairings(C, x, prec) for x in (a, b, u))
+        pa, pb, pu = ([Fraction(*pair) for pair in _pairings(C, x, prec)] for x in (a, b, u))
         shared += _shared_lcm_steps([x * y for x, y in zip(pa, pb)])
         shared += _shared_lcm_steps([1 / v for v in pu])
     assert shared
