@@ -26,9 +26,12 @@ memoized:
   i.e. the matrix G with Delta(c_n) = sum G[i][j] c_i (x) c_j.
 
 The tables are built on Python ints.  The coordinates of a monomial are
-found by fraction-free elimination and kept as integers over one
-denominator, their lcm.  A Gamma table has two routes, chosen by the
-type of the coalgebra and by nothing else:
+kept as integers over one denominator, their lcm.  A CoalgebraSpec finds
+them by fraction-free elimination; a ThetaCoalgebra reads coordinate n
+of w**(rk) as the value of its dual basis element a_n at b**k, one
+running product over the nodes, and the elimination is the oracle that
+evaluation is checked against.  A Gamma table has two routes, chosen by
+the type of the coalgebra and by nothing else:
 
 * the monomial-sum kernel of CoalgebraSpec sums Gamma_n over the
   monomials of c_n as integers over one denominator for the whole table,
@@ -201,6 +204,8 @@ class CoalgebraSpec:
         as integers R over one denominator, and the extremal slot of R,
         which only the highest-index contributing basis element can
         reach, is cleared with that element's integer monomial form.
+        ThetaCoalgebra evaluates its dual basis instead and keeps this
+        route as the oracle the evaluation is checked against.
         """
         if k in self._icoords:
             return self._icoords[k]
@@ -383,6 +388,53 @@ class ThetaCoalgebra(CoalgebraSpec):
             raise ValueError("basis indices start at 0")
         f = self.base ** self.scale(n)
         return [c * f**k for k, c in enumerate(reduce(times_linear, self.nodes(n, range(n)), [1]))]
+
+    def _int_coords(self, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """basis_coords(k) as (D, ((i, A_i), ...)), by evaluating the dual basis.
+
+        Since <a_m, c_n> = delta_mn, coordinate n of w**(rk) is <a_n, w**(rk)>.
+        As w**(rk) is grouplike, pairing with it is an algebra map, and it
+        sends T to beta**(rk) = b**k.  So coordinate n is
+
+            a_n(b**k) = sigma_n theta_n(b**k) = b**(n E_n) prod_(l<n) (b**k - y_l),
+
+        zero for n > N = resolving_index(k), where the factor b**k - y_N
+        vanishes, and nonzero for n <= N, as the slots s_l, l < N, differ
+        from k = s_N and |b| >= 2.
+
+        On integers: with mu_l = min(k, s_l), b**k - y_l = b**mu_l g_l for
+        the integer g_l = b**(k - mu_l) - b**(s_l - mu_l).  One of these two
+        exponents is 0, so g_l = +-(b**|k - s_l| - 1), which is -+1 modulo
+        every prime factor of b: g_l is prime to b.  So coordinate n is
+        P_n b**u_n with P_n = prod_(l<n) g_l prime to b and u_n =
+        n E_n + sum_(l<n) mu_l.  Its reduced denominator is
+        |b|**max(0, -u_n), and their lcm is D = |b|**U, U = max(0, -min u_n),
+        the same D > 0 as the elimination, and A_n = D P_n b**u_n is its
+        numerator, nonzero.  Step l of one running product from A_0 = D
+        multiplies by g_l b**delta_l, delta_l = u_(l+1) - u_l, which is an
+        exact division by b**-delta_l when delta_l < 0, A_(l+1) being an
+        integer.  That is N multiplies by small factors, with no gcd.
+        CoalgebraSpec._int_coords, the elimination, is the oracle.
+        """
+        if k in self._icoords:
+            return self._icoords[k]
+        b, top = self.base, self.resolving_index(k)
+        steps, u, low = [], 0, 0
+        for l in range(top):
+            s = self.extending_slot(l)
+            mu = min(k, s)
+            delta = (l + 1) * self.scale(l + 1) - l * self.scale(l) + mu
+            steps.append((b ** (k - mu) - b ** (s - mu), delta))
+            u += delta
+            low = min(low, u)
+        d = a = abs(b) ** -low
+        coords = [(0, a)]
+        for n, (g, delta) in enumerate(steps, 1):
+            a = a * (g * b**delta) if delta >= 0 else a * g // b**-delta
+            coords.append((n, a))
+        form = (d, tuple(coords))
+        self._icoords[k] = form
+        return form
 
     @cached_property
     def order(self) -> tuple[int, int]:
@@ -574,13 +626,16 @@ class RegularityReport:
 def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
     """Run every regularity check on basis indices and monomials up to limit.
 
-    On a ThetaCoalgebra the table checks compare two independent routes:
-    the Gamma tables come from the Newton recursion on the dual basis,
-    while the last column is checked against the monomial coordinates of
-    the fraction-free elimination and the counit law against the counit
-    values of the basis.  On any other coalgebra the tables come from the
-    monomial-sum kernel, which is built from those same coordinates.
-    Raises ValueError on a negative limit.
+    On a ThetaCoalgebra the table checks compare the Newton recursion of
+    the Gamma tables with the monomial coordinates, read off the dual
+    basis by evaluation (last column), and with the counit values of the
+    basis (counit law); the diagonal identity ties those coordinates to
+    the monomial forms of the basis.  On any other coalgebra the tables
+    come from the monomial-sum kernel, which is built from the
+    coordinates of the fraction-free elimination.  The counit law sums
+    over the support of the counit only: {0} on the eight stock spectra,
+    {0, 1} on the binomial coalgebra and every index on the monomial
+    ones.  Raises ValueError on a negative limit.
     """
     if limit < 0:
         raise ValueError("the limit must be non-negative")
@@ -638,18 +693,20 @@ def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
 
     bad = ""
     eps = [spec.counit_value(i) for i in range(limit + 1)]
+    support = [i for i, e in enumerate(eps) if e]
     for n in range(limit + 1):
-        # column j sums eps_i G[i][j] (left) and eps_i G[j][i] (right); entry
-        # (i, j) meets eps_i in the one and eps_j in the other.  Both run on
-        # integers over one denominator for the table.
+        # index j sums eps_i G[i][j] (left) and eps_i G[j][i] (right) over the
+        # support S of eps only, as a term with eps_i = 0 adds nothing: row
+        # and column i of the table for each i in S.  Both run on integers
+        # over one denominator for the table.
         g = spec.coproduct_matrix(n)
-        entries = [(i, j, v) for i, row in enumerate(g) for j, v in enumerate(row) if v]
-        den = lcm(*{eps[e].denominator * v.denominator for i, j, v in entries for e in (i, j)})
+        sides = ([(j, eps[i], v) for i in support if i <= n for j, v in enumerate(g[i]) if v],
+                 [(j, eps[i], row[i]) for i in support if i <= n for j, row in enumerate(g) if row[i]])
+        den = lcm(*{e.denominator * v.denominator for terms in sides for _, e, v in terms})
         left, right = [0] * (n + 1), [0] * (n + 1)
-        for i, j, v in entries:
-            a, b = eps[i], eps[j]
-            left[j] += a.numerator * v.numerator * (den // (a.denominator * v.denominator))
-            right[i] += b.numerator * v.numerator * (den // (b.denominator * v.denominator))
+        for sums, terms in zip((left, right), sides):
+            for j, e, v in terms:
+                sums[j] += e.numerator * v.numerator * (den // (e.denominator * v.denominator))
         for j in range(n + 1):
             want = den if j == n else 0
             if left[j] != want or right[j] != want:

@@ -137,22 +137,36 @@ def test_counit_law_on_coproduct():
 
 def test_counit_law_catches_wrong_integral_entry():
     # an integral but wrong entry off the last column passes every other
-    # table check; (0, 1) breaks only the left sum of column 1, (1, 0) only
-    # the right one, and the report gives both sums of that column
+    # table check, and the report gives both counit sums of the first
+    # index that fails, read here from the full Fraction sums.  On the
+    # stock spectra eps = e_0: (0, 1) breaks only the left sum of index 1,
+    # (1, 0) only the right one; k(2) and K(2) read their tables from the
+    # monomial-sum kernel.  The counit of the binomial coalgebra is e_0 +
+    # e_1 and that of the periodic monomial one is 1 everywhere, so an
+    # entry doped in support row 1, or in support column 1, fails there
     n = 3
-    for name in ("k(3)", "KO(2)", "G(5)"):
-        for r, c in ((0, 1), (1, 0)):
-            C = make_spectrum(name).coalgebra
+    cases = [(lambda name=name: make_spectrum(name).coalgebra, ((0, 1), (1, 0)))
+             for name in ("k(3)", "KO(2)", "G(5)", "k(2)", "K(2)")]
+    cases += [(lambda: binomial_coalgebra(prime=3), ((1, 2), (2, 1))),
+              (lambda: monomial_coalgebra(step=2, prime=3, periodic=True), ((1, 2), (2, 1)))]
+    for make, entries in cases:
+        for r, c in entries:
+            C = make()
             g = [list(row) for row in C.coproduct_matrix(n)]
             g[r][c] += 1
             C._gamma[n] = tuple(tuple(row) for row in g)
             report = verify_regularity(C, 5)
             failed = {ch.name: ch.counterexample for ch in report.checks if not ch.ok}
             eps = [C.counit_value(i) for i in range(n + 1)]
-            left = sum(eps[i] * g[i][1] for i in range(n + 1))
-            right = sum(eps[i] * g[1][i] for i in range(n + 1))
-            want = f"element {n}, index 1: counit sums ({left}, {right})"
-            assert failed == {"counit law": want}, (name, r, c)
+            sums = [(j, sum(eps[i] * g[i][j] for i in range(n + 1)),
+                     sum(eps[i] * g[j][i] for i in range(n + 1))) for j in range(n + 1)]
+            want = next(f"element {n}, index {j}: counit sums ({left}, {right})"
+                        for j, left, right in sums if left != (j == n) or right != (j == n))
+            assert failed == {"counit law": want}, (C.name, r, c)
+            if (r, c) in ((0, 1), (1, 0)):
+                assert want.startswith(f"element {n}, index 1:"), C.name
+            else:
+                assert eps[1], C.name
 
 
 def test_grouplike_monomial():
@@ -260,6 +274,31 @@ def test_degenerate_node_base_refused(base):
 
 def test_negative_node_base_is_regular():
     assert verify_regularity(ThetaCoalgebra(-2, 1, prime=3, periodic=True), 10).ok
+
+
+def _theta_coalgebras():
+    # the six stock theta families: k, K, g and G at p = 3, 5, 7 with two
+    # q each, ko(2) and KO(2); then negative bases, a base divisible by p
+    # and one over Z
+    specs = [make_spectrum(f"{f}({p})", q)
+             for p, qs in ((3, (2, 5)), (5, (2, 3)), (7, (3, 5))) for f in "kKgG" for q in qs]
+    specs += [make_spectrum("ko(2)"), make_spectrum("KO(2)")]
+    keys = [(f"{sp.name}q{sp.q}", sp.coalgebra._key()) for sp in specs]
+    keys += [(f"base{key[0]}", key) for key in (
+        (-3, 1, 2, True), (-2, 1, 3, True), (-5, 2, 3, True), (6, 1, 3, False), (4, 2, None, True))]
+    return [pytest.param(key, id=label) for label, key in keys]
+
+
+@pytest.mark.parametrize("key", _theta_coalgebras())
+def test_theta_coords_by_evaluation_match_the_elimination(key):
+    # the elimination runs on a separate coalgebra, so the two routes share
+    # no memo of coordinates; both give the reduced (D, pairs) form, D > 0
+    evaluated, eliminated = ThetaCoalgebra(*key), ThetaCoalgebra(*key)
+    for i in range(41):
+        k = evaluated.extending_slot(i)
+        form = evaluated._int_coords(k)
+        assert form[0] > 0, k
+        assert form == CoalgebraSpec._int_coords(eliminated, k), k
 
 
 @pytest.mark.parametrize("prime", [None, 2, 3, 7])
