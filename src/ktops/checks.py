@@ -19,14 +19,19 @@ prove it.  The nodes are z_l = b**s_l, s_l = extending_slot(l), l >= 0,
 for a p-adic unit b: p | b**j - z_l exactly when ord_p(b) | j - s_l, and
 z_a - z_b is a unit times b**(s_b - s_a) - 1, whose valuation is
 ThetaCoalgebra.gap_valuation.  The unit condition, the diagonal and
-the short-cut read only these slot facts.  The expansion and the
-short-cut's proof both rest on the Newton step of the Gamma recursion
-(ThetaCoalgebra._gamma_table), theta_t (T - y) = theta_(t+1) +
-(y_t - y) theta_t; the expansion is ThetaCoalgebra.product_row, which
-runs it along one row on 2 min(m, n) integer nodes, and this module
-takes the valuations of its coordinates.  The 2-local complex theories
-have no product form, so both conditions are read off the coalgebra
-coefficient tables up to a stated bound.
+the short-cut read only these slot facts, each in a number of reads
+that depends on neither the cell nor the order of b: the unit
+condition finds the residue the slots miss in closed form, and the
+short-cut's least node difference is always among the first two (the
+proofs are in the docstrings of the two conditions).  The expansion
+and the short-cut's proof both rest on the Newton step of the Gamma
+recursion (ThetaCoalgebra._gamma_table), theta_t (T - y) =
+theta_(t+1) + (y_t - y) theta_t; the expansion is
+ThetaCoalgebra.product_row, which runs it along one row on 2 min(m, n)
+integer nodes, and this module takes the valuations of its
+coordinates.  The 2-local complex theories have no product form, so
+both conditions are read off the coalgebra coefficient tables up to a
+stated bound.
 """
 from __future__ import annotations
 
@@ -99,9 +104,17 @@ def check_unit_condition(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict
     Product-form route: evaluates the degree n-m node product at b**j
     and demands the value land in p Z_(p).  The values only matter mod
     p and b**j cycles with period o = ord_p(b), so j < o decides every
-    exponent, exactly.  p | b**j - b**s_i exactly when o | j - s_i; the
-    slots s_0..s_(n-m-1) are consecutive, so the first min(n - m, o) reach
-    every residue they can, and the witness is the least j they miss.
+    exponent, exactly.  p | b**j - b**s_i exactly when o | j - s_i, so the
+    cell fails at the least residue j mod o that no slot s_i, i < n - m,
+    reaches.  That residue has a closed form in L = min(n - m, o) alone.
+    The slots are i connectively and 0, 1, -1, 2, -2, ... periodically,
+    so s_0..s_(L-1) fill the interval [0, L - 1], resp.
+    [-floor((L-1)/2), ceil((L-1)/2)], of L <= o consecutive integers, and
+    the later slots only repeat their residues: L = o reaches every
+    residue and the cell holds.  For L < o the residues are distinct, so
+    the least one missed is L connectively and ceil((L-1)/2) + 1 =
+    L // 2 + 1 periodically, the witness; it lies below o - floor((L-1)/2),
+    where the negative slots begin, as L < o.
     Without a product form the same statement is read off the monomial
     coordinate tables: p must divide the (n-m)-th coordinate of every
     monomial, checked for slots resolvable up to index max(20, n - m),
@@ -114,8 +127,8 @@ def check_unit_condition(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict
     C = spec.coalgebra
     if isinstance(C, ThetaCoalgebra):
         o, _ = C.order
-        hit = {C.extending_slot(i) % o for i in range(min(n - m, o))}
-        j = next((j for j in range(o) if j not in hit), None)
+        L = min(n - m, o)
+        j = None if L == o else L // 2 + 1 if C.periodic else L
         return ConditionVerdict(spec.name, "unit", j is None, True, m, n, witness=j, checked=o)
 
     slot, bound = _monomial_divisibility(spec, n - m)
@@ -149,14 +162,23 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
        theta_m theta_n - theta_{m+n} lies in I_n, and its valuation is
        at least the least one of the generators, each read as
        ThetaCoalgebra.gap_valuation of its slot gap (none when the
-       slots agree);
+       slots agree).  That least one is read at k < min(n, 2).  The slot
+       gap |s_(m+k) - s_k| is m connectively; periodically it is c for
+       every k when m = 2c, and (m+1)/2 + k when m is odd, so the gaps
+       are all zero at m = 0 and none is otherwise.  gap_valuation(g)
+       is 0 unless o | g and v + nu_p(g) when o | g, (o, v) =
+       ThetaCoalgebra.order.  Of two consecutive gaps g, g + 1 one is
+       not a multiple of o when o >= 2, and one is prime to p when
+       o = 1, so it reads 0, resp. v, the least value gap_valuation
+       takes.  So over a constant run of gaps, or a run of consecutive
+       ones, the least is reached at k = 0 or 1;
     3. otherwise the complete expansion of the difference
        (ThetaCoalgebra.product_row) decides; the witness is the first
        coordinate index (the target t) with valuation < l.
 
     min_valuation is the least valuation among what the route read:
-    the diagonal alone when it fails; the node differences and b**|u| - 1
-    on the short-cut, a lower bound for every coordinate; every
+    the diagonal alone when it fails; the least node difference and
+    b**|u| - 1 on the short-cut, a lower bound for every coordinate; every
     coordinate and b**|u| - 1 on the expansion, the exact minimum.
 
     Without a product form the tables are read, the diagonal first, for
@@ -181,7 +203,7 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
     if vals and vals[0] < l:
         return verdict(False, m + n)
     slot = C.extending_slot
-    gaps = (abs(slot(m + k) - slot(k)) for k in range(n))
+    gaps = (abs(slot(m + k) - slot(k)) for k in range(min(n, 2)))
     diffs = [gap(g) for g in gaps if g]
     if min(diffs, default=l) >= l:
         vals += diffs

@@ -186,12 +186,14 @@ def support_step(spec: SpectrumSpec, l: int) -> int:
     the order of b mod p**l, doubled when the spectrum is periodic.
 
     Theorem: if d | m, every value the short-cut reads has valuation >= l
-    at every n, so no expansion is needed.  Connectively s_i = i - 1, u = 0
-    and each node difference of shift m is a unit times b**m - 1.
-    Periodically m = 2c, s_(j+2c) - s_j = +-c, each difference is a unit
-    times b**c - 1 and u = -c(n + 2 floor(n/2)); ord_(p**l)(b) divides m,
-    resp. c.  The conditions admit more than the step: odd shifts pass on
-    G(3) and G(5) at l = 1 and on KO(2) at l <= 3, decided by the expansion.
+    at every n, so no expansion is needed.  The short-cut reads the slot
+    gaps |s_(m+k) - s_k|, s_i = ThetaCoalgebra.extending_slot(i), and a
+    node difference with slot gap g is a unit times b**g - 1 (see
+    checks.check_congruence_condition).  Connectively s_i = i, so every
+    gap is m, and u = 0.  Periodically m = 2c, every gap is c, and
+    u = -c(n + 2 floor(n/2)).  ord_(p**l)(b) divides m, resp. c.  The
+    conditions admit more than the step: odd shifts pass on G(3) and G(5)
+    at l = 1 and on KO(2) at l <= 3, decided by the expansion.
 
     k(2) and K(2), with no product form, keep the rows of base 9 (ko(2), KO(2)),
     too lax there: `ktops check k(2) --l 3` fails 27 of 120 admissible cells.

@@ -55,6 +55,16 @@ b and read them directly, as the library once did:
 * support_step_table: the hand table of admissible steps, keyed on the
   family letter.
 
+The unit condition finds the residue its slots miss in closed form, and
+the node short-cut reads two slot gaps.  The routes here read the slots
+the long way, as the library once did:
+
+* unit_condition_by_slot_residues: the set of residues mod ord_p(b) of
+  the first min(n - m, ord_p(b)) slots, and a scan of every residue for
+  the least one missed;
+* shortcut_by_all_gaps: the diagonal and the node short-cut with the
+  least gap valuation taken over all n slot gaps.
+
 The dual algebra (ktops.dual) multiplies, inverts and expands through
 the pairings with grouplike monomials.  The routes here contract the
 Gamma tables coefficient by coefficient instead:
@@ -454,6 +464,40 @@ def product_identity_holds(spec: SpectrumSpec, m: int, n: int) -> bool:
         for k, c in enumerate(term):
             rhs[k] += d * c
     return rhs == thetas[m + n]
+
+
+def unit_condition_by_slot_residues(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict:
+    """The unit condition on a product-form spectrum by slot residues: the
+    residues mod o = ord_p(b) of s_i = extending_slot(i), i < min(n - m, o),
+    and the least j < o among none of them, the witness."""
+    C = spec.coalgebra
+    o, _ = C.order
+    hit = {C.extending_slot(i) % o for i in range(min(n - m, o))}
+    j = next((j for j in range(o) if j not in hit), None)
+    return ConditionVerdict(spec.name, "unit", j is None, True, m, n, witness=j, checked=o)
+
+
+def shortcut_by_all_gaps(spec: SpectrumSpec, m: int, n: int, l: int) -> ConditionVerdict | None:
+    """The congruence on a product-form spectrum where the diagonal or the
+    node short-cut decides it, the short-cut reading gap_valuation of every
+    slot gap |s_(m+k) - s_k|, k < n; None where the two leave the cell to
+    the expansion."""
+    C = spec.coalgebra
+    gap, slot = C.gap_valuation, C.extending_slot
+    u = m * C.scale(m) + n * C.scale(n) - (m + n) * C.scale(m + n)
+    vals = [gap(u)] if u else []
+
+    def verdict(holds, witness=None):
+        return ConditionVerdict(spec.name, "congruence", holds, True, m, n, level=l,
+                                witness=witness, min_valuation=min(vals, default=None))
+
+    if vals and vals[0] < l:
+        return verdict(False, m + n)
+    diffs = [gap(g) for g in (abs(slot(m + k) - slot(k)) for k in range(n)) if g]
+    if min(diffs, default=l) < l:
+        return None
+    vals += diffs
+    return verdict(True)
 
 
 def support_step_table(spec: SpectrumSpec, l: int) -> int:

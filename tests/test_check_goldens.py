@@ -7,7 +7,9 @@ complete expansion and carry no cross-check record (`checked` is null),
 and the table route of k(2) and K(2) reads the diagonal as a
 congruence.  Every verdict, witness and least valuation that changed
 is listed with its table evidence in CHANGES.md; the exit codes did
-not change.
+not change.  The entries at the primes 7 and 10007 were captured before
+the unit condition and the node short-cut took their closed forms, and
+pin that those forms changed no output.
 """
 import hashlib
 import io
@@ -31,6 +33,11 @@ GOLDEN = {
     "k(5)": (1, "ffc38b5b4b99bafa9c8d9cc82063cac25fa600febe4e6d203ea8107bfa2575bc"),
     "G(5)": (1, "29986cf075e26686613f4280e885cc49cff9aad0e402850feb95688de4fc00c0"),
     "g(5)": (1, "0b4a108e4d05dcb26fa8381bce31c48744debd8b96a8daa1eb6f7400094470d0"),
+    "k(7)": (1, "31131f365181cb9a890b24e9fa55426d1c17f24a97cc8a1b9764b66c4bb8cdc5"),
+    "G(7)": (1, "db9de681c71dc11513ca9c92577b6454cac6f5072ce8306c821870d12b4073e5"),
+    "k(10007)": (1, "93e182c1633287661ae7239140c4c34553391fc1effec74968088b155a02e616"),
+    "K(10007)": (1, "37203cf0673bc40a9365d7f5b70700482425bb71885826c30cf78e33dc624587"),
+    "G(10007)": (1, "680e00cabc4695de874e0443c3f2de8db73274a37ad2dae627242daa093821c6"),
 }
 
 

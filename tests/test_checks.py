@@ -23,9 +23,11 @@ from oracles import (
     expansion_by_division,
     integer_nodes,
     product_identity_holds,
+    shortcut_by_all_gaps,
     table_congruence,
     theta_table,
     unit_condition_by_nodes,
+    unit_condition_by_slot_residues,
 )
 
 K3 = make_spectrum("k(3)")
@@ -225,6 +227,95 @@ def test_large_prime_verdicts_without_big_nodes():
     assert check_unit_condition(sp, 3, 3 + 10006).holds
     assert support_step(sp, 2) == 10006 * 10007
     assert check_congruence_condition(sp, 10006, 7, 1).holds
+
+
+# the closed forms against the slot oracles: stock theta forms at small
+# primes and at 10007, and user-built bases whose order o = ord_p(b) is 1,
+# 1 and 10
+CLOSED_FORM_SPECTRA = [make_spectrum(name) for name in theta_forms((3, 5, 7, 11, 13, 10007))] + [
+    SpectrumSpec(name, "K", b, ThetaCoalgebra(b, 1, prime=p, periodic=True))
+    for name, b, p in (("b=-3 at 2", -3, 2), ("b=-2 at 3", -2, 3), ("b=2 at 11", 2, 11))
+]
+
+
+def closed_form_shifts(sp, shifts):
+    # each slot-residue oracle call at p = 10007 scans 10006 residues
+    return range(3) if sp.prime == 10007 else shifts
+
+
+def test_unit_condition_closed_form_matches_slot_residues():
+    # every unit cell with n - m in {1, 2, o - 1, o, o + 1, 2o}
+    cells = 0
+    for sp in CLOSED_FORM_SPECTRA:
+        o, _ = sp.coalgebra.order
+        for m in closed_form_shifts(sp, range(6)):
+            for d in {1, 2, o - 1, o, o + 1, 2 * o} - {0}:
+                want = unit_condition_by_slot_residues(sp, m, m + d).as_dict()
+                assert check_unit_condition(sp, m, m + d).as_dict() == want, (sp.name, m, d)
+                cells += 1
+    assert cells == 588
+
+
+class Expanded(Exception):
+    pass
+
+
+def test_congruence_shortcut_reads_two_gaps_like_all_of_them(monkeypatch):
+    # where the diagonal or the short-cut over all n gaps decides a cell,
+    # the verdict is the same; where they do not, the cell expands
+    def refuse(*args):
+        raise Expanded
+
+    monkeypatch.setattr(ThetaCoalgebra, "product_row", refuse)
+    cells = expanded = 0
+    for sp in CLOSED_FORM_SPECTRA:
+        grid = [(m, n) for m in closed_form_shifts(sp, range(41)) for n in (0, 1, 2, 3, 200)]
+        grid += [(m, 5000) for m in (1, 2)]
+        for m, n in grid:
+            for l in (1, 2, 3, 4):
+                want = shortcut_by_all_gaps(sp, m, n, l)
+                try:
+                    got = check_congruence_condition(sp, m, n, l)
+                except Expanded:
+                    assert want is None, (sp.name, m, n, l)
+                    expanded += 1
+                else:
+                    assert want is not None and got.as_dict() == want.as_dict(), (sp.name, m, n, l)
+                cells += 1
+    assert (cells, expanded) == (20972, 6245)
+
+
+def counted(monkeypatch, *names):
+    # wrap ThetaCoalgebra methods with call counters
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(self, *args, _name=name, _method=getattr(ThetaCoalgebra, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(ThetaCoalgebra, name, wrapper)
+    return calls
+
+
+def test_verdict_cells_cost_no_more_at_large_n_or_order(monkeypatch):
+    # admissible cells take the short-cut, whose reads do not grow with n,
+    # and the unit condition reads no slot, whatever ord_p(b)
+    calls = counted(monkeypatch, "gap_valuation", "extending_slot")
+    for name in ("k(3)", "K(5)", "G(7)", "KO(2)"):
+        sp = make_spectrum(name)
+        for l in (1, 3):
+            m = support_step(sp, l)
+            for n in (10, 1000, 100_000):
+                calls.update(gap_valuation=0, extending_slot=0)
+                v = check_congruence_condition(sp, m, n, l)
+                assert v.holds and v.exact, (name, m, n, l)
+                assert calls["gap_valuation"] <= 3 and calls["extending_slot"] <= 4, (name, m, n, l, calls)
+    for name in ("k(10007)", "K(10007)"):
+        sp = make_spectrum(name)
+        calls.update(extending_slot=0)
+        for m, n in ((0, 5), (0, 10005), (1, 10007), (3, 3 + 10006)):
+            check_unit_condition(sp, m, n)
+        assert calls["extending_slot"] == 0, name
 
 
 CROSS_SPECTRA = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
