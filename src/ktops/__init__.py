@@ -1,17 +1,16 @@
 """Exact models of the operation algebras acting on p-local K-theories.
 
-The pieces fit together bottom-up: rationals and Laurent polynomials
-carry the arithmetic; coalgebra realizes a numerical basis with its
-structure constants; dual wraps the completed dual algebra with its
-products and unit group; spectra builds the eight stock examples;
-checks verifies the discreteness criteria cell by cell; modules walks
-the dictionary between action tables and coaction tables.
+The pieces fit together bottom-up: rationals carry the p-local facts
+and Laurent polynomials the display; coalgebra realizes a numerical
+basis with its structure constants; dual wraps the completed dual
+algebra with its products and unit group; spectra builds the eight
+stock examples; checks verifies the discreteness criteria cell by cell;
+modules walks the dictionary between action tables and coaction tables.
 """
 from .rationals import (
     as_fraction,
     nu,
     is_prime,
-    is_p_local_integer,
     is_p_local_unit,
     multiplicative_order,
     check_primitive_root,
@@ -32,7 +31,6 @@ from .dual import (
     PrecisionError,
     NotIntegralError,
     NotInvertibleError,
-    pair,
     expand,
     multiply,
     monomial_pairing,

@@ -319,8 +319,10 @@ def check_gamma_transfer(k2: SpectrumSpec, ko2: SpectrumSpec, m_max: int) -> Swe
         G[2i, 2j+1 -> 2m+1] = 3**(i+j-m) * g[i, j -> m]
 
     Also sweeps the bridge identity w * c_{2m} = 3**m c_{2m} -
-    2 * 3**m c_{2m+1} that the derivation rests on.  Exact equality on
-    every cell with i, j, m <= m_max.
+    2 * 3**m c_{2m+1} that the derivation rests on, times d_0 d_1 on the
+    integer monomial forms (d_0, c0) of c_{2m} and (d_1, c1) of c_{2m+1},
+    where multiplying by w moves every exponent rk up by 1.
+    Exact equality on every cell with i, j, m <= m_max.
     """
     if k2.family != "k" or k2.prime != 2 or k2.periodic:
         raise ValueError("first argument must be the connective 2-local complex theory")
@@ -331,11 +333,13 @@ def check_gamma_transfer(k2: SpectrumSpec, ko2: SpectrumSpec, m_max: int) -> Swe
     bad = []
     cells = 0
     ck, co = k2.coalgebra, ko2.coalgebra
+    r = ck.step
     for m in range(m_max + 1):
-        lhs = ck.basis_poly(2 * m).shift(1)
-        rhs = ck.basis_poly(2 * m) * (3**m) - ck.basis_poly(2 * m + 1) * (2 * 3**m)
+        (d0, c0), (d1, c1) = ck.monomial_form(2 * m), ck.monomial_form(2 * m + 1)
+        lhs = {r * k + 1: d1 * v for k, v in c0.items()}
+        rhs = {r * k: 3**m * (d1 * c0.get(k, 0) - 2 * d0 * c1.get(k, 0)) for k in c0.keys() | c1.keys()}
         cells += 1
-        if lhs != rhs:
+        if lhs != {e: v for e, v in rhs.items() if v}:
             bad.append({"identity": "bridge", "m": m})
         for i in range(m_max + 1):
             for j in range(m_max + 1):

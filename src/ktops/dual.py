@@ -21,14 +21,15 @@ and the N coefficients determine each other: pi_i reads coefficients
 pairing with c_t = (1/d_t) sum_k m_{t,k} w**(rk), whose slots all have
 resolving index <= t.  So a product multiplies pairings pointwise, an
 inverse takes their reciprocals, and an AdamsPoly's pairings are its
-values at beta**(r k_i).  The Gamma-table contractions these replace are
-kept in tests/oracles.py as the reference they are checked against.
+values at beta**(r k_i).  The Gamma-table contractions these replace,
+and the pairing with a LaurentPoly, are oracles in tests/oracles.py.
 
 A pairing is carried as an integer pair (x, d), d > 0, standing for
 x / d and not reduced: a product multiplies pairs componentwise, an
-inverse swaps them, and an operation polynomial is evaluated by integer
-Horner at beta**e = u / v (AdamsPoly.values).  The back transform
-reduces each pair once and builds one Fraction per coefficient.
+inverse swaps them, and an operation polynomial is evaluated only by
+integer Horner at beta**e = u / v (AdamsPoly.values), which reads its
+items and does no LaurentPoly arithmetic.  The back transform reduces
+each pair once and builds one Fraction per coefficient.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from .coalgebra import CoalgebraSpec, NotRegularError
+from .coalgebra import CoalgebraSpec
 from .laurent import LaurentPoly
 from .rationals import _int_valuation, as_fraction, multiplicative_order
 
@@ -79,7 +80,8 @@ class DualElement:
     @classmethod
     def unit_vector(cls, n: int, precision: int) -> "DualElement":
         if not 0 <= n < precision:
-            raise ValueError("unit vector index must sit below the precision")
+            raise ValueError(f"unit vector index {n} is negative" if n < 0 else
+                             "unit vector index must sit below the precision")
         return cls(tuple(1 if i == n else 0 for i in range(precision)))
 
     def __eq__(self, other):
@@ -110,11 +112,6 @@ class AdamsPoly:
             raise ValueError("the operation base must be nonzero")
         if not self.poly.is_zero and self.poly.low < 0:
             raise ValueError("an operation polynomial has no negative powers")
-
-    def __mul__(self, other: AdamsPoly) -> AdamsPoly:
-        if other.beta != self.beta:
-            raise ValueError("cannot mix operation bases")
-        return AdamsPoly(self.beta, self.poly * other.poly)
 
     def values(self, exponents: Iterable[int]) -> list[Pair]:
         """P(beta**e) for each e, as integer pairs (x, d) with d > 0.
@@ -147,13 +144,6 @@ class AdamsPoly:
             out.append((acc, den * vk))
         return out
 
-    def value_on(self, f: LaurentPoly) -> Fraction:
-        """Pair with a Laurent polynomial: sum over monomials of P(beta**e)."""
-        total = Fraction(0)
-        for e, v in f.items():
-            total += v * self.poly(self.beta**e)
-        return total
-
 
 @dataclass(frozen=True)
 class UnitVerdict:
@@ -171,22 +161,6 @@ def _require_prime(spec: CoalgebraSpec) -> int:
     if spec.prime is None:
         raise ValueError("this operation needs a p-local coalgebra")
     return spec.prime
-
-
-def pair(spec: CoalgebraSpec, a, f: LaurentPoly) -> Fraction:
-    """The pairing of a dual element against a polynomial in the coalgebra.
-
-    A truncated element pairs by linearity over f's monomials, top slot
-    first: that one alone decides the precision f needs.
-    """
-    if isinstance(a, AdamsPoly):
-        return a.value_on(f)
-    r = spec.step
-    for e in f.support:
-        if e % r:
-            raise NotRegularError(f"exponent {e} is not a multiple of the step {r}")
-    slots = sorted((e // r for e in f.support), key=spec.resolving_index, reverse=True)
-    return sum((f.coeff(r * k) * monomial_pairing(spec, a, k) for k in slots), Fraction(0))
 
 
 def _pairings(spec: CoalgebraSpec, a: DualElement, count: int, start: int = 0) -> list[Pair]:

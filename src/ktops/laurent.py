@@ -5,7 +5,8 @@ coefficients stripped.  Exponents may be negative; evaluation at 0 of a
 polynomial with negative exponents raises PoleError.  The monic node
 products prod (X - y_i) that the operation bases are written in are
 built on integer coefficient lists by times_linear, one linear factor
-at a time; no coefficient table is computed through a LaurentPoly.
+at a time.  The library only builds, reads and renders a LaurentPoly;
+its arithmetic and evaluation serve callers and the test oracles.
 """
 from __future__ import annotations
 
@@ -146,16 +147,6 @@ class LaurentPoly:
         for e, v in self._c.items():
             total += v * x**e
         return total
-
-    def substitute_power(self, m: int) -> "LaurentPoly":
-        """Replace the variable w by w**m."""
-        if m == 0:
-            raise ValueError("substituting w**0 collapses the variable")
-        return LaurentPoly({e * m: v for e, v in self._c.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by w**k."""
-        return LaurentPoly({e + k: v for e, v in self._c.items()})
 
     def __str__(self):
         return self.render()

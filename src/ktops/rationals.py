@@ -62,13 +62,6 @@ def nu(p: int, x) -> int:
     return _int_valuation(p, abs(x.numerator)) - _int_valuation(p, x.denominator)
 
 
-def is_p_local_integer(p: int, x) -> bool:
-    """True when x lies in Z localized at p, i.e. p does not divide the denominator."""
-    _check_prime(p)
-    x = as_fraction(x)
-    return x.denominator % p != 0
-
-
 def is_p_local_unit(p: int, x) -> bool:
     """True when x is invertible in the p-local integers: x != 0 and nu(p, x) == 0."""
     x = as_fraction(x)

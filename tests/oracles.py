@@ -72,6 +72,11 @@ Gamma tables coefficient by coefficient instead:
 * multiply_by_contraction: coefficient t of a b as sum G_t[i][j] a_i b_j;
 * invert_by_elimination: the inverse solved coefficient by coefficient,
   with the step-i pivot taken from the last column of G_i;
+* value_on: an operation polynomial paired with a LaurentPoly, P at
+  beta**e summed over its monomials w**e, by LaurentPoly evaluation;
+  the library evaluates P only by integer Horner (AdamsPoly.values);
+* pair: a dual element paired with a LaurentPoly, by value_on or, for a
+  truncated element, by linearity over its monomial pairings;
 * expand_by_value_on: coefficient n as P paired with basis element n;
 * is_unit_by_fractions: the exact unit test on the Fraction values
   P((beta**r)**j) over one period of j; the library reads their
@@ -103,6 +108,7 @@ from ktops.dual import (
     NotInvertibleError,
     PrecisionError,
     UnitVerdict,
+    monomial_pairing,
 )
 from ktops.laurent import LaurentPoly, times_linear
 from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
@@ -266,7 +272,7 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
                 num[e2] = r
             else:
                 num.pop(e2, None)
-    return LaurentPoly(quo).shift(sf - sg)
+    return LaurentPoly({e + sf - sg: v for e, v in quo.items()})
 
 
 def newton_coeffs(f: LaurentPoly, z, count: int) -> list[Fraction]:
@@ -561,11 +567,33 @@ def invert_by_elimination(spec: CoalgebraSpec, a: DualElement) -> DualElement:
     return DualElement(s)
 
 
+def value_on(a: AdamsPoly, f: LaurentPoly) -> Fraction:
+    """a paired with a Laurent polynomial: sum over monomials of P(beta**e)."""
+    return sum((v * a.poly(a.beta**e) for e, v in f.items()), Fraction(0))
+
+
+def pair(spec: CoalgebraSpec, a, f: LaurentPoly) -> Fraction:
+    """The pairing of a dual element against a polynomial in the coalgebra.
+
+    An operation polynomial pairs by value_on.  A truncated element
+    pairs by linearity over f's monomials, top slot first: that one
+    alone decides the precision f needs.
+    """
+    if isinstance(a, AdamsPoly):
+        return value_on(a, f)
+    r = spec.step
+    for e in f.support:
+        if e % r:
+            raise NotRegularError(f"exponent {e} is not a multiple of the step {r}")
+    slots = sorted((e // r for e in f.support), key=spec.resolving_index, reverse=True)
+    return sum((f.coeff(r * k) * monomial_pairing(spec, a, k) for k in slots), Fraction(0))
+
+
 def expand_by_value_on(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> DualElement:
     """Coefficient n is a paired with basis element n, one monomial at a time."""
     out = []
     for n in range(precision):
-        v = a.value_on(spec.basis_poly(n))
+        v = value_on(a, spec.basis_poly(n))
         if not spec.in_ground_ring(v):
             raise NotIntegralError(
                 f"coefficient {n} is {v}, not integral over the ground ring"

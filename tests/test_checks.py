@@ -13,7 +13,8 @@ from ktops.checks import (
     check_unit_condition,
     condition_report,
 )
-from ktops.coalgebra import ThetaCoalgebra
+from ktops.coalgebra import CoalgebraSpec, ThetaCoalgebra
+from ktops.laurent import LaurentPoly
 from ktops.rationals import nu
 from ktops.spectra import SpectrumSpec, admissible_shifts, make_spectrum, support_step
 import oracles
@@ -428,6 +429,26 @@ def test_gamma_transfer_sweep():
     sweep = check_gamma_transfer(K2, KO, 6)
     assert sweep.holds
     assert not sweep.mismatches
+
+
+def test_gamma_transfer_reports_a_bridge_mismatch():
+    # c_3 of k(2) with one coefficient moved: the bridge identity fails at
+    # m = 1 only, as the LaurentPoly form of the identity says
+    stock = K2.coalgebra
+
+    def doped(n):
+        d, mono = stock.basis(n)
+        return (d, {**mono, 0: mono[0] + d}) if n == 3 else (d, mono)
+
+    k2 = SpectrumSpec("k(2)", "k", 3, CoalgebraSpec(step=1, basis=doped, prime=2))
+    sweep = check_gamma_transfer(k2, KO, 2)
+    assert not sweep.holds
+    bridge = [b for b in sweep.mismatches if b["identity"] == "bridge"]
+    assert bridge == [{"identity": "bridge", "m": 1}]
+    C, w = k2.coalgebra, LaurentPoly.variable()
+    for m in range(3):
+        rhs = 3**m * C.basis_poly(2 * m) - 2 * 3**m * C.basis_poly(2 * m + 1)
+        assert (C.basis_poly(2 * m) * w != rhs) == (m == 1), m
 
 
 def test_gamma_transfer_validates_families():

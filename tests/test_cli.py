@@ -157,6 +157,14 @@ def test_check_needs_a_positive_sample(capsys):
         assert "sample size must be a positive integer" in capsys.readouterr().err
 
 
+def test_product_names_a_negative_index(capsys):
+    for i, j in (("-1", "0"), ("0", "-2")):
+        code, text = capture(["product", "k(3)", "--i", i, "--j", j, "--prec", "3"])
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "is negative" in err and "below the precision" not in err
+
+
 def test_closed_pipe_exits_quietly():
     # about 156 kB of tsv, more than the pipe and the stdout buffer hold,
     # so the process is still writing when the reader closes after a line

@@ -12,7 +12,7 @@ from ktops.coalgebra import (
     verify_regularity,
 )
 from ktops.laurent import LaurentPoly
-from ktops.rationals import is_p_local_integer
+from ktops.rationals import nu
 from ktops.spectra import make_spectrum
 from oracles import coproduct_by_solve
 
@@ -303,11 +303,11 @@ def test_theta_coords_by_evaluation_match_the_elimination(key):
 
 @pytest.mark.parametrize("prime", [None, 2, 3, 7])
 def test_in_ground_ring_reads_the_denominator(prime):
-    # the direct denominator test against is_p_local_integer, and against
-    # membership in Z without a prime, on ints and Fractions
+    # the direct denominator test against a non-negative valuation, and
+    # against membership in Z without a prime, on ints and Fractions
     C = monomial_coalgebra(step=1, prime=prime)
     values = [0, 1, -12, 2**70]
     values += [Fraction(a, b) for a in (-9, 0, 1, 5, 2**65) for b in (1, 2, 3, 4, 7, 9, 49)]
     for x in values:
-        want = Fraction(x).denominator == 1 if prime is None else is_p_local_integer(prime, x)
+        want = Fraction(x).denominator == 1 if prime is None else (x == 0 or nu(prime, x) >= 0)
         assert C.in_ground_ring(x) is want, (prime, x)

@@ -15,11 +15,11 @@ from ktops.dual import (
     is_unit,
     monomial_pairing,
     multiply,
-    pair,
 )
 from ktops.coalgebra import NotRegularError
 from ktops.laurent import LaurentPoly
 from ktops.spectra import dual_theta_basis, make_spectrum
+from oracles import pair
 
 K3 = make_spectrum("k(3)").coalgebra
 KO = make_spectrum("KO(2)").coalgebra

@@ -1,9 +1,14 @@
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ktops import cli
+from ktops.coalgebra import verify_regularity
+from ktops.dual import AdamsPoly, expand, is_unit
 from ktops.laurent import LaurentPoly, PoleError
+from ktops.spectra import dual_theta_basis, make_spectrum
 from oracles import (
     NotDivisibleError,
     alternating_powers,
@@ -75,12 +80,6 @@ def test_evaluation_is_ring_map(f, g, x):
     assert (f + g)(x) == f(x) + g(x)
 
 
-def test_substitute_power():
-    f = LaurentPoly({2: 1, 0: -1})
-    assert f.substitute_power(3) == LaurentPoly({6: 1, 0: -1})
-    assert f.shift(-2) == LaurentPoly({0: 1, -2: -1})
-
-
 def test_exact_divide_roundtrip():
     w = LaurentPoly.variable()
     f = (w - 1) * (w - 3) * (w + 2)
@@ -136,3 +135,35 @@ def test_theta_coords_oracle():
     assert sum((coords[i] * theta(i, z) for i in range(3)), LaurentPoly.zero()) == w ** 2
     with pytest.raises(ValueError):
         theta_coords(LaurentPoly.monomial(-1), z)
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__neg__", "__pow__", "__call__")
+
+
+def test_library_routes_do_no_laurent_arithmetic(monkeypatch):
+    # the library builds, reads and renders LaurentPolys but never computes
+    # with them: every CLI command, expansion, unit test and regularity
+    # sweep runs with the arithmetic switched off
+    sp = make_spectrum("k(3)")
+    unit = AdamsPoly(sp.q, 1 + 3 * LaurentPoly.variable())
+
+    def refuse(*args):
+        raise AssertionError("a library route did LaurentPoly arithmetic")
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    runs = [[cmd, s, "--n", "4"] for cmd in ("basis", "gamma") for s in ("k(3)", "KO(2)", "K(2)")]
+    runs += [["product", s, "--i", "1", "--j", "2", "--prec", "5"] for s in ("k(3)", "k(2)")]
+    runs += [["invert", s, "--coeffs", "1,3", "--prec", "6"] for s in ("K(3)", "K(2)")]
+    runs += [["check", s, "--l", "2"] for s in ("k(3)", "G(5)", "K(2)")]
+    runs += [["val2", "--max", "16"], ["gamma-transfer", "--max", "6"]]
+    for argv in runs:
+        for fmt in ("json", "tsv", "pretty"):
+            assert cli.run(argv + ["--format", fmt], out=io.StringIO()) in (0, 1), argv
+    for name in ("k(3)", "KO(2)", "G(5)"):
+        s = make_spectrum(name)
+        assert expand(s.coalgebra, dual_theta_basis(s, 6), 10).coeffs[6] == 1
+    assert is_unit(sp.coalgebra, unit).unit
+    for name in ("k(3)", "K(2)"):
+        assert verify_regularity(make_spectrum(name).coalgebra, 12).ok

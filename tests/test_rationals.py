@@ -7,7 +7,6 @@ from ktops.rationals import (
     _int_valuation,
     as_fraction,
     check_primitive_root,
-    is_p_local_integer,
     is_p_local_unit,
     is_prime,
     least_primitive_root,
@@ -66,8 +65,6 @@ def test_valuation_ultrametric(p, x, y):
 
 
 def test_p_local_predicates():
-    assert is_p_local_integer(3, Fraction(5, 7))
-    assert not is_p_local_integer(3, Fraction(1, 3))
     assert is_p_local_unit(3, Fraction(2, 5))
     assert not is_p_local_unit(3, 6)
     assert not is_p_local_unit(3, Fraction(1, 3))
