@@ -6,12 +6,16 @@ basis with its structure constants; dual wraps the completed dual
 algebra with its products and unit group; spectra builds the eight
 stock examples; checks verifies the discreteness criteria cell by cell;
 modules walks the dictionary between action tables and coaction tables.
+
+The result records (verdicts, reports, SpectrumSpec) are immutable
+NamedTuples compared by value.  AdamsPoly and FGModule, which normalise
+or validate their input, are plain immutable classes compared by value;
+a CoalgebraSpec holds its memoized tables and compares by identity.
 """
 from .rationals import (
     as_fraction,
     nu,
     is_prime,
-    is_p_local_unit,
     multiplicative_order,
     check_primitive_root,
     least_primitive_root,

@@ -32,20 +32,23 @@ integer nodes, and this module takes the valuations of its
 coordinates.  The 2-local complex theories have no product form, so
 both conditions are read off the coalgebra coefficient tables up to a
 stated bound.
+
+ConditionVerdict, SweepReport and ConditionReport are immutable
+NamedTuples compared by value; condition_report relabels a verdict with
+_replace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from .coalgebra import ThetaCoalgebra
 from .rationals import _int_valuation, nu
 from .spectra import SpectrumSpec, admissible_shifts
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     """Outcome of checking one condition for one cell (m, n, l)."""
 
     spectrum: str
@@ -276,8 +279,7 @@ def check_coalgebra_conditions(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
     return _gamma_congruence(spec, "coalgebra", m, n, l)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of an exhaustive small sweep with a list of bad cells."""
 
     name: str
@@ -361,8 +363,7 @@ def check_gamma_transfer(k2: SpectrumSpec, ko2: SpectrumSpec, m_max: int) -> Swe
     return SweepReport("gamma-transfer", not bad, cells, tuple(bad))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Pass/fail matrix for sampled cells of both conditions."""
 
     spectrum: str
@@ -435,12 +436,12 @@ def condition_report(
         shifts = list(islice(admissible_shifts(spec, l), sample_size))
         for a, b in combinations(shifts, 2):
             v = check_unit_condition(spec, a, b)
-            rows.append(replace(v, level=l))
+            rows.append(v._replace(level=l))
         for m in shifts:
             for n in range(_REPORT_N_RANGE):
                 rows.append(check_congruence_condition(spec, m, n, l))
         if include_controls and shifts[0] > 1:
             for n in (1, 2):
                 v = check_congruence_condition(spec, 1, n, l)
-                rows.append(replace(v, control=True))
+                rows.append(v._replace(control=True))
     return ConditionReport(spec.name, l_max, tuple(rows))

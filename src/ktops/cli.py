@@ -13,6 +13,8 @@ Every number is printed as an exact rational, never a decimal.  Exit
 codes: 0 all checks pass, 1 a check failed or stdout was closed early,
 2 usage or input error.
 The default --format may be set via the KTOPS_FORMAT variable.
+Each subcommand returns one Report, a NamedTuple, rendered in one of
+three formats.
 """
 from __future__ import annotations
 
@@ -21,9 +23,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import checks, dual, spectra
 
@@ -35,8 +36,7 @@ _INPUT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """One subcommand's exit code and JSON record, with its renderers.
 
     The record holds exact values; Fractions and polynomials are written

@@ -30,13 +30,15 @@ inverse swaps them, and an operation polynomial is evaluated only by
 integer Horner at beta**e = u / v (AdamsPoly.values), which reads its
 items and does no LaurentPoly arithmetic.  The back transform reduces
 each pair once and builds one Fraction per coefficient.
+
+AdamsPoly is immutable and compared by (beta, poly); UnitVerdict is an
+immutable NamedTuple compared by value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .coalgebra import CoalgebraSpec
 from .laurent import LaurentPoly
@@ -94,24 +96,39 @@ class DualElement:
         return f"DualElement({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
 class AdamsPoly:
     """A polynomial in the degree-raising operation of base beta.
 
     poly is an ordinary polynomial in a formal variable X standing for
     the operation f(w) -> f(beta); its j-th power pairs with f as
     f(beta**j), so the whole element pairs as sum_j p_j f(beta**j).
+    Immutable, and compared and hashed by (beta, poly).
     """
 
-    beta: Fraction
-    poly: LaurentPoly
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        if self.beta == 0:
+    def __init__(self, beta: Fraction, poly: LaurentPoly):
+        beta = as_fraction(beta)
+        if beta == 0:
             raise ValueError("the operation base must be nonzero")
-        if not self.poly.is_zero and self.poly.low < 0:
+        if not poly.is_zero and poly.low < 0:
             raise ValueError("an operation polynomial has no negative powers")
+        self.__dict__.update(beta=beta, poly=poly)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to AdamsPoly.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete AdamsPoly.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.beta, self.poly) == (other.beta, other.poly)
+
+    def __hash__(self):
+        return hash((self.beta, self.poly))
+
+    def __repr__(self):
+        return f"AdamsPoly(beta={self.beta!r}, poly={self.poly!r})"
 
     def values(self, exponents: Iterable[int]) -> list[Pair]:
         """P(beta**e) for each e, as integer pairs (x, d) with d > 0.
@@ -145,8 +162,7 @@ class AdamsPoly:
         return out
 
 
-@dataclass(frozen=True)
-class UnitVerdict:
+class UnitVerdict(NamedTuple):
     unit: bool
     exact: bool
     witness: int | None = None

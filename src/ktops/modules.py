@@ -19,15 +19,18 @@ which validate_module checks instead; _newton_steps holds the proof.
 Columns index source generators and rows index targets, so column g of
 M_i is the image of generator g.  Free generators come first, then the
 torsion generators in the order of torsion_orders.
+
+FGModule is immutable and compared by its four defining fields;
+ModuleVerdict, CoactionTable and AnnihilatorSearch are immutable
+NamedTuples compared by value.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coalgebra import CoalgebraSpec, ThetaCoalgebra
 from .rationals import _int_valuation, as_fraction, is_prime
@@ -48,34 +51,52 @@ def _zero(d: int) -> Matrix:
     return tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
 
 
-@dataclass(frozen=True)
 class FGModule:
     """An action table on a finitely generated p-local module.
 
     row_exponents[r] is e with torsion order p**e on a torsion row r,
-    None on a free row.
+    None on a free row.  Immutable, and compared and hashed by prime,
+    free_rank, torsion_orders and matrices; row_exponents is derived
+    from them.
     """
 
-    prime: int
-    free_rank: int
-    torsion_orders: tuple[int, ...]
-    matrices: tuple[Matrix, ...]
-    row_exponents: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "torsion_orders", tuple(int(t) for t in self.torsion_orders))
-        object.__setattr__(self, "matrices", tuple(_freeze(m) for m in self.matrices))
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime!r} is not a prime")
-        if self.free_rank < 0:
+    def __init__(self, prime: int, free_rank: int, torsion_orders: tuple[int, ...],
+                 matrices: tuple[Matrix, ...]):
+        torsion_orders = tuple(int(t) for t in torsion_orders)
+        matrices = tuple(_freeze(m) for m in matrices)
+        if not is_prime(prime):
+            raise ValueError(f"{prime!r} is not a prime")
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        for t in self.torsion_orders:
-            if t < 2 or self.prime ** _int_valuation(self.prime, t) != t:
-                raise ValueError(f"torsion order {t} is not a positive power of {self.prime}")
-        exps = tuple(_int_valuation(self.prime, t) for t in self.torsion_orders)
-        object.__setattr__(self, "row_exponents", (None,) * self.free_rank + exps)
-        if not self.matrices:
+        for t in torsion_orders:
+            if t < 2 or prime ** _int_valuation(prime, t) != t:
+                raise ValueError(f"torsion order {t} is not a positive power of {prime}")
+        if not matrices:
             raise ValueError("an action table needs at least the identity matrix")
+        exps = tuple(_int_valuation(prime, t) for t in torsion_orders)
+        self.__dict__.update(prime=prime, free_rank=free_rank, torsion_orders=torsion_orders,
+                             matrices=matrices, row_exponents=(None,) * free_rank + exps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to FGModule.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete FGModule.{name}")
+
+    def _key(self) -> tuple:
+        return self.prime, self.free_rank, self.torsion_orders, self.matrices
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"FGModule(prime={self.prime!r}, free_rank={self.free_rank!r}, "
+                f"torsion_orders={self.torsion_orders!r}, matrices={self.matrices!r})")
 
     @property
     def dimension(self) -> int:
@@ -114,8 +135,7 @@ def _malformed(mod: FGModule) -> tuple[str, dict] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ModuleVerdict:
+class ModuleVerdict(NamedTuple):
     ok: bool
     reason: str = ""
     cell: dict | None = None
@@ -294,8 +314,7 @@ def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoactionTable:
+class CoactionTable(NamedTuple):
     """The coaction rho(x_g) = sum_n (M_n x_g) (x) c_n of a valid table.
 
     Column g of M_n is the coefficient of c_n in rho(x_g), so the table
@@ -322,8 +341,7 @@ def to_comodule(mod: FGModule, spec: CoalgebraSpec) -> CoactionTable:
     return CoactionTable(mod)
 
 
-@dataclass(frozen=True)
-class AnnihilatorSearch:
+class AnnihilatorSearch(NamedTuple):
     witness: int
 
 

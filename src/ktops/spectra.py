@@ -16,14 +16,14 @@ fact of the node sequence (nodes, order, gap_valuation, product_row);
 the interleaved bases of k(2) and K(2) read the base-9 theta basis of the
 real theory and run the monomial-sum kernel of CoalgebraSpec.
 SpectrumSpec only names a coalgebra: its prime, step, periodicity and
-node base are the coalgebra's.
+node base are the coalgebra's.  It is an immutable NamedTuple compared
+by value, the coalgebra by that coalgebra's own equality.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .coalgebra import Basis, CoalgebraSpec, ThetaCoalgebra
 from .dual import AdamsPoly
@@ -36,8 +36,7 @@ _NAME = re.compile(r"^(KO|ko|K|k|G|g)(?:\((\d+)\))?$")
 _REAL_NODES = ThetaCoalgebra(9, 2, prime=2)
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
+class SpectrumSpec(NamedTuple):
     """One of the stock algebras: a name and Adams parameter q bundled
     with its coalgebra, which holds everything else.
 

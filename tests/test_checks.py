@@ -1,5 +1,4 @@
 import functools
-from dataclasses import replace
 from fractions import Fraction
 from itertools import takewhile
 
@@ -477,7 +476,7 @@ def test_coalgebra_conditions_read_the_entry_point_table_verdict():
     for sp in (K2, BIG_K2):
         for l in (1, 2, 3):
             v = check_coalgebra_conditions(sp, 12, 12, l)
-            assert v == replace(check_congruence_condition(sp, 12, 12, l), condition="coalgebra")
+            assert v == check_congruence_condition(sp, 12, 12, l)._replace(condition="coalgebra")
             assert v.checked == 24
 
 

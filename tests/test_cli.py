@@ -178,3 +178,15 @@ def test_closed_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site .pth files from preloading modules, so what is listed
+    # is what importing the CLI itself costs every fresh process
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = ("import ktops.cli, sys; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -1,4 +1,3 @@
-from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import islice
 
@@ -236,9 +235,9 @@ def test_spectrum_keeps_one_copy_of_the_coalgebra_facts():
         assert (sp.prime, sp.step, sp.periodic) == (C.prime, C.step, C.periodic), name
         assert sp.has_theta_form == isinstance(C, ThetaCoalgebra), name
         assert sp.base == (C.base if sp.has_theta_form else None), name
-    assert [f.name for f in fields(SpectrumSpec)] == ["name", "family", "q", "coalgebra"]
-    with pytest.raises(TypeError):
-        replace(make_spectrum("K(3)"), base=4)
+    assert SpectrumSpec._fields == ("name", "family", "q", "coalgebra")
+    with pytest.raises(ValueError, match="base"):
+        make_spectrum("K(3)")._replace(base=4)
 
 
 def test_spectrum_equality_reads_the_coalgebra():
