@@ -447,14 +447,17 @@ class ThetaCoalgebra(CoalgebraSpec):
     def order(self) -> tuple[int, int]:
         """(o, v) = (ord_p(b), nu_p(b**o - 1)), the one fact about the node
         base that the verdicts read; b must be a p-adic unit, and 1 mod 4
-        at p = 2, where gap_valuation's closed form needs it."""
+        at p = 2, where gap_valuation's closed form needs it.  v is the
+        largest v with b**o = 1 mod p**v, read by pow without b**o itself."""
         p, b = self.prime, self.base
         if p is None or b % p == 0:
             raise ValueError(f"node base {b} is not a unit at the prime {p}")
         if p == 2 and b % 4 != 1:
             raise ValueError(f"node base {b} is not 1 mod 4 at the prime 2")
-        o = multiplicative_order(b, p)
-        return o, _int_valuation(p, b**o - 1)
+        o, v = multiplicative_order(b, p), 1
+        while pow(b, o, p ** (v + 1)) == 1:
+            v += 1
+        return o, v
 
     def gap_valuation(self, k: int) -> int:
         """nu_p(b**|k| - 1), k != 0: the valuation of a node difference k slots

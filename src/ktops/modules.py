@@ -14,7 +14,9 @@ units and by the lcm L of its denominators, torsion rows mod p**(e + nu_p(L)).
 On a theta-form coalgebra whose node base is a unit at its prime the k**2
 relations of a level-k table follow from k Newton steps
 M_(n+1) = (sigma_(n+1)/sigma_n) M_n (A - y_n), A = y_0 + M_1/sigma_1, M_k = 0,
-which validate_module checks instead; _newton_steps holds the proof.
+which validate_module checks instead.  When step n is the first to fail,
+relation (1, n) is the first failing relation, at the step's first failing
+entry, so that one relation names the cell; _newton_steps holds both proofs.
 
 Columns index source generators and rows index targets, so column g of
 M_i is the image of generator g.  Free generators come first, then the
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -164,11 +167,12 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     reports its sides unscaled, as lhs/D**2 and rhs/(L D).
 
     The k**2 relations (k the level) are the definition, and
-    _relation_scan checks them on every coalgebra but one kind: on a
+    _relation_scan checks them all on every coalgebra but one kind: on a
     ThetaCoalgebra with a prime that does not divide its base, k Newton
-    steps decide the same verdict (_newton_steps, which holds the proof).
-    Only when a step fails is the relation scan run, to name the first
-    failing relation and its cell.
+    steps decide the same verdict.  When step n is the first to fail,
+    the first failing relation is (1, n), at the step's first failing
+    entry, and _relation_scan reads that one relation for the cell
+    (_newton_steps holds both proofs).
     """
     p = mod.prime
     if spec.prime not in (None, p):
@@ -200,10 +204,10 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
                     continue
                 return ModuleVerdict(False, f"matrix {i} {why}", {"i": i, "row": r, "col": c})
 
-    if (isinstance(spec, ThetaCoalgebra) and spec.prime is not None and spec.base % p
-            and _newton_steps(spec, mod, den, a)):
-        return ModuleVerdict(True)
-    return _relation_scan(spec, mod, den, a)
+    if isinstance(spec, ThetaCoalgebra) and spec.prime is not None and spec.base % p:
+        n = _newton_steps(spec, mod, den, a)
+        return ModuleVerdict(True) if n is None else _relation_scan(spec, mod, den, a, [(1, n)])
+    return _relation_scan(spec, mod, den, a, product(range(k), repeat=2))
 
 
 def _integer_table(mod: FGModule) -> tuple[int, list[list[list[int]]]]:
@@ -236,32 +240,33 @@ def _combination(a: list, ws: list[int], r: int, d: int) -> list[int]:
     return out
 
 
-def _relation_scan(spec: CoalgebraSpec, mod: FGModule, den: int, a: list) -> ModuleVerdict:
-    """Every relation M_i M_j = sum_n G[i,j -> n] M_n, i, j below the level,
-    on the integer table (D, A) of _integer_table; the first failure with
-    its cell and both sides unscaled."""
+def _relation_scan(spec: CoalgebraSpec, mod: FGModule, den: int, a: list, pairs: Iterable) -> ModuleVerdict:
+    """The relations M_i M_j = sum_n G[i,j -> n] M_n for the index pairs
+    (i, j) below the level in pairs, in order, on the integer table (D, A)
+    of _integer_table; the first failure with its cell and both sides
+    unscaled."""
     p, d, k, exps = mod.prime, mod.dimension, mod.level, mod.row_exponents
     gammas = [spec.coproduct_matrix(n) for n in range(k)]
     cols = [list(zip(*m)) for m in a]
-    for i in range(k):
-        for j in range(k):
-            big, gs, qs = _scaled(p, exps, [g[i][j] if n >= max(i, j) else Fraction(0)
-                                            for n, g in enumerate(gammas)])
-            for r in range(d):
-                prod = [sum(map(mul, a[i][r], col)) for col in cols[j]]
-                comb = _combination(a, gs, r, d)
-                c = _miss([big * x for x in prod], [den * y for y in comb], qs[r])
-                if c is not None:
-                    return ModuleVerdict(False, f"relation ({i},{j}) fails at entry ({r},{c})", {
-                        "i": i, "j": j, "row": r, "col": c,
-                        "lhs": str(Fraction(prod[c], den * den)),
-                        "rhs": str(Fraction(comb[c], big * den))})
+    for i, j in pairs:
+        big, gs, qs = _scaled(p, exps, [g[i][j] if n >= max(i, j) else Fraction(0)
+                                        for n, g in enumerate(gammas)])
+        for r in range(d):
+            prod = [sum(map(mul, a[i][r], col)) for col in cols[j]]
+            comb = _combination(a, gs, r, d)
+            c = _miss([big * x for x in prod], [den * y for y in comb], qs[r])
+            if c is not None:
+                return ModuleVerdict(False, f"relation ({i},{j}) fails at entry ({r},{c})", {
+                    "i": i, "j": j, "row": r, "col": c,
+                    "lhs": str(Fraction(prod[c], den * den)),
+                    "rhs": str(Fraction(comb[c], big * den))})
     return ModuleVerdict(True)
 
 
-def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> bool:
-    """Whether a table that passed the counit and torsion-column scans
-    satisfies every relation of a theta-form coalgebra, by k Newton steps.
+def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> int | None:
+    """The first of k Newton steps that a table which passed the counit and
+    torsion-column scans fails, or None when every step holds, that is
+    when the table satisfies every relation of a theta-form coalgebra.
 
     C has a prime p that does not divide its base b.  With A = y_0 + M_1 /
     sigma_1 (y_0 = sigma_1 = 1), the steps are
@@ -284,6 +289,20 @@ def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> bool:
       from k on.  The product identity a_i a_j = sum_n G[i,j -> n] a_n holds
       in Q[T], with every coefficient p-local (b is a p-adic unit), so it
       holds at A in End(M): every relation (i, j) holds.
+
+    When step n is the first to fail, relation (1, n) is the first failing
+    relation of the scan in the order i, then j, at the step's first failing
+    entry (r, c), row by row:
+
+    * the relations (0, j) hold, since a_0 is the unit (eps(c_n) =
+      delta_n0) and the counit law gave M_0 = 1;
+    * step 0, M_1 = M_0 (A - y_0), always holds, so n >= 1;
+    * steps 0 .. n-1 make M_t = sigma_t theta_t(A) for t <= n.  So the
+      relations (1, j) with j < n hold, their targets being at most n by
+      the band, and M_1 M_n = M_n M_1;
+    * relation (1, n) is then step n times the p-adic unit
+      sigma_n / sigma_(n+1), entry by entry modulo each row's order, so
+      its failing entries are those of step n.
 
     On integers (ThetaCoalgebra), with A_n = D M_n and the nodes y'_l =
     b**E y_l of C.nodes(k, .), E = C.scale(k), step n reads D b**E A_(n+1)
@@ -310,8 +329,8 @@ def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> bool:
                         acc[c] += v * w
             lhs = [den * unit * x for x in mats[n + 1][r]]
             if _miss(lhs, [g * x for x in acc], qs[r]) is not None:
-                return False
-    return True
+                return n
+    return None
 
 
 class CoactionTable(NamedTuple):

@@ -69,16 +69,23 @@ def is_p_local_unit(p: int, x) -> bool:
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
-    """Least t >= 1 with a**t == 1 mod modulus; a must be coprime to modulus."""
+    """Least t >= 1 with a**t == 1 mod modulus; a must be coprime to modulus.
+
+    The order divides phi(modulus), so it is phi(modulus) stripped of each
+    prime divisor r while a**(t/r) is still 1: two trial divisions and a
+    few pow calls, so a prime modulus near 2**31 answers at once.
+    """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     a %= modulus
     if gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible mod {modulus}")
-    t, x = 1, a
-    while x != 1:
-        x = x * a % modulus
-        t += 1
+    t = modulus
+    for r in _prime_divisors(modulus):
+        t = t // r * (r - 1)
+    for r in _prime_divisors(t):
+        while t % r == 0 and pow(a, t // r, modulus) == 1:
+            t //= r
     return t
 
 

@@ -32,7 +32,8 @@ from .rationals import check_primitive_root, is_prime, least_primitive_root
 
 _NAME = re.compile(r"^(KO|ko|K|k|G|g)(?:\((\d+)\))?$")
 
-# the node base 9 of ko(2) and KO(2), whose steps k(2) and K(2) keep
+# the node base 9 = q**2 of ko(2) and KO(2), q pinned to 3: k(2) and K(2)
+# build their basis on it and keep its admissible steps
 _REAL_NODES = ThetaCoalgebra(9, 2, prime=2)
 
 
@@ -132,7 +133,7 @@ def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
 
     canonical = f"{family}({p})"
     if family in ("K", "k") and p == 2:
-        basis = _interleaved_basis(ThetaCoalgebra(q * q, 2), q, periodic)
+        basis = _interleaved_basis(_REAL_NODES, q, periodic)
         coalg = CoalgebraSpec(step=1, basis=basis, prime=p, periodic=periodic, name=canonical)
     else:
         if family in ("K", "k"):
@@ -196,11 +197,16 @@ def support_step(spec: SpectrumSpec, l: int) -> int:
 
     k(2) and K(2), with no product form, keep the rows of base 9 (ko(2), KO(2)),
     too lax there: `ktops check k(2) --l 3` fails 27 of 120 admissible cells.
+    Any other coalgebra without a product form has no step: ValueError.
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")
-    C = spec.coalgebra
-    o, v = (C if isinstance(C, ThetaCoalgebra) else _REAL_NODES).order
+    C = nodes = spec.coalgebra
+    if not isinstance(C, ThetaCoalgebra):
+        if spec.family not in ("k", "K") or C.prime != 2:
+            raise ValueError(f"{spec.name} has no product-form basis, so no admissible step")
+        nodes = _REAL_NODES
+    o, v = nodes.order
     d = o * C.prime ** max(0, l - v)
     return 2 * d if C.periodic else d
 

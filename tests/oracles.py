@@ -84,6 +84,12 @@ Gamma tables coefficient by coefficient instead:
 * monomial_pairing_by_coords: the pairing with w**(rk) summed over the
   Fraction coordinates from basis_coords.
 
+The multiplicative order (ktops.rationals.multiplicative_order) strips the
+prime divisors of phi(modulus).  The route here steps through the powers:
+
+* order_by_powers: a, a**2, ... mod the modulus until 1; the unit
+  oracles above read their period from it.
+
 Module tables (ktops.modules) are validated on integer matrices over one
 p-unit denominator.  The route here checks the same axioms, in the same
 order, one Fraction operation at a time:
@@ -113,7 +119,7 @@ from ktops.dual import (
 from ktops.laurent import LaurentPoly, times_linear
 from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
 from ktops.checks import ConditionVerdict
-from ktops.rationals import _int_valuation, is_p_local_unit, multiplicative_order, nu
+from ktops.rationals import _int_valuation, is_p_local_unit, nu
 from ktops.spectra import SpectrumSpec
 
 
@@ -364,13 +370,23 @@ def table_congruence(spec: SpectrumSpec, m: int, n: int, l: int) -> tuple[bool, 
     return witness is None, witness, worst
 
 
+def order_by_powers(a: int, modulus: int) -> int:
+    """Least t >= 1 with a**t == 1 mod modulus, by stepping through the
+    powers of a; a must be coprime to modulus."""
+    t, x = 1, a % modulus
+    while x != 1:
+        x = x * a % modulus
+        t += 1
+    return t
+
+
 def unit_condition_by_nodes(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict:
     """The unit condition on a product-form spectrum, on the integer nodes:
     the cell fails at the first j < ord_p(b) for which p divides none of
     b**(j+E) - y_i, i <= n - m."""
     e, ys = integer_nodes(spec, n - m)
     b, p = spec.base, spec.prime
-    period = multiplicative_order(b % p, p)
+    period = order_by_powers(b % p, p)
     for j in range(period):
         x = b ** (j + e)
         if all((x - y) % p for y in ys):
@@ -615,7 +631,7 @@ def is_unit_by_fractions(spec: CoalgebraSpec, a: AdamsPoly) -> UnitVerdict:
         if not spec.in_ground_ring(v):
             raise NotIntegralError(f"coefficient {v} is not integral, unit test undefined")
     base = int(beta) ** spec.step
-    t = multiplicative_order(base, p)
+    t = order_by_powers(base, p)
     for j in range(t):
         v = a.poly(Fraction(base) ** j)
         if not is_p_local_unit(p, v):

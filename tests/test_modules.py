@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -352,8 +353,9 @@ THETA_SWEEP = ("k(3)", "K(3)", "g(5)", "G(5)", "KO(2)")
 @pytest.mark.parametrize("name", THETA_SWEEP)
 def test_newton_steps_agree_with_relation_scan_on_corruptions(name):
     # on every table that passes the scans before the relations, the steps
-    # hold exactly when every relation does; the oracle sweep above pins
-    # the verdicts of these same tables
+    # hold exactly when every relation does, and when step n is the first
+    # to fail, relation (1, n) alone gives the full scan's verdict and cell;
+    # the oracle sweep above pins the verdicts of these same tables
     C = make_spectrum(name).coalgebra
     p = C.prime
     held = failed = 0
@@ -363,10 +365,13 @@ def test_newton_steps_agree_with_relation_scan_on_corruptions(name):
             if not (v.ok or v.reason.startswith("relation")):
                 continue
             den, a = modules._integer_table(t)
-            steps = modules._newton_steps(C, t, den, a)
-            assert steps == modules._relation_scan(C, t, den, a).ok == v.ok, module_to_json(t)
-            held += steps
-            failed += not steps
+            n = modules._newton_steps(C, t, den, a)
+            full = modules._relation_scan(C, t, den, a, product(range(t.level), repeat=2))
+            assert (n is None) == full.ok == v.ok, module_to_json(t)
+            if n is not None:
+                assert modules._relation_scan(C, t, den, a, [(1, n)]) == full == v, module_to_json(t)
+            held += n is None
+            failed += n is not None
     assert held > 20 and failed > 150, (held, failed)
 
 
@@ -383,6 +388,33 @@ def test_theta_tables_validate_without_the_relation_scan(name, monkeypatch):
     tables += [character_module(C, s) for s in C.monomial_slots(12)[::3]]
     for t in tables:
         assert validate_module(t, C), (name, t.level)
+
+
+@pytest.mark.parametrize("name", THETA_SWEEP + ("ko(2)",))
+def test_failed_theta_tables_read_one_relation(name, monkeypatch):
+    # on a unit node base a failed Newton step n sends only the pair (1, n)
+    # to the relation scan, never the full scan
+    calls = []
+    scan = modules._relation_scan
+
+    def spy(*args):
+        pairs = list(args[4])
+        calls.append(pairs)
+        return scan(*args[:4], pairs)
+
+    monkeypatch.setattr(modules, "_relation_scan", spy)
+    C = make_spectrum(name).coalgebra
+    p = C.prime
+    failed = 0
+    for t in _corruptions(comodule_on_basis(C, 3), (1, p, -2)):
+        calls.clear()
+        v = validate_module(t, C)
+        if v.reason.startswith("relation"):
+            assert calls == [[(v.cell["i"], v.cell["j"])]] and v.cell["i"] == 1, (v, calls)
+            failed += 1
+        else:
+            assert calls == [], (v, calls)
+    assert failed > 20, failed
 
 
 @pytest.mark.parametrize("spec", [

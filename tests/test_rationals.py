@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from ktops.rationals import (
     multiplicative_order,
     nu,
 )
+from oracles import order_by_powers
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 RATS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -85,6 +88,26 @@ def test_multiplicative_order():
     assert multiplicative_order(8, 9) == 2
     with pytest.raises(ValueError):
         multiplicative_order(3, 9)
+
+
+def test_multiplicative_order_equals_the_power_oracle():
+    # prime, prime-power and composite moduli, each with residues of every
+    # sign; the oracle steps through the powers
+    rng = random.Random(7)
+    moduli = [2, 4, 8, 9, 27, 49, 97, 125, 360, 1001, 1024, 3**7, 7919, 9973 * 2]
+    moduli += [rng.randrange(2, 20000) for _ in range(60)]
+    for n in moduli:
+        for a in [1, -1, n - 1, *(rng.randrange(-3 * n, 3 * n) for _ in range(20))]:
+            if gcd(a, n) == 1:
+                assert multiplicative_order(a, n) == order_by_powers(a, n), (a, n)
+
+
+def test_multiplicative_order_at_primes_near_2_to_the_31():
+    # 7 generates the units mod 2**31 - 1; the powers would take 2**31 steps
+    p = 2**31 - 1
+    assert multiplicative_order(7, p) == p - 1
+    assert multiplicative_order(7**6, p) == (p - 1) // 6
+    assert multiplicative_order(-1, 100000007) == 2
 
 
 def test_primitive_root_check():

@@ -3,7 +3,8 @@ from itertools import islice
 
 import pytest
 
-from ktops.coalgebra import ThetaCoalgebra
+from ktops.checks import condition_report
+from ktops.coalgebra import ThetaCoalgebra, binomial_coalgebra, monomial_coalgebra
 from ktops.dual import AdamsPoly, expand
 from ktops.laurent import LaurentPoly
 from ktops.rationals import _int_valuation
@@ -16,7 +17,7 @@ from ktops.spectra import (
     spectrum_names,
     support_step,
 )
-from oracles import integer_nodes, product_nodes as fraction_nodes, support_step_table, theta
+from oracles import integer_nodes, order_by_powers, product_nodes as fraction_nodes, support_step_table, theta
 
 W = LaurentPoly.variable()
 
@@ -200,6 +201,31 @@ def test_node_base_order_needs_a_unit_base():
     with pytest.raises(ValueError, match="node base 3 is not 1 mod 4"):
         ThetaCoalgebra(3, 1, prime=2).order
     assert ThetaCoalgebra(9, 2, prime=2).order == (1, 3)
+
+
+def test_node_base_order_reads_the_valuation_by_pow():
+    # (o, v) against the order by powers and the valuation of the big
+    # integer b**o - 1, on the stock theta forms and two negative bases
+    names = dict.fromkeys(n for p in (3, 5, 7, 11, 13) for n in spectrum_names(p))
+    forms = [C for C in (make_spectrum(n).coalgebra for n in names) if isinstance(C, ThetaCoalgebra)]
+    forms += [ThetaCoalgebra(-3, 1, prime=2), ThetaCoalgebra(-2, 1, prime=3)]
+    assert len(forms) == 24
+    for C in forms:
+        p, b = C.prime, C.base
+        o, v = C.order
+        assert (o, v) == (order_by_powers(b, p), _int_valuation(p, b**o - 1)), (C.name, b)
+
+
+def test_support_step_refuses_coalgebras_without_product_form():
+    # only k(2) and K(2) borrow the base-9 steps of the real theories; any
+    # other coalgebra without a product form is refused, not answered
+    for spec in (SpectrumSpec("binomial", "b", 1, binomial_coalgebra(3)),
+                 SpectrumSpec("monomial", "m", 1, monomial_coalgebra())):
+        for l in (1, 4):
+            with pytest.raises(ValueError, match=f"{spec.name} has no product-form basis"):
+                support_step(spec, l)
+        with pytest.raises(ValueError, match="no admissible step"):
+            condition_report(spec, 2, sample_size=2)
 
 
 def test_admissible_shifts_increasing_multiples():
