@@ -14,7 +14,9 @@ codes: 0 all checks pass, 1 a check failed or stdout was closed early,
 2 usage or input error.
 The default --format may be set via the KTOPS_FORMAT variable.
 Each subcommand returns one Report, a NamedTuple, rendered in one of
-three formats.
+three formats.  Structure constants print from their integer form:
+gamma's record holds the text of each table, CoalgebraSpec.coproduct_text,
+and makes no Fraction.
 """
 from __future__ import annotations
 
@@ -39,9 +41,11 @@ _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 class Report(NamedTuple):
     """One subcommand's exit code and JSON record, with its renderers.
 
-    The record holds exact values; Fractions and polynomials are written
-    with str in every format.  tsv and pretty are functions of the
-    record, called only when their format is asked for.
+    The record holds exact values, written with str in every format:
+    Fractions and polynomials, and the gamma tables, which the record
+    already holds as that text (CoalgebraSpec.coproduct_text).  tsv and
+    pretty are functions of the record, called only when their format is
+    asked for.
     """
 
     code: int
@@ -112,7 +116,10 @@ def _cmd_gamma(args) -> Report:
     C = sp.coalgebra
     if args.n < 0:
         raise ValueError("--n must be non-negative")
-    mats = [{"n": n, "matrix": C.coproduct_matrix(n)} for n in range(args.n + 1)]
+    # the input is read, and the tables are rendered here, so the digit
+    # limit is lifted now rather than in run
+    _set_digit_limit(0)
+    mats = [{"n": n, "matrix": C.coproduct_text(n)} for n in range(args.n + 1)]
     record = {"spectrum": sp.name, "q": sp.q, "n": args.n, "gamma": mats}
     return Report(0, record, _gamma_tsv, _gamma_pretty)
 
@@ -129,7 +136,7 @@ def _gamma_pretty(rec: dict) -> list[str]:
     lines = [f"{rec['spectrum']} structure constants to target {rec['n']}"]
     for m in rec["gamma"]:
         lines.append(f"  target {m['n']}:")
-        lines.extend("    " + " ".join(map(str, row)) for row in m["matrix"])
+        lines.extend("    " + " ".join(row) for row in m["matrix"])
     return lines
 
 

@@ -57,10 +57,15 @@ the type of the coalgebra and by nothing else:
 
 k(2), K(2), the binomial and monomial coalgebras and every user-built
 CoalgebraSpec run the kernel, which is also the reference the recursion
-is checked against.  A Fraction is made once per entry handed out, and
-every zero entry is one shared Fraction(0).  The older route, which
-clears a LaurentPoly remainder one Fraction operation at a time, is
-kept in tests/oracles.py as the oracle both are checked against.
+is checked against.  Each route fills table n in one loop that hands
+every nonzero entry with i <= j to a maker as integers, (num, den), or
+num alone when the route knows it is an integer, and a table has two
+views made that way: coproduct_matrix(n) has the maker Fraction, with
+every zero entry the one shared Fraction(0), and coproduct_text(n)
+makes str(Fraction(num, den)) by one gcd and one format, with no
+Fraction, for printing.  The older route, which clears a LaurentPoly
+remainder one Fraction operation at a time, is kept in tests/oracles.py
+as the oracle both are checked against.
 
 A CoalgebraSpec holds its memoized tables and compares by identity; a
 ThetaCoalgebra compares by the four numbers that fix its tables.
@@ -284,12 +289,23 @@ class CoalgebraSpec:
         """
         if n in self._gamma:
             return self._gamma[n]
-        out = self._gamma_table(n)
+        out = self._gamma_table(n, Fraction, _ZERO)
         self._gamma[n] = out
         return out
 
-    def _gamma_table(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
-        """The monomial-sum kernel of coproduct_matrix."""
+    def coproduct_text(self, n: int) -> tuple[tuple[str, ...], ...]:
+        """coproduct_matrix(n) with each entry as str writes its Fraction.
+
+        Built by the same loop from the integer form of each entry, with
+        no Fraction made and no memo; zeros are "0" and the entries (i, j)
+        and (j, i) share one string.  Ints above Python's int-to-str digit
+        limit raise ValueError unless the caller has lifted it.
+        """
+        return self._gamma_table(n, _fraction_text, "0")
+
+    def _gamma_table(self, n: int, make: Callable[..., object], zero) -> tuple[tuple, ...]:
+        """The monomial-sum kernel of coproduct_matrix, entry (i, j) being
+        make(num, den) for num / den, or zero."""
         d, mono = self.monomial_form(n)
         forms = [(mk, *self._int_coords(k)) for k, mk in mono.items()]
         big = lcm(*(dk * dk for _, dk, _ in forms))
@@ -303,11 +319,11 @@ class CoalgebraSpec:
                 for j, b in nz[t:]:
                     row[j] += sa * b
         den = d * big
-        g = [[_ZERO] * size for _ in range(size)]
+        g = [[zero] * size for _ in range(size)]
         for i, row in enumerate(acc):
             for j in range(i, size):
                 if row[j]:
-                    g[i][j] = g[j][i] = Fraction(row[j], den)
+                    g[i][j] = g[j][i] = make(row[j], den)
         return tuple(tuple(row) for row in g)
 
     def coproduct_entry(self, i: int, j: int, n: int) -> Fraction:
@@ -498,8 +514,10 @@ class ThetaCoalgebra(CoalgebraSpec):
                 carry, row[i] = row[i], carry + (h - y) * row[i]
         return {big + i: c for i, c in enumerate(row) if c}
 
-    def _gamma_table(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Gamma_n by the Newton recursion on the dual basis.
+    def _gamma_table(self, n: int, make: Callable[..., object], zero) -> tuple[tuple, ...]:
+        """Gamma_n by the Newton recursion on the dual basis, entry (i, j)
+        being make(num) for an integer num, make(num, den) for num / den,
+        or zero.
 
         Pairing is dual to the coproduct and a_i pairs to delta_in with
         c_n, so G[i][j] = <a_i a_j, c_n>.  Write theta_i theta_j =
@@ -527,10 +545,15 @@ class ThetaCoalgebra(CoalgebraSpec):
         scale(n), the recursion returns Q'_n(i, j) = b**((i+j-n)E) Q_n(i, j),
         an integer, with exponent >= 0 in the band.  Then G[i][j] =
         b**(t_i + t_j - t_n) Q'_n(i, j), t_k = k (E_k - E), and each
-        Fraction takes its gcd against that power of b only.  Q is
-        symmetric: row i keeps j >= i, and Q_n(i, i-1) is read as
-        Q_n(i-1, i).  Only the previous raw table is kept, in _raw, at its
-        own scale, at most E; _gamma holds the Fractions.
+        entry is made from Q'_n(i, j) times that power of b, an integer,
+        or from Q'_n(i, j) over it, so make takes no gcd or one against
+        that power only; for b < 0 an odd power is a negative denominator,
+        whose sign make moves to the numerator.  Q is symmetric: row i
+        keeps j >= i, and Q_n(i, i-1) is read as Q_n(i-1, i).  Only the
+        band j >= max(i, n - i) of row i is read, where _newton_step
+        writes; below it every entry is zero.  Only the previous raw table
+        is kept, in _raw, at its own scale, at most E; _gamma holds the
+        Fractions.
         """
         b, e = self.base, self.scale(n)
         if self._raw is None or self._raw[0] > n:
@@ -550,16 +573,28 @@ class ThetaCoalgebra(CoalgebraSpec):
         size = n + 1
         t = [k * (self.scale(k) - e) for k in range(size)]
         powers = {0: 1}
-        g = [[_ZERO] * size for _ in range(size)]
+        g = [[zero] * size for _ in range(size)]
         for i, row in enumerate(q):
-            for j in range(i, size):
+            for j in range(max(i, n - i), size):
                 v = row[j]
                 if v:
                     s = t[i] + t[j] - t[n]
                     if s not in powers:
                         powers[s] = b ** abs(s)
-                    g[i][j] = g[j][i] = Fraction(v * powers[s]) if s >= 0 else Fraction(v, powers[s])
+                    g[i][j] = g[j][i] = make(v * powers[s]) if s >= 0 else make(v, powers[s])
         return tuple(tuple(row) for row in g)
+
+
+def _fraction_text(num: int, den: int = 1) -> str:
+    """str(Fraction(num, den)), den != 0, by one gcd and one format."""
+    if den != 1:
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        num, den = num // g, den // g
+        if den != 1:
+            return f"{num}/{den}"
+    return str(num)
 
 
 def _theta_basis(b: int, periodic: bool) -> Basis:

@@ -141,6 +141,29 @@ def test_huge_table_prints_in_full():
     assert all(Fraction(v).denominator % 7 for v in coords)
 
 
+def test_huge_gamma_prints_in_full():
+    # Gamma entries of G(7) at q = 38 reach 5,443 characters by target 24;
+    # the tables are rendered as text inside the handler, past the limit too
+    code, text = capture(["gamma", "G(7)", "--q", "38", "--n", "24", "--format", "json"])
+    assert code == 0
+    entries = [v for m in json.loads(text)["gamma"] for row in m["matrix"] for v in row]
+    assert max(len(v) for v in entries) > 4300
+    assert all(Fraction(v).denominator % 7 for v in entries)
+
+
+def test_gamma_makes_no_fraction(monkeypatch):
+    # the tables print from their integer form through coproduct_text
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+    Fraction(1, 3)  # the counter sees a Fraction made
+    code, text = capture(["gamma", "K(3)", "--n", "12", "--format", "json"])
+    monkeypatch.undo()
+    assert code == 0 and json.loads(text)["gamma"][12]["matrix"][6][6] != "0"
+    assert made == [(1, 3)]
+
+
 @pytest.mark.skipif(not cli._INPUT_DIGIT_LIMIT, reason="this Python has no int-to-str limit")
 def test_coeffs_parsed_under_digit_limit():
     huge = "1" * 5000
