@@ -31,7 +31,9 @@ ThetaCoalgebra.product_row, which runs it along one row on 2 min(m, n)
 integer nodes, and this module takes the valuations of its
 coordinates.  The 2-local complex theories have no product form, so
 both conditions are read off the coalgebra coefficient tables up to a
-stated bound.
+stated bound; their tables vanish above the band t > m + n
+(spectra.InterleavedCoalgebra), so the targets above m + n are read as
+zeros of the band, building no table.
 
 ConditionVerdict, SweepReport and ConditionReport are immutable
 NamedTuples compared by value; condition_report relabels a verdict with
@@ -186,7 +188,7 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
 
     Without a product form the tables are read, the diagonal first, for
     targets up to max(20, m + n), which `checked` reports: a bounded
-    verdict.
+    verdict (see _gamma_congruence).
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")
@@ -233,7 +235,15 @@ def _monomial_divisibility(spec: SpectrumSpec, index: int) -> tuple[int | None, 
 def _gamma_congruence(spec: SpectrumSpec, condition: str, m: int, n: int, l: int) -> ConditionVerdict:
     """nu(Gamma[m,n->t] - delta_{t,m+n}) >= l read off the coalgebra's
     coproduct_entry, the diagonal t = m + n first and then t = 0, 1, ...
-    up to the bound max(20, m + n); a bounded verdict."""
+    up to the bound max(20, m + n), which `checked` reports; a bounded
+    verdict.
+
+    On a BandedCoalgebra, k(2) and K(2) among them, coproduct_entry
+    answers every target above m + n with the zero of the band, proven
+    in the coalgebra's docstring, and builds no table for it, so only
+    the tables max(m, n)..m + n are built; on any other coalgebra every
+    table up to the bound is.  The records are the same either way.
+    """
     bound = max(_TABLE_BOUND, m + n)
     gamma = spec.coalgebra.coproduct_entry
 

@@ -67,6 +67,11 @@ Fraction, for printing.  The older route, which clears a LaurentPoly
 remainder one Fraction operation at a time, is kept in tests/oracles.py
 as the oracle both are checked against.
 
+coproduct_entry(i, j, n) reads one entry, zero for i > n or j > n.  A
+BandedCoalgebra, ThetaCoalgebra or the coalgebra of k(2) and K(2)
+(ktops.spectra.InterleavedCoalgebra), answers n > i + j from its proven
+band and builds no table there; every other coalgebra builds table n.
+
 A CoalgebraSpec holds its memoized tables and compares by identity; a
 ThetaCoalgebra compares by the four numbers that fix its tables.
 CheckResult and RegularityReport are NamedTuples compared by value.
@@ -327,11 +332,14 @@ class CoalgebraSpec:
         return tuple(tuple(row) for row in g)
 
     def coproduct_entry(self, i: int, j: int, n: int) -> Fraction:
-        """G[i][j] of element n, with the triangular zeros filled in."""
+        """G[i][j] of element n, with the triangular zeros filled in: the
+        shared zero when i > n or j > n, else read off coproduct_matrix(n),
+        which builds table n.  A BandedCoalgebra answers n > i + j from its
+        band instead."""
         if min(i, j, n) < 0:
             raise ValueError("basis indices start at 0")
         if i > n or j > n:
-            return Fraction(0)
+            return _ZERO
         return self.coproduct_matrix(n)[i][j]
 
     def monomial_slots(self, limit: int) -> list[int]:
@@ -343,7 +351,22 @@ class CoalgebraSpec:
         return sorted(map(self.extending_slot, range(limit + 1)))
 
 
-class ThetaCoalgebra(CoalgebraSpec):
+class BandedCoalgebra(CoalgebraSpec):
+    """A coalgebra whose Gamma tables are proven zero above the band,
+    G_n[i][j] = 0 for n > i + j: coproduct_entry answers those entries
+    with the shared zero and builds no table.  Tables and identity
+    equality are CoalgebraSpec's.  The type is the claim, and each
+    subclass carries its proof: ThetaCoalgebra in _gamma_table,
+    spectra.InterleavedCoalgebra (k(2), K(2)) on its node sequence.
+    """
+
+    def coproduct_entry(self, i: int, j: int, n: int) -> Fraction:
+        if n > i + j and min(i, j) >= 0:
+            return _ZERO
+        return super().coproduct_entry(i, j, n)
+
+
+class ThetaCoalgebra(BandedCoalgebra):
     """The theta-form coalgebra of node base b, on the exponent grid of step r.
 
     Element n is theta_n(w**r) / theta_n(b**n) with theta_n(x) =
@@ -352,8 +375,9 @@ class ThetaCoalgebra(CoalgebraSpec):
     s_l = extending_slot(l), and theta_n(T) = prod_{l<n} (T - y_l), it is
     a_n = sigma_n theta_n(T), sigma_n = b**(n E_n) with E_n = scale(n),
     floor(n/2) periodically and 0 connectively (dual_basis), so the
-    Gamma tables come from the dual side; see _gamma_table.  |b| >= 2,
-    or the nodes repeat.
+    Gamma tables come from the dual side; see _gamma_table, whose proof
+    of the band max(i, j) <= n <= i + j makes this a BandedCoalgebra.
+    |b| >= 2, or the nodes repeat.
 
     On integers: s_l >= -floor(l/2), so at the scale E = E_n of an index
     n the nodes y'_l = b**E y_l, l <= n, are integers (nodes), and with

@@ -12,9 +12,12 @@ the node products are grown one linear factor at a time by
 ktops.laurent.times_linear.  The six theta-form algebras are
 coalgebra.ThetaCoalgebra on their node base, which builds the basis,
 the Gamma tables by a Newton recursion on the dual basis, and owns every
-fact of the node sequence (nodes, order, gap_valuation, product_row);
-the interleaved bases of k(2) and K(2) read the base-9 theta basis of the
-real theory and run the monomial-sum kernel of CoalgebraSpec.
+fact of the node sequence (nodes, order, gap_valuation, product_row).
+The interleaved bases of k(2) and K(2) read the base-9 theta basis of the
+real theory; their coalgebra is an InterleavedCoalgebra, which runs the
+monomial-sum kernel of CoalgebraSpec, compares by identity, and proves
+on its node sequence 1, -1, 3, -3, 9, ... that its tables vanish above
+the band n > i + j, so coproduct_entry builds no table there.
 SpectrumSpec only names a coalgebra: its prime, step, periodicity and
 node base are the coalgebra's.  It is an immutable NamedTuple compared
 by value, the coalgebra by that coalgebra's own equality.
@@ -25,7 +28,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .coalgebra import Basis, CoalgebraSpec, ThetaCoalgebra
+from .coalgebra import BandedCoalgebra, Basis, CoalgebraSpec, ThetaCoalgebra
 from .dual import AdamsPoly
 from .laurent import LaurentPoly, times_linear
 from .rationals import check_primitive_root, is_prime, least_primitive_root
@@ -44,8 +47,9 @@ class SpectrumSpec(NamedTuple):
     Equality and the hash read all four fields.  A ThetaCoalgebra
     compares by its base, step, prime and periodicity, so two
     make_spectrum("K(3)") are equal and a spec over another node base is
-    not; the coalgebras of k(2) and K(2) are plain CoalgebraSpecs,
-    compared by identity, so two make_spectrum("k(2)") are not equal.
+    not; the coalgebras of k(2) and K(2) are InterleavedCoalgebras,
+    compared by identity like any CoalgebraSpec, so two
+    make_spectrum("k(2)") are not equal.
     """
 
     name: str
@@ -103,6 +107,44 @@ def _interleaved_basis(real: ThetaCoalgebra, q: int, periodic: bool) -> Basis:
     return basis
 
 
+class InterleavedCoalgebra(BandedCoalgebra):
+    """The coalgebra of k(2), or of K(2) when periodic: the base-9 theta
+    basis h_m of the real theory in w**2 at the even indices and its odd
+    companions (_interleaved_basis, q = 3), at step 1 and the prime 2.
+    It has no product form, so its coordinates come from the elimination
+    and its tables from the monomial-sum kernel of CoalgebraSpec, and it
+    compares by identity.
+
+    Band: G_t[m][n] = 0 for t > m + n, so coproduct_entry builds no
+    table there.  Proof, on the node sequence z_1, z_2, ... = 1, -1, 3,
+    -3, 9, -9, ..., that is z_(2i+1) = 3**i and z_(2i+2) = -3**i:
+
+    * c_n vanishes at z_1..z_n and not at z_(n+1).  Periodically this is
+      said of c_n times w**floor(n/2), which moves no zero, as w is a
+      unit at every node.  c_2m = h_m(w**2), h_m(x) = prod_(i<m)
+      (x - 9**i) / (9**m - 9**i), vanishes at w = +-3**i, i < m, that is
+      at z_1..z_2m, and is 1 at z_(2m+1) = 3**m; c_(2m+1) = c_2m (w - 3**m)
+      / (-2 3**m) vanishes at z_(2m+1) too and is 1 at z_(2m+2) = -3**m.
+    * z_a z_b = z_c with c <= a + b - 1.  For z_a = +-3**i and
+      z_b = +-3**j, a >= 2i + 1 and b >= 2j + 1; z_a z_b = +-3**(i+j)
+      sits at c = 2(i+j) + 1, or at 2(i+j) + 2 when its sign is minus,
+      which needs one of a, b even, so that a + b - 1 >= 2(i+j) + 2.
+    * w is grouplike, so w (x) w -> (x, y) sends Delta(c_t) to
+      c_t(xy) = sum_(i,j) G_t[i][j] c_i(x) c_j(y).  At x = z_(a+1) and
+      y = z_(b+1), a, b <= t, that is V_t = L G_t L^T with
+      V_t[a][b] = c_t(z_(a+1) z_(b+1)) and L[a][i] = c_i(z_(a+1)), lower
+      triangular with a nonzero diagonal by the first point.  So
+      G_t = L^-1 V_t L^-T, and as L^-1 is lower triangular, G_t[m][n]
+      reads only the V_t[a][b] with a <= m and b <= n: values of c_t at
+      z_c, c <= a + b + 1 <= m + n + 1 by the second point.  For
+      t > m + n these are zeros of c_t, so G_t[m][n] = 0.
+    """
+
+    def __init__(self, periodic: bool = False, name: str = ""):
+        super().__init__(step=1, basis=_interleaved_basis(_REAL_NODES, 3, periodic),
+                         prime=2, periodic=periodic, name=name)
+
+
 def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
     """Build one of the stock algebras by name, e.g. "k(3)" or "KO".
 
@@ -133,8 +175,7 @@ def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
 
     canonical = f"{family}({p})"
     if family in ("K", "k") and p == 2:
-        basis = _interleaved_basis(_REAL_NODES, q, periodic)
-        coalg = CoalgebraSpec(step=1, basis=basis, prime=p, periodic=periodic, name=canonical)
+        coalg = InterleavedCoalgebra(periodic=periodic, name=canonical)
     else:
         if family in ("K", "k"):
             step, base = 1, q
@@ -197,15 +238,16 @@ def support_step(spec: SpectrumSpec, l: int) -> int:
 
     k(2) and K(2), with no product form, keep the rows of base 9 (ko(2), KO(2)),
     too lax there: `ktops check k(2) --l 3` fails 27 of 120 admissible cells.
-    Any other coalgebra without a product form has no step: ValueError.
+    They are told apart by their coalgebra, an InterleavedCoalgebra; any
+    other coalgebra without a product form has no step: ValueError.
     """
     if l < 1:
         raise ValueError("the depth must be a positive integer")
     C = nodes = spec.coalgebra
-    if not isinstance(C, ThetaCoalgebra):
-        if spec.family not in ("k", "K") or C.prime != 2:
-            raise ValueError(f"{spec.name} has no product-form basis, so no admissible step")
+    if isinstance(C, InterleavedCoalgebra):
         nodes = _REAL_NODES
+    elif not isinstance(C, ThetaCoalgebra):
+        raise ValueError(f"{spec.name} has no product-form basis, so no admissible step")
     o, v = nodes.order
     d = o * C.prime ** max(0, l - v)
     return 2 * d if C.periodic else d

@@ -33,6 +33,18 @@ and Fractions, and the literal reading works on the Gamma tables:
 * table_congruence: a_m a_n = a_{m+n} mod p**l read literally off the
   structure constants, nu(Gamma[m,n->t] - delta_{t,m+n}) for each t.
 
+The table verdicts of spectra without a product form (k(2) and K(2))
+read the targets above m + n as zeros of the band, building no table;
+the routes here read every table up to the bound, as the library once
+did:
+
+* gamma_congruence_by_tables: the loop of checks._gamma_congruence on
+  coproduct_matrix(t)[m][n] for every target t <= max(20, m + n);
+* coalgebra_conditions_by_tables: check_coalgebra_conditions with that
+  loop for its product side;
+* spy_tables: records the target of every coproduct_matrix call on one
+  coalgebra, so a test can see which tables a route builds.
+
 The verdicts (ktops.checks) read node slots and one fact about the node
 base, (ord_p(b), nu_p(b**ord_p(b) - 1)), before any expansion.  The
 routes here build the integer nodes of integer_nodes as big powers of
@@ -118,7 +130,7 @@ from ktops.dual import (
 )
 from ktops.laurent import LaurentPoly, times_linear
 from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
-from ktops.checks import ConditionVerdict
+from ktops.checks import ConditionVerdict, _monomial_divisibility
 from ktops.rationals import _int_valuation, is_p_local_unit, nu
 from ktops.spectra import SpectrumSpec
 
@@ -368,6 +380,52 @@ def table_congruence(spec: SpectrumSpec, m: int, n: int, l: int) -> tuple[bool, 
         if v < l and witness is None:
             witness = t
     return witness is None, witness, worst
+
+
+def gamma_congruence_by_tables(spec: SpectrumSpec, condition: str, m: int, n: int, l: int) -> ConditionVerdict:
+    """The table verdict of checks._gamma_congruence with Gamma[m,n->t] read
+    as coproduct_matrix(t)[m][n], zero where m or n is above t, for every
+    target t up to the bound max(20, m + n): the band's zeros are read off
+    their tables too."""
+    bound = max(20, m + n)
+
+    def gamma(m, n, t):
+        return spec.coalgebra.coproduct_matrix(t)[m][n] if max(m, n) <= t else 0
+
+    def verdict(ok, witness=None):
+        return ConditionVerdict(spec.name, condition, ok, False, m, n, level=l,
+                                witness=witness, min_valuation=min_val, checked=bound)
+
+    min_val: int | None = None
+    for t in [m + n] + [t for t in range(bound + 1) if t != m + n]:
+        v = gamma(m, n, t)
+        g = v - 1 if t == m + n else v
+        if not g:
+            continue
+        val = nu(spec.prime, g)
+        if min_val is None or val < min_val:
+            min_val = val
+        if val < l:
+            return verdict(False, {"part": "product", "target": t, "value": str(v)})
+    return verdict(True)
+
+
+def coalgebra_conditions_by_tables(spec: SpectrumSpec, m: int, n: int, l: int) -> ConditionVerdict:
+    """check_coalgebra_conditions with its product side read by
+    gamma_congruence_by_tables; the unit side reads no Gamma table."""
+    if m < n:
+        slot, bound = _monomial_divisibility(spec, n - m)
+        if slot is not None:
+            return ConditionVerdict(spec.name, "coalgebra", False, False, m, n, level=l,
+                                    witness={"part": "unit", "slot": slot}, checked=bound)
+    return gamma_congruence_by_tables(spec, "coalgebra", m, n, l)
+
+
+def spy_tables(C: CoalgebraSpec) -> list[int]:
+    """The targets of every coproduct_matrix call on C from now on."""
+    calls, tables = [], C.coproduct_matrix
+    C.coproduct_matrix = lambda n: calls.append(n) or tables(n)
+    return calls
 
 
 def order_by_powers(a: int, modulus: int) -> int:

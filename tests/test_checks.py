@@ -12,18 +12,21 @@ from ktops.checks import (
     check_unit_condition,
     condition_report,
 )
-from ktops.coalgebra import CoalgebraSpec, ThetaCoalgebra
+from ktops.coalgebra import CoalgebraSpec, ThetaCoalgebra, binomial_coalgebra
 from ktops.laurent import LaurentPoly
 from ktops.rationals import nu
 from ktops.spectra import SpectrumSpec, admissible_shifts, make_spectrum, support_step
 import oracles
 from oracles import (
+    coalgebra_conditions_by_tables,
     congruence_by_nodes,
     cross_check_coefficients,
     expansion_by_division,
+    gamma_congruence_by_tables,
     integer_nodes,
     product_identity_holds,
     shortcut_by_all_gaps,
+    spy_tables,
     table_congruence,
     theta_table,
     unit_condition_by_nodes,
@@ -584,6 +587,47 @@ def test_congruence_condition_reads_tables_without_product_form():
     assert check_congruence_condition(K2, 12, 10, 1).checked == 22
     with pytest.raises(ValueError):
         check_congruence_condition(K2, 4, 2, 0)
+
+
+def test_table_verdicts_build_no_table_above_the_band():
+    # k(2) and K(2) read the targets above m + n as zeros of their band, so
+    # only the tables max(m, n)..m + n are read, while `checked` still
+    # reports the bound max(20, m + n)
+    for name in ("k(2)", "K(2)"):
+        sp = make_spectrum(name)
+        calls = spy_tables(sp.coalgebra)
+        for m, n, l in ((2, 4, 1), (4, 2, 1), (12, 10, 1), (16, 8, 2), (0, 0, 5), (1, 1, 3), (3, 2, 2)):
+            calls.clear()
+            v = check_congruence_condition(sp, m, n, l)
+            assert v.checked == max(20, m + n) and not v.exact, (name, m, n, l)
+            assert calls and max(calls) <= m + n, (name, m, n, l, calls)
+            if v.holds:
+                assert set(calls) == set(range(max(m, n), m + n + 1)), (name, m, n, l)
+    # a binomial user spec has no band: a holding cell reads every table
+    # from max(m, n) up to the bound
+    sp = SpectrumSpec("binomial", "b", 1, binomial_coalgebra(2))
+    calls = spy_tables(sp.coalgebra)
+    for m, n in ((0, 0), (2, 2)):
+        calls.clear()
+        v = check_congruence_condition(sp, m, n, 1)
+        assert v.holds and v.checked == 20
+        assert set(calls) == set(range(max(m, n), 21)), (m, n)
+
+
+@pytest.mark.parametrize("name", ["k(2)", "K(2)"])
+def test_table_verdicts_match_reading_every_table(name):
+    # the band's zeros against the tables themselves: whole records, for
+    # m, n < 14 and l <= 5, on separate coalgebras so no memo is shared
+    sp, oracle_sp = make_spectrum(name), make_spectrum(name)
+    for m in range(14):
+        for n in range(14):
+            for l in range(1, 6):
+                got = check_congruence_condition(sp, m, n, l)
+                want = gamma_congruence_by_tables(oracle_sp, "congruence", m, n, l)
+                assert got.as_dict() == want.as_dict(), (m, n, l)
+                got = check_coalgebra_conditions(sp, m, n, l)
+                want = coalgebra_conditions_by_tables(oracle_sp, m, n, l)
+                assert got.as_dict() == want.as_dict(), (m, n, l)
 
 
 def test_support_step_sound_on_theta_spectra():

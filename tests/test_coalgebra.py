@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktops.coalgebra import (
+    BandedCoalgebra,
     CoalgebraSpec,
     NotRegularError,
     ThetaCoalgebra,
@@ -13,8 +14,11 @@ from ktops.coalgebra import (
 )
 from ktops.laurent import LaurentPoly
 from ktops.rationals import nu
-from ktops.spectra import make_spectrum
-from oracles import coproduct_by_solve
+from ktops.spectra import InterleavedCoalgebra, make_spectrum
+from oracles import coproduct_by_solve, spy_tables
+
+THETA_NAMES = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
+               "k(7)", "G(7)", "ko(2)", "KO(2)")
 
 
 def test_binomial_coalgebra_regular():
@@ -259,10 +263,58 @@ def test_zero_denominator_rejected():
 
 
 def test_negative_indices_refused_by_coproduct_entry():
-    C = make_spectrum("K(2)").coalgebra
-    for i, j, n in ((-1, 0, 3), (0, -1, 3), (0, 0, -1)):
-        with pytest.raises(ValueError, match="start at 0"):
-            C.coproduct_entry(i, j, n)
+    # the band answers no entry with a negative index
+    for name in ("K(2)", "k(3)"):
+        C = make_spectrum(name).coalgebra
+        for i, j, n in ((-1, 0, 3), (0, -1, 3), (0, 0, -1), (-1, -1, 0)):
+            with pytest.raises(ValueError, match="start at 0"):
+                C.coproduct_entry(i, j, n)
+    with pytest.raises(ValueError, match="start at 0"):
+        binomial_coalgebra(3).coproduct_entry(-1, 0, 3)
+
+
+@pytest.mark.parametrize("name", ("k(2)", "K(2)") + THETA_NAMES)
+def test_tables_vanish_above_the_band(name):
+    # the band the coalgebra claims by its type: G_t[i][j] = 0 for t > i + j,
+    # on every entry of the tables themselves
+    C = make_spectrum(name).coalgebra
+    assert isinstance(C, BandedCoalgebra)
+    assert isinstance(C, InterleavedCoalgebra) == (name in ("k(2)", "K(2)"))
+    for t in range(41):
+        g = C.coproduct_matrix(t)
+        bad = [(i, j) for i in range(t + 1) for j in range(t + 1) if t > i + j and g[i][j]]
+        assert not bad, (name, t, bad[:3])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_spectrum("k(2)").coalgebra,
+    lambda: make_spectrum("K(2)").coalgebra,
+    lambda: make_spectrum("KO(2)").coalgebra,
+    lambda: make_spectrum("G(5)").coalgebra,
+    lambda: binomial_coalgebra(3),
+    lambda: monomial_coalgebra(step=2, prime=3, periodic=True),
+])
+def test_coproduct_entry_reads_the_table(make):
+    # every entry, the band's zeros first on a fresh coalgebra, then the tables
+    C = make()
+    entries = {(i, j, n): C.coproduct_entry(i, j, n)
+               for n in range(17) for i in range(17) for j in range(17)}
+    for (i, j, n), v in entries.items():
+        assert v == (C.coproduct_matrix(n)[i][j] if max(i, j) <= n else 0), (C.name, i, j, n)
+
+
+def test_only_a_banded_coalgebra_skips_tables_above_the_band():
+    # k(2) answers G_30[1][2] from its band and builds no table; a plain
+    # CoalgebraSpec on the same basis builds table 30 for it.  Both read
+    # G_3[2][1] off table 3 and fill G_2[3][0] in as a triangular zero
+    k2 = make_spectrum("k(2)").coalgebra
+    plain = CoalgebraSpec(step=1, basis=k2.basis, prime=2)
+    for C, want in ((k2, [3]), (plain, [30, 3])):
+        calls = spy_tables(C)
+        assert C.coproduct_entry(1, 2, 30) == C.coproduct_entry(3, 0, 2) == 0
+        assert C.coproduct_entry(2, 1, 3) == 1
+        assert calls == want, C
+    assert not isinstance(plain, BandedCoalgebra)
 
 
 @pytest.mark.parametrize("base", [-1, 0, 1])

@@ -4,11 +4,12 @@ from itertools import islice
 import pytest
 
 from ktops.checks import condition_report
-from ktops.coalgebra import ThetaCoalgebra, binomial_coalgebra, monomial_coalgebra
+from ktops.coalgebra import BandedCoalgebra, CoalgebraSpec, ThetaCoalgebra, binomial_coalgebra, monomial_coalgebra
 from ktops.dual import AdamsPoly, expand
 from ktops.laurent import LaurentPoly
 from ktops.rationals import _int_valuation
 from ktops.spectra import (
+    InterleavedCoalgebra,
     SpectrumSpec,
     admissible_shifts,
     dual_theta_basis,
@@ -17,7 +18,14 @@ from ktops.spectra import (
     spectrum_names,
     support_step,
 )
-from oracles import integer_nodes, order_by_powers, product_nodes as fraction_nodes, support_step_table, theta
+from oracles import (
+    integer_nodes,
+    order_by_powers,
+    product_nodes as fraction_nodes,
+    spy_tables,
+    support_step_table,
+    theta,
+)
 
 W = LaurentPoly.variable()
 
@@ -217,8 +225,8 @@ def test_node_base_order_reads_the_valuation_by_pow():
 
 
 def test_support_step_refuses_coalgebras_without_product_form():
-    # only k(2) and K(2) borrow the base-9 steps of the real theories; any
-    # other coalgebra without a product form is refused, not answered
+    # only the coalgebras of k(2) and K(2) borrow the base-9 steps of the
+    # real theories; any other coalgebra without a product form is refused
     for spec in (SpectrumSpec("binomial", "b", 1, binomial_coalgebra(3)),
                  SpectrumSpec("monomial", "m", 1, monomial_coalgebra())):
         for l in (1, 4):
@@ -226,6 +234,34 @@ def test_support_step_refuses_coalgebras_without_product_form():
                 support_step(spec, l)
         with pytest.raises(ValueError, match="no admissible step"):
             condition_report(spec, 2, sample_size=2)
+
+
+def test_support_step_tells_k2_apart_by_its_coalgebra_type():
+    # a hand-built "k(2)" on a doped copy of the stock basis has the name,
+    # family and prime of k(2) but a plain CoalgebraSpec: no base-9 rows,
+    # and no band, so coproduct_entry builds every table it reads
+    stock = make_spectrum("k(2)")
+
+    def doped(n):
+        d, mono = stock.coalgebra.basis(n)
+        return (d, {**mono, 0: mono[0] + d}) if n == 3 else (d, mono)
+
+    spec = SpectrumSpec("k(2)", "k", 3, CoalgebraSpec(step=1, basis=doped, prime=2))
+    assert (spec.family, spec.prime) == (stock.family, stock.prime)
+    for l in (1, 4):
+        with pytest.raises(ValueError, match="k\\(2\\) has no product-form basis"):
+            support_step(spec, l)
+    C = spec.coalgebra
+    calls = spy_tables(C)
+    assert [C.coproduct_entry(0, 0, n) for n in range(6)] == [C.coproduct_matrix(n)[0][0] for n in range(6)]
+    assert calls == list(range(6)) * 2
+    assert not isinstance(C, BandedCoalgebra)
+    # the stock k(2) and K(2) keep their base-9 rows through their type
+    for name in ("k(2)", "K(2)"):
+        sp = make_spectrum(name)
+        assert type(sp.coalgebra) is InterleavedCoalgebra
+        assert isinstance(sp.coalgebra, BandedCoalgebra) and not sp.has_theta_form
+        assert sp.coalgebra != make_spectrum(name).coalgebra
 
 
 def test_admissible_shifts_increasing_multiples():
