@@ -15,8 +15,10 @@ that window adds over the window of element n-1.
 A basis enters as integers only: basis(n) returns (d, {k: m_k}) with
 c_n = (1/d) * sum_k m_k w**(rk), e.g. (2, {1: -1, 2: 1}) for (w**2 - w)/2
 at r = 1.  basis_poly(n) renders that form as a LaurentPoly and is not
-stored.  Three coefficient tables are derived from the basis and
-memoized:
+stored.  Every stock basis is a Newton basis on integer nodes z_l,
+built by _node_basis: z_l = b**l for a ThetaCoalgebra, 1, -1, 3, -3, 9,
+... for k(2) and K(2), and l for binomial_coalgebra.  Three coefficient
+tables are derived from the basis and memoized:
 
 * monomial_form(n): basis(n) reduced to d_n > 0 and gcd({m_k}, d_n) = 1,
   with its shape checked against the window of n;
@@ -80,7 +82,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .laurent import LaurentPoly, times_linear
@@ -371,7 +373,8 @@ class ThetaCoalgebra(BandedCoalgebra):
 
     Element n is theta_n(w**r) / theta_n(b**n) with theta_n(x) =
     prod_{i<n} (x - b**i), times w**(-r floor(n/2)) in the periodic
-    case.  Its dual basis is a product too: with the nodes y_l = b**s_l,
+    case: the Newton basis (_node_basis) on the nodes b**0, b**1, ....
+    Its dual basis is a product too: with the nodes y_l = b**s_l,
     s_l = extending_slot(l), and theta_n(T) = prod_{l<n} (T - y_l), it is
     a_n = sigma_n theta_n(T), sigma_n = b**(n E_n) with E_n = scale(n),
     floor(n/2) periodically and 0 connectively (dual_basis), so the
@@ -397,7 +400,7 @@ class ThetaCoalgebra(BandedCoalgebra):
             raise ValueError(f"node base {base} repeats its nodes; it needs |b| >= 2")
         self.base = base
         self._raw = None  # (n, E, Q): the last raw table of the recursion
-        super().__init__(step=step, basis=_theta_basis(base, periodic), prime=prime,
+        super().__init__(step=step, basis=_node_basis(lambda l: base**l, periodic), prime=prime,
                          periodic=periodic, name=name)
 
     def _key(self) -> tuple:
@@ -621,17 +624,26 @@ def _fraction_text(num: int, den: int = 1) -> str:
     return str(num)
 
 
-def _theta_basis(b: int, periodic: bool) -> Basis:
-    # integer coefficients of theta_n(x) = prod_{i<n} (x - b**i), constant
-    # term first, each one linear factor on the last; slot k carries the
-    # coefficient of x**(k + floor(n/2)) periodically, of x**k otherwise.
-    # A closure, not a method, so the coalgebra holds no reference cycle
-    thetas = [[1]]
+def _node_basis(node: Callable[[int], int], periodic: bool) -> Basis:
+    """The Newton basis on the integer nodes z_l = node(l), l >= 0.
+
+    Element n is c_n = N_n(x) / N_n(z_n), N_n(x) = prod_(l<n) (x - z_l),
+    with x = w**r, times x**(-floor(n/2)) periodically.  N_n vanishes at
+    z_0..z_(n-1), its roots, and the denominator is its value at z_n, so
+    c_n vanishes at z_0..z_(n-1) and is 1 at z_n, provided z_n is none of
+    the earlier nodes; the periodic factor is a unit at every nonzero
+    node and moves no zero.  The integer coefficients of N_n, constant
+    term first, are grown one linear factor at a time on the last, and
+    slot k carries the coefficient of x**(k + floor(n/2)) periodically,
+    of x**k otherwise.  A closure, not a method, so the coalgebra holds
+    no reference cycle.
+    """
+    products = [[1]]
 
     def basis(n: int):
-        while len(thetas) <= n:
-            thetas.append(times_linear(thetas[-1], b ** (len(thetas) - 1)))
-        num, x, den = thetas[n], b**n, 0
+        while len(products) <= n:
+            products.append(times_linear(products[-1], node(len(products) - 1)))
+        num, x, den = products[n], node(n), 0
         for c in reversed(num):
             den = den * x + c
         shift = n // 2 if periodic else 0
@@ -785,22 +797,22 @@ def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
 
 
 # ----------------------------------------------------------------------
-# stock examples
+# example user coalgebras: plain CoalgebraSpecs, as a caller builds one
 # ----------------------------------------------------------------------
 
 
 def binomial_coalgebra(prime: int | None = None) -> CoalgebraSpec:
-    """Integer-valued polynomials: basis element n is binomial(w, n)."""
-
-    def basis(n: int) -> tuple[int, dict[int, int]]:
-        return factorial(n), dict(enumerate(reduce(times_linear, range(n), [1])))
-
-    return CoalgebraSpec(step=1, basis=basis, prime=prime, name="binomial")
+    """Integer-valued polynomials: basis element n is binomial(w, n), the
+    Newton basis (_node_basis) on the nodes 0, 1, 2, ..., as
+    prod_(l<n) (w - l) / n!.  An example of a user coalgebra: a plain
+    CoalgebraSpec, run by the kernel and compared by identity."""
+    return CoalgebraSpec(step=1, basis=_node_basis(lambda l: l, False), prime=prime, name="binomial")
 
 
 def monomial_coalgebra(step: int = 1, prime: int | None = None, periodic: bool = False) -> CoalgebraSpec:
     """The plain monomial basis: element n is w**(rn), or the windowed
-    monomial in the periodic case."""
+    monomial in the periodic case.  An example of a user coalgebra, like
+    binomial_coalgebra."""
     spec = CoalgebraSpec(step=step, basis=lambda n: (1, {spec.extending_slot(n): 1}),
                          prime=prime, periodic=periodic, name="monomial")
     return spec

@@ -1,23 +1,23 @@
 """The eight stock operation algebras and their coalgebras.
 
-Six of them carry a theta-product basis: the basis polynomials are
-normalized products prod_{i<n} (w**r - b**i) on an exponent grid of
-step r, with b a power of the Adams parameter q.  The remaining two
-(the 2-local complex theories) interleave the real basis with odd
-companions and have no single product form; their dual-side questions
-are answered through the coalgebra tables instead.
-
-Every basis is built on integers in its monomial form (d, {k: m_k});
-the node products are grown one linear factor at a time by
-ktops.laurent.times_linear.  The six theta-form algebras are
-coalgebra.ThetaCoalgebra on their node base, which builds the basis,
-the Gamma tables by a Newton recursion on the dual basis, and owns every
-fact of the node sequence (nodes, order, gap_valuation, product_row).
-The interleaved bases of k(2) and K(2) read the base-9 theta basis of the
-real theory; their coalgebra is an InterleavedCoalgebra, which runs the
-monomial-sum kernel of CoalgebraSpec, compares by identity, and proves
-on its node sequence 1, -1, 3, -3, 9, ... that its tables vanish above
-the band n > i + j, so coproduct_entry builds no table there.
+Every stock basis is a Newton basis on a sequence of integer nodes z_l,
+l >= 0: element n is c_n = N_n(x) / N_n(z_n), N_n(x) = prod_(l<n)
+(x - z_l), x = w**r, times x**(-floor(n/2)) in the periodic theories.
+coalgebra._node_basis builds it on integers in its monomial form
+(d, {k: m_k}), growing the node products one linear factor at a time
+by ktops.laurent.times_linear.  Six of the algebras carry a theta-product
+basis, on the nodes z_l = b**l with b a power of the Adams parameter q:
+they are coalgebra.ThetaCoalgebra on their node base, which builds the
+basis, the Gamma tables by a Newton recursion on the dual basis, and
+owns every fact of the node sequence (nodes, order, gap_valuation,
+product_row).  The remaining two (the 2-local complex theories k(2) and
+K(2)) are built on the nodes z_l = (-1)**l 3**floor(l/2), that is 1, -1,
+3, -3, 9, ..., whose dual basis has no single product form; their
+dual-side questions are answered through the coalgebra tables instead.
+Their coalgebra is an InterleavedCoalgebra, which runs the monomial-sum
+kernel of CoalgebraSpec, compares by identity, and proves on its nodes
+that its tables vanish above the band n > i + j, so coproduct_entry
+builds no table there.
 SpectrumSpec only names a coalgebra: its prime, step, periodicity and
 node base are the coalgebra's.  It is an immutable NamedTuple compared
 by value, the coalgebra by that coalgebra's own equality.
@@ -28,15 +28,15 @@ import re
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .coalgebra import BandedCoalgebra, Basis, CoalgebraSpec, ThetaCoalgebra
+from .coalgebra import BandedCoalgebra, CoalgebraSpec, ThetaCoalgebra, _node_basis
 from .dual import AdamsPoly
-from .laurent import LaurentPoly, times_linear
+from .laurent import LaurentPoly
 from .rationals import check_primitive_root, is_prime, least_primitive_root
 
 _NAME = re.compile(r"^(KO|ko|K|k|G|g)(?:\((\d+)\))?$")
 
-# the node base 9 = q**2 of ko(2) and KO(2), q pinned to 3: k(2) and K(2)
-# build their basis on it and keep its admissible steps
+# the node base 9 = q**2 of ko(2) and KO(2), q pinned to 3: support_step
+# reads the admissible steps of k(2) and K(2) off it
 _REAL_NODES = ThetaCoalgebra(9, 2, prime=2)
 
 
@@ -89,59 +89,39 @@ def parse_name(name: str) -> tuple[str, int]:
     return family, p
 
 
-def _interleaved_basis(real: ThetaCoalgebra, q: int, periodic: bool) -> Basis:
-    # even slots reuse the real basis h_m in w**2; odd slots multiply in the
-    # degree-one factor (q**m - w) / (2 q**m) = (w - q**m) / (-2 q**m), which
-    # kills w = q**m and keeps the coefficients 2-locally integral; the
-    # periodic element n moves down by floor(n/2) slots
-    def basis(n: int):
-        m, odd = divmod(n, 2)
-        den, h = real.basis(m)
-        h = {2 * e: c for e, c in h.items()}
-        if odd:
-            dense = [h.get(j, 0) for j in range(2 * m + 1)]
-            den, h = -2 * q**m * den, dict(enumerate(times_linear(dense, q**m)))
-        shift = n // 2 if periodic else 0
-        return den, {k - shift: c for k, c in h.items()}
-
-    return basis
-
-
 class InterleavedCoalgebra(BandedCoalgebra):
-    """The coalgebra of k(2), or of K(2) when periodic: the base-9 theta
-    basis h_m of the real theory in w**2 at the even indices and its odd
-    companions (_interleaved_basis, q = 3), at step 1 and the prime 2.
-    It has no product form, so its coordinates come from the elimination
-    and its tables from the monomial-sum kernel of CoalgebraSpec, and it
-    compares by identity.
+    """The coalgebra of k(2), or of K(2) when periodic: the Newton basis
+    (coalgebra._node_basis) on the nodes z_l = (-1)**l 3**floor(l/2), that
+    is z_0, z_1, ... = 1, -1, 3, -3, 9, -9, ..., at step 1 and the prime
+    2.  As N_2m(w) = prod_(i<m) (w**2 - 9**i), its even elements are, up
+    to the periodic factor, the base-9 theta basis of ko(2) in w**2.  Its
+    dual basis has no product form, so its coordinates come from the
+    elimination and its tables from the monomial-sum kernel of
+    CoalgebraSpec, and it compares by identity.
 
     Band: G_t[m][n] = 0 for t > m + n, so coproduct_entry builds no
-    table there.  Proof, on the node sequence z_1, z_2, ... = 1, -1, 3,
-    -3, 9, -9, ..., that is z_(2i+1) = 3**i and z_(2i+2) = -3**i:
+    table there.  Proof:
 
-    * c_n vanishes at z_1..z_n and not at z_(n+1).  Periodically this is
-      said of c_n times w**floor(n/2), which moves no zero, as w is a
-      unit at every node.  c_2m = h_m(w**2), h_m(x) = prod_(i<m)
-      (x - 9**i) / (9**m - 9**i), vanishes at w = +-3**i, i < m, that is
-      at z_1..z_2m, and is 1 at z_(2m+1) = 3**m; c_(2m+1) = c_2m (w - 3**m)
-      / (-2 3**m) vanishes at z_(2m+1) too and is 1 at z_(2m+2) = -3**m.
-    * z_a z_b = z_c with c <= a + b - 1.  For z_a = +-3**i and
-      z_b = +-3**j, a >= 2i + 1 and b >= 2j + 1; z_a z_b = +-3**(i+j)
-      sits at c = 2(i+j) + 1, or at 2(i+j) + 2 when its sign is minus,
-      which needs one of a, b even, so that a + b - 1 >= 2(i+j) + 2.
+    * c_n vanishes at z_0..z_(n-1) and is 1 at z_n, as every Newton
+      basis does (_node_basis); periodically this is said of c_n times
+      w**floor(n/2), which moves no zero, as no node is 0.
+    * z_a z_b = z_c with c <= a + b.  For z_a = +-3**i and z_b = +-3**j,
+      a >= 2i and b >= 2j; z_a z_b = +-3**(i+j) sits at c = 2(i+j), or
+      at 2(i+j) + 1 when its sign is minus, which needs one of a, b odd,
+      so that a + b >= 2(i+j) + 1.
     * w is grouplike, so w (x) w -> (x, y) sends Delta(c_t) to
-      c_t(xy) = sum_(i,j) G_t[i][j] c_i(x) c_j(y).  At x = z_(a+1) and
-      y = z_(b+1), a, b <= t, that is V_t = L G_t L^T with
-      V_t[a][b] = c_t(z_(a+1) z_(b+1)) and L[a][i] = c_i(z_(a+1)), lower
-      triangular with a nonzero diagonal by the first point.  So
+      c_t(xy) = sum_(i,j) G_t[i][j] c_i(x) c_j(y).  At x = z_a and
+      y = z_b, a, b <= t, that is V_t = L G_t L^T with
+      V_t[a][b] = c_t(z_a z_b) and L[a][i] = c_i(z_a), lower triangular
+      with a nonzero diagonal by the first point.  So
       G_t = L^-1 V_t L^-T, and as L^-1 is lower triangular, G_t[m][n]
       reads only the V_t[a][b] with a <= m and b <= n: values of c_t at
-      z_c, c <= a + b + 1 <= m + n + 1 by the second point.  For
-      t > m + n these are zeros of c_t, so G_t[m][n] = 0.
+      z_c, c <= a + b <= m + n by the second point.  For t > m + n these
+      are zeros of c_t, so G_t[m][n] = 0.
     """
 
     def __init__(self, periodic: bool = False, name: str = ""):
-        super().__init__(step=1, basis=_interleaved_basis(_REAL_NODES, 3, periodic),
+        super().__init__(step=1, basis=_node_basis(lambda l: (-1) ** l * 3 ** (l // 2), periodic),
                          prime=2, periodic=periodic, name=name)
 
 

@@ -22,6 +22,14 @@ the reference here is the Fraction form they replace:
   the integers the library's node formula must give;
 * theta: the monic product prod_{i=1..n} (X - z_i) as a LaurentPoly.
 
+Every stock basis, and the binomial one, is a Newton basis on integer
+nodes z_l, l >= 0 (ktops.coalgebra._node_basis).  The fraction-free
+elimination finds the coordinates of a monomial in it; the route here
+reads them off the node formula instead:
+
+* newton_coords: coordinate n of x**k as N_n(z_n) h_(k-n)(z_0, ..., z_n),
+  h the complete homogeneous polynomial, by its recurrence in the nodes.
+
 The congruence expansion (ktops.checks) runs on integer nodes; the
 expansion here works on the product nodes themselves, in LaurentPoly
 and Fractions, and the literal reading works on the Gamma tables:
@@ -320,6 +328,30 @@ def theta_coords(f: LaurentPoly, z) -> list[Fraction]:
     if f.low < 0:
         raise ValueError("theta coordinates are defined for ordinary polynomials")
     return newton_coeffs(f, z, f.degree + 1)
+
+
+def newton_coords(node: Callable[[int], int], k: int, top: int) -> list[int]:
+    """Coordinates 0..top of x**k in the Newton basis on the integer nodes
+    z_l = node(l), l >= 0, c_n = N_n(x) / N_n(z_n), N_n(x) = prod_(l<n)
+    (x - z_l), by the node formula rather than by elimination.
+
+    x**k = sum_n h_(k-n)(z_0, ..., z_n) N_n(x), the divided differences of
+    x**k being the complete homogeneous polynomials h (zero in negative
+    degree), so coordinate n is N_n(z_n) h_(k-n)(z_0, ..., z_n).  h is
+    built by h_d(z_0..z_n) = h_d(z_0..z_(n-1)) + z_n h_(d-1)(z_0..z_n).
+    """
+    h = [1] + [0] * k  # h_d of no nodes
+    zs, out = [], []
+    for n in range(top + 1):
+        z = node(n)
+        for d in range(1, k + 1):
+            h[d] += z * h[d - 1]
+        scale = 1
+        for y in zs:
+            scale *= z - y
+        zs.append(z)
+        out.append(scale * h[k - n] if n <= k else 0)
+    return out
 
 
 def product_nodes(spec: SpectrumSpec):

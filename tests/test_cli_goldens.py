@@ -9,7 +9,11 @@ one definition (see tests/test_check_goldens.py); the others are the
 original captures.  The G(5) and K(3) gamma digests, whose tables have
 fractional entries at an odd prime, were captured while the tables were
 still printed through Fractions, so they pin that printing them from
-their integer form changes no byte.
+their integer form changes no byte.  The `basis k(2)|K(2) --n 40` and
+`gamma k(2) --n 16` digests were captured while the k(2) and K(2) bases
+were still read off the base-9 theta basis of ko(2), so they pin that
+building them on their own node sequence 1, -1, 3, -3, 9, ... changes
+no byte.
 """
 import hashlib
 import io
@@ -28,6 +32,12 @@ GOLDEN = {
     ("basis K(2) --n 5", "json"): (0, "e9830cf26dc027a2dc01bc8a1b6ec40af1c9212df95a6433435a317677ec1fdc"),
     ("basis K(2) --n 5", "tsv"): (0, "9654ca73b1bab81fefc9b0ce9eaba72f572bbf6b6f44435baed70de10a43cb7e"),
     ("basis K(2) --n 5", "pretty"): (0, "a63dafaeab299a4d14c79c5ca870fd8b6ccf921600fe18aad549e1381a14a814"),
+    ("basis k(2) --n 40", "json"): (0, "42b7594e48a68fe0c22a90859a1da8551f8d553272e156607d5ef414a7e3db9f"),
+    ("basis k(2) --n 40", "tsv"): (0, "5f3568950e6a13d0b770f1a395b99e89a8454c00d1d4263c627f190e019a550a"),
+    ("basis k(2) --n 40", "pretty"): (0, "3ae9f9427be2ad9075dd0b15fa1d9316c5297601f97650c3319f8763937571a9"),
+    ("basis K(2) --n 40", "json"): (0, "64c1c156d26b14937b48bef769ec925af7d7cf43e13409c9c3ab58404cc01502"),
+    ("basis K(2) --n 40", "tsv"): (0, "21e521a57588f81864d56723d6f850e09230cebe2d719da0ca5c73f29cfe54dc"),
+    ("basis K(2) --n 40", "pretty"): (0, "e66af67d8344495c2c9d0147e605f684fb328a9ae27382643ce441f5d291f582"),
     ("gamma k(3) --n 4", "json"): (0, "c20894d9cc38c8ecb1373bbeb7b3682ffbe12d5c3c19223eddf2bda41550805d"),
     ("gamma k(3) --n 4", "tsv"): (0, "867a25ac432e3f4fa9e79636af00b9ae5599c87e7970d1115ce15ced1f50f034"),
     ("gamma k(3) --n 4", "pretty"): (0, "2d51c5bd8c3347b2d6cab84db47c5b0098fcc7409d2e50bdc5a84b808e59e555"),
@@ -37,6 +47,9 @@ GOLDEN = {
     ("gamma K(2) --n 5", "json"): (0, "502c1dea2e35f93ad4517b6d3d83d016d650ade1e117d51e060f11438a6e2218"),
     ("gamma K(2) --n 5", "tsv"): (0, "aac217289b0f58f172f656984a8829fc223e73ca932556973f508f048f008225"),
     ("gamma K(2) --n 5", "pretty"): (0, "30135dd32dfffde86080622811d633b02d4717feaed5600fa287baad91c43fd5"),
+    ("gamma k(2) --n 16", "json"): (0, "e88bdf0b0eb5d9e6128841bace09b8f05317e8f337ec0f2aee50d9eca0d5dcdd"),
+    ("gamma k(2) --n 16", "tsv"): (0, "31d612028a5463ad059a62c466ad2805b87026dafb71cbcd27435d66111c4dfd"),
+    ("gamma k(2) --n 16", "pretty"): (0, "a1a613491ca3b80607da03b49cbb1adae5fb50a577cad45f172433aabda745c4"),
     ("gamma G(5) --n 6", "json"): (0, "403a56fa36fae823670c5ac087a0d7ff9cd01334cf7ffa0a981c7095e5664e33"),
     ("gamma G(5) --n 6", "tsv"): (0, "557499c73b788638b8c0dbf7a6a34a51decf4a6913f4e442f0c391a7188c9da8"),
     ("gamma G(5) --n 6", "pretty"): (0, "061f9f334b216ff8e1171eca70bbeceec9c05c29160c4067ea5d07068b42d08c"),

@@ -15,7 +15,7 @@ from ktops.coalgebra import (
 from ktops.laurent import LaurentPoly
 from ktops.rationals import nu
 from ktops.spectra import InterleavedCoalgebra, make_spectrum
-from oracles import coproduct_by_solve, spy_tables
+from oracles import coproduct_by_solve, newton_coords, spy_tables
 
 THETA_NAMES = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
                "k(7)", "G(7)", "ko(2)", "KO(2)")
@@ -363,3 +363,47 @@ def test_in_ground_ring_reads_the_denominator(prime):
     for x in values:
         want = Fraction(x).denominator == 1 if prime is None else (x == 0 or nu(prime, x) >= 0)
         assert C.in_ground_ring(x) is want, (prime, x)
+
+
+def _interleaved_node(l):
+    return (-1) ** l * 3 ** (l // 2)
+
+
+def _node_coalgebras():
+    # each stock coalgebra with its node sequence z_l, l >= 0, written
+    # here and not read from the library's basis builder
+    cases = [(name, make_spectrum(name).coalgebra, _interleaved_node) for name in ("k(2)", "K(2)")]
+    for name in ("k(3)", "K(3)", "g(3)", "G(3)", "ko(2)", "KO(2)"):
+        sp = make_spectrum(name)
+        cases.append((name, sp.coalgebra, lambda l, b=sp.base: b**l))
+    cases.append(("binomial", binomial_coalgebra(3), lambda l: l))
+    return [pytest.param(C, node, id=name) for name, C, node in cases]
+
+
+@pytest.mark.parametrize("C,node", _node_coalgebras())
+def test_newton_basis_vanishes_at_the_earlier_nodes(C, node):
+    # c_n (times x**floor(n/2) when periodic), x = w**r, is 0 at z_0..z_(n-1)
+    # and 1 at z_n: d_n c_n evaluated by integer Horner on monomial_form(n)
+    for n in range(41):
+        d, form = C.monomial_form(n)
+        shift = n // 2 if C.periodic else 0
+        coeffs = [0] * (n + 1)
+        for k, m in form.items():
+            coeffs[k + shift] = m
+        for l in range(n + 1):
+            z, value = node(l), 0
+            for c in reversed(coeffs):
+                value = value * z + c
+            assert value == (d if l == n else 0), (n, l)
+
+
+@pytest.mark.parametrize("C,node,top", [
+    pytest.param(make_spectrum("k(2)").coalgebra, _interleaved_node, 40, id="k(2)"),
+    pytest.param(binomial_coalgebra(3), lambda l: l, 30, id="binomial"),
+])
+def test_elimination_matches_the_node_formula(C, node, top):
+    # the fraction-free elimination against coordinate n of x**k =
+    # N_n(z_n) h_(k-n)(z_0..z_n); K(2) is left out, as its periodic factor
+    # breaks that form
+    for k in range(top + 1):
+        assert list(C.basis_coords(k)) == newton_coords(node, k, k), k
