@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, islice
+from math import gcd
 from typing import NamedTuple
 
 from .coalgebra import ThetaCoalgebra
@@ -220,14 +221,14 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
 
 
 def _monomial_divisibility(spec: SpectrumSpec, index: int) -> tuple[int | None, int]:
-    """(slot, bound): the first monomial slot resolvable by indices <= bound
-    = max(20, index) whose index-th coordinate p does not divide, or None."""
-    coalg = spec.coalgebra
+    """(slot, bound), bound = max(20, index): the first slot resolvable by indices <= bound
+    whose index-th coordinate A / D p does not divide, read as p not dividing A / gcd(A, D), or None."""
+    coalg, p = spec.coalgebra, spec.prime
     bound = max(_TABLE_BOUND, index)
     for slot in coalg.monomial_slots(bound):
-        coords = coalg.basis_coords(slot)
-        v = coords[index] if index < len(coords) else 0
-        if v and nu(spec.prime, v) < 1:
+        d, nz = coalg._int_coords(slot)
+        a = dict(nz).get(index, 0)
+        if a and a // gcd(a, d) % p:
             return slot, bound
     return None, bound
 

@@ -39,35 +39,28 @@ the type of the coalgebra and by nothing else:
   monomials of c_n as integers over one denominator for the whole table,
   O(n**3) products of big coordinates per table;
 * ThetaCoalgebra, the theta-form coalgebras of node base b (k, K, g, G
-  at odd p, ko(2) and KO(2)), works on the dual side.  Its dual basis is
-  a_n = sigma_n theta_n(T) with theta_n(T) = prod_{l<n} (T - y_l) on the
-  nodes y_l = b**extending_slot(l), so Gamma_n[i][j] = <a_i a_j, c_n> =
-  (sigma_i sigma_j / sigma_n) Q_n(i, j) with Q_n(i, j) the coefficient
-  of theta_n in theta_i theta_j.  Multiplying theta_(j-1) by T - y_(j-1)
-  and reading theta_k (T - y) = theta_(k+1) + (y_k - y) theta_k gives
-  Q_n(i, 0) = delta_in and Q_n(i, j) = Q_(n-1)(i, j-1) + (y_n - y_(j-1))
-  Q_n(i, j-1): table n comes from table n-1 in O(n**2) multiplies by a
-  node difference.  Q_n(i, j) = 0 unless max(i, j) <= n <= i + j, since
-  theta_max(i,j) divides theta_i theta_j, of degree i + j.
-  ThetaCoalgebra._gamma_table has the proofs and the integer scaling.
-  ThetaCoalgebra owns every fact of the node sequence: their integer
-  scale (scale), the integer nodes (nodes) and dual basis (dual_basis),
-  the base's order (o, v) = (ord_p b, nu_p(b**o - 1)), the valuation of
-  a node gap (gap_valuation), and the same Newton step run along one
-  row of theta_m theta_n - theta_(m+n) (product_row), which the
-  congruence condition of ktops.checks reads.
+  at odd p, ko(2) and KO(2)), works on the dual side, a_n = sigma_n
+  theta_n(T) with theta_n(T) = prod_{l<n} (T - y_l), y_l =
+  b**extending_slot(l): Gamma_n[i][j] = (sigma_i sigma_j / sigma_n)
+  Q_n(i, j), Q_n(i, j) the coefficient of theta_n in theta_i theta_j, and
+  Q_n(i, j) = Q_(n-1)(i, j-1) + (y_n - y_(j-1)) Q_n(i, j-1) builds table
+  n from table n-1 in O(n**2) multiplies by a node difference, nonzero
+  only for max(i, j) <= n <= i + j (proofs in _gamma_table).  It owns
+  every fact of the node sequence: scale, nodes, dual_basis, order,
+  gap_valuation and product_row, which the congruence condition of
+  ktops.checks reads.
 
 k(2), K(2), the binomial and monomial coalgebras and every user-built
-CoalgebraSpec run the kernel, which is also the reference the recursion
-is checked against.  Each route fills table n in one loop that hands
-every nonzero entry with i <= j to a maker as integers, (num, den), or
-num alone when the route knows it is an integer, and a table has two
-views made that way: coproduct_matrix(n) has the maker Fraction, with
-every zero entry the one shared Fraction(0), and coproduct_text(n)
-makes str(Fraction(num, den)) by one gcd and one format, with no
-Fraction, for printing.  The older route, which clears a LaurentPoly
-remainder one Fraction operation at a time, is kept in tests/oracles.py
-as the oracle both are checked against.
+CoalgebraSpec run the kernel, the reference the recursion is checked
+against.  Each route fills table n in one loop that hands every nonzero
+entry with i <= j to a maker as integers, (num, den), or num alone when
+it is an integer, and that one loop gives three views: coproduct_matrix(n)
+with the maker Fraction, every zero the one shared Fraction(0);
+coproduct_text(n), str(Fraction(num, den)) by one gcd and one format,
+for printing; and verify_regularity's unreduced (num, den) pairs,
+which it tests and compares on integers.  The older route, clearing a
+LaurentPoly remainder one Fraction operation at a time, is the oracle
+in tests/oracles.py.
 
 coproduct_entry(i, j, n) reads one entry, zero for i > n or j > n.  A
 BandedCoalgebra, ThetaCoalgebra or the coalgebra of k(2) and K(2)
@@ -197,14 +190,17 @@ class CoalgebraSpec:
         return LaurentPoly({self.step * k: Fraction(m, d) for k, m in mono.items()})
 
     def in_ground_ring(self, x: Fraction) -> bool:
-        """Whether the int or Fraction x lies in Z, or in Z_(p) for a prime p.
+        """Whether the int or Fraction x lies in Z, or in Z_(p) for a prime p."""
+        return self._integral(x.numerator, x.denominator)
 
-        The prime was checked once in __init__, so the denominator
-        is read directly.
-        """
-        if self.prime is None:
-            return x.denominator == 1
-        return x.denominator % self.prime != 0
+    def _integral(self, num: int, den: int) -> bool:
+        """Whether num / den, den != 0 in any terms, lies in the ground ring:
+        over Z when den divides num; over Z_(p) when p does not divide den,
+        or else not the reduced denominator, by one gcd."""
+        p = self.prime
+        if p is None:
+            return num % den == 0
+        return den % p != 0 or den // gcd(num, den) % p != 0
 
     def counit_value(self, n: int) -> Fraction:
         """Value of the counit on basis element n (evaluation at w = 1)."""
@@ -223,8 +219,6 @@ class CoalgebraSpec:
         as integers R over one denominator, and the extremal slot of R,
         which only the highest-index contributing basis element can
         reach, is cleared with that element's integer monomial form.
-        ThetaCoalgebra evaluates its dual basis instead and keeps this
-        route as the oracle the evaluation is checked against.
         """
         if k in self._icoords:
             return self._icoords[k]
@@ -279,13 +273,10 @@ class CoalgebraSpec:
         """Structure constants G with Delta(c_n) = sum_{i,j} G[i][j] c_i (x) c_j.
 
         Memoized per n in _gamma, the one table memo.  The route is
-        chosen by the type of the coalgebra.  ThetaCoalgebra builds table
-        n from table n-1 on its dual basis a_n = sigma_n theta_n(T): G[i][j]
-        = (sigma_i sigma_j / sigma_n) Q_n(i, j) with Q_n(i, j) =
-        Q_(n-1)(i, j-1) + (y_n - y_(j-1)) Q_n(i, j-1), Q_n(i, 0) = delta_in
-        (proven in its _gamma_table).  Every other coalgebra runs the
-        monomial-sum kernel below, the reference the recursion is
-        checked against.
+        chosen by the type of the coalgebra: a ThetaCoalgebra runs its
+        Newton recursion (proven in its _gamma_table), every other
+        coalgebra the monomial-sum kernel below, the reference the
+        recursion is checked against.
 
         Kernel: since w is grouplike, Delta(c_n) = (1/d) sum_k m_k
         w**(rk) (x) w**(rk); expanding each monomial through basis_coords
@@ -702,19 +693,30 @@ class RegularityReport(NamedTuple):
         return "\n".join(lines)
 
 
+def _pair(num: int, den: int = 1) -> tuple[int, int]:
+    """verify_regularity's table maker: num / den as (num, den), unreduced; den < 0 for
+    an odd power of a base b < 0, which no test on the pair needs to undo."""
+    return num, den
+
+
 def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
     """Run every regularity check on basis indices and monomials up to limit.
 
-    On a ThetaCoalgebra the table checks compare the Newton recursion of
-    the Gamma tables with the monomial coordinates, read off the dual
-    basis by evaluation (last column), and with the counit values of the
-    basis (counit law); the diagonal identity ties those coordinates to
-    the monomial forms of the basis.  On any other coalgebra the tables
-    come from the monomial-sum kernel, which is built from the
-    coordinates of the fraction-free elimination.  The counit law sums
-    over the support of the counit only: {0} on the eight stock spectra,
-    {0, 1} on the binomial coalgebra and every index on the monomial
-    ones.  Raises ValueError on a negative limit.
+    The table checks compare the Gamma tables (the Newton recursion on a
+    ThetaCoalgebra, else the monomial-sum kernel) with the monomial
+    coordinates (by evaluation, else by elimination) in the last column,
+    and with the counit values of the basis, summed over the support of
+    the counit only: {0} on the stock spectra, {0, 1} on the binomial
+    coalgebra.  The diagonal identity ties the coordinates to the
+    monomial forms.  Raises ValueError on a negative limit.
+
+    The checks read integers: each table built once as pairs (num, den),
+    coordinate i as A_i / D, D > 0, _integral on a pair, equalities
+    cross-multiplied; Fractions only on the counit's support and for a
+    counterexample.  The table scan reads j >= i: both routes write G[i][j]
+    = G[j][i], so a failing (i, j), j < i, has its mirror (j, i) earlier in
+    row-major order, and the first failure is the one a full scan finds.
+    The oracle is regularity_by_fractions in tests/oracles.py.
     """
     if limit < 0:
         raise ValueError("the limit must be non-negative")
@@ -731,59 +733,56 @@ def verify_regularity(spec: CoalgebraSpec, limit: int) -> RegularityReport:
     if bad:
         return RegularityReport(limit, checks)
 
+    ground, slots = spec._integral, spec.monomial_slots(limit)
     bad = next((
-        f"monomial k={k}, index {n}: coordinate {v}"
-        for k in spec.monomial_slots(limit)
-        for n, v in enumerate(spec.basis_coords(k))
-        if not spec.in_ground_ring(v)
+        f"monomial k={k}, index {n}: coordinate {Fraction(a, d)}"
+        for k, (d, nz) in zip(slots, map(spec._int_coords, slots))
+        for n, a in nz
+        if not ground(a, d)
     ), "")
     checks.append(CheckResult("monomial coordinates integral", not bad, bad))
 
+    tables = [spec._gamma_table(n, _pair, (0, 1)) for n in range(limit + 1)]
     bad = next((
-        f"element {n}, entry ({i},{j}): {v}"
-        for n in range(limit + 1)
-        for i, row in enumerate(spec.coproduct_matrix(n))
-        for j, v in enumerate(row)
-        # both table routes hand out one shared zero, and zero is integral
-        if v is not _ZERO and not spec.in_ground_ring(v)
+        f"element {n}, entry ({i},{j}): {Fraction(num, den)}"
+        for n, g in enumerate(tables)
+        for i, row in enumerate(g)
+        for j, (num, den) in enumerate(row[i:], i)
+        if den != 1 and not ground(num, den)
     ), "")
     checks.append(CheckResult("coproduct constants integral", not bad, bad))
 
+    # coordinate n of the monomial that element i resolves is col[n] / big
+    cols = [(big, dict(nz)) for big, nz in map(spec._int_coords, map(spec.extending_slot, range(limit + 1)))]
     bad = ""
-    for i in range(limit + 1):
+    for i, (big, col) in enumerate(cols):
         d, mono = spec.monomial_form(i)
-        ki = spec.extending_slot(i)
-        lam = spec.basis_coords(ki)[i] * mono[ki]
-        if lam != d:
-            bad = f"element {i}: diagonal product {lam} != {d}"
+        lam = col.get(i, 0) * mono[spec.extending_slot(i)]  # big times the diagonal product
+        if lam != d * big:
+            bad = f"element {i}: diagonal product {Fraction(lam, big)} != {d}"
             break
     checks.append(CheckResult("diagonal identity", not bad, bad))
 
-    bad = ""
-    for i in range(limit + 1):
-        g = spec.coproduct_matrix(i)
-        coords = spec.basis_coords(spec.extending_slot(i))
-        for n in range(i + 1):
-            if g[n][i] != coords[n]:
-                bad = f"entry ({n},{i}) of element {i}: {g[n][i]} != coordinate {coords[n]}"
-                break
-        if bad:
-            break
+    bad = next((
+        f"entry ({n},{i}) of element {i}: {Fraction(num, den)} != coordinate {Fraction(col.get(n, 0), big)}"
+        for i, (g, (big, col)) in enumerate(zip(tables, cols))
+        for n, (num, den) in enumerate(row[i] for row in g[:i + 1])
+        if num * big != col.get(n, 0) * den
+    ), "")
     checks.append(CheckResult("last column matches monomial coordinates", not bad, bad))
 
     bad = ""
     eps = [spec.counit_value(i) for i in range(limit + 1)]
     support = [i for i, e in enumerate(eps) if e]
-    for n in range(limit + 1):
+    for n, g in enumerate(tables):
         # sums eps_i G[i][j] (left) and eps_i G[j][i] (right) over i with eps_i != 0
-        g = spec.coproduct_matrix(n)
         left, right = [0] * (n + 1), [0] * (n + 1)
         for i in (i for i in support if i <= n):
             for j, row in enumerate(g):
-                if g[i][j]:
-                    left[j] += eps[i] * g[i][j]
-                if row[i]:
-                    right[j] += eps[i] * row[i]
+                if g[i][j][0]:
+                    left[j] += eps[i] * Fraction(*g[i][j])
+                if row[i][0]:
+                    right[j] += eps[i] * Fraction(*row[i])
         for j in range(n + 1):
             want = 1 if j == n else 0
             if left[j] != want or right[j] != want:

@@ -10,7 +10,11 @@ once did, so that a disagreement with the fast kernel is caught:
 * coproduct_by_fraction_loop: structure constants summed entry by entry
   over coordinates from coords_by_clearing;
 * coproduct_by_solve: structure constants from a dense linear solve in
-  the two-variable monomial basis.
+  the two-variable monomial basis;
+* regularity_by_fractions: verify_regularity on the Fraction views,
+  coproduct_matrix and basis_coords, tested by in_ground_ring and
+  compared as Fractions; the library reads the integer pairs the tables
+  and coordinates are built from.
 
 The product nodes and node products (ktops.coalgebra.ThetaCoalgebra.nodes
 and ktops.laurent.times_linear) run on integers scaled by a power of b;
@@ -126,7 +130,7 @@ from functools import reduce
 from itertools import accumulate
 from typing import Callable
 
-from ktops.coalgebra import CoalgebraSpec, NotRegularError
+from ktops.coalgebra import _ZERO, CheckResult, CoalgebraSpec, NotRegularError, RegularityReport
 from ktops.dual import (
     AdamsPoly,
     DualElement,
@@ -239,6 +243,90 @@ def coproduct_by_solve(spec: CoalgebraSpec, n: int) -> tuple[tuple[Fraction, ...
     for (i, j), v in zip(unknowns, sol):
         g[i][j] = v
     return tuple(tuple(row) for row in g)
+
+
+def regularity_by_fractions(spec: CoalgebraSpec, limit: int) -> RegularityReport:
+    """verify_regularity read off the Fraction views of the tables: every
+    coordinate and every table entry tested by in_ground_ring, the shared
+    zero skipped by identity, and the comparisons made as Fractions."""
+    if limit < 0:
+        raise ValueError("the limit must be non-negative")
+    checks: list[CheckResult] = []
+
+    bad = ""
+    for n in range(limit + 1):
+        try:
+            spec.monomial_form(n)
+        except NotRegularError as e:
+            bad = f"n={n}: {e}"
+            break
+    checks.append(CheckResult("basis shape", not bad, bad))
+    if bad:
+        return RegularityReport(limit, checks)
+
+    bad = next((
+        f"monomial k={k}, index {n}: coordinate {v}"
+        for k in spec.monomial_slots(limit)
+        for n, v in enumerate(spec.basis_coords(k))
+        if not spec.in_ground_ring(v)
+    ), "")
+    checks.append(CheckResult("monomial coordinates integral", not bad, bad))
+
+    bad = next((
+        f"element {n}, entry ({i},{j}): {v}"
+        for n in range(limit + 1)
+        for i, row in enumerate(spec.coproduct_matrix(n))
+        for j, v in enumerate(row)
+        # both table routes hand out one shared zero, and zero is integral
+        if v is not _ZERO and not spec.in_ground_ring(v)
+    ), "")
+    checks.append(CheckResult("coproduct constants integral", not bad, bad))
+
+    bad = ""
+    for i in range(limit + 1):
+        d, mono = spec.monomial_form(i)
+        ki = spec.extending_slot(i)
+        lam = spec.basis_coords(ki)[i] * mono[ki]
+        if lam != d:
+            bad = f"element {i}: diagonal product {lam} != {d}"
+            break
+    checks.append(CheckResult("diagonal identity", not bad, bad))
+
+    bad = ""
+    for i in range(limit + 1):
+        g = spec.coproduct_matrix(i)
+        coords = spec.basis_coords(spec.extending_slot(i))
+        for n in range(i + 1):
+            if g[n][i] != coords[n]:
+                bad = f"entry ({n},{i}) of element {i}: {g[n][i]} != coordinate {coords[n]}"
+                break
+        if bad:
+            break
+    checks.append(CheckResult("last column matches monomial coordinates", not bad, bad))
+
+    bad = ""
+    eps = [spec.counit_value(i) for i in range(limit + 1)]
+    support = [i for i, e in enumerate(eps) if e]
+    for n in range(limit + 1):
+        # sums eps_i G[i][j] (left) and eps_i G[j][i] (right) over i with eps_i != 0
+        g = spec.coproduct_matrix(n)
+        left, right = [0] * (n + 1), [0] * (n + 1)
+        for i in (i for i in support if i <= n):
+            for j, row in enumerate(g):
+                if g[i][j]:
+                    left[j] += eps[i] * g[i][j]
+                if row[i]:
+                    right[j] += eps[i] * row[i]
+        for j in range(n + 1):
+            want = 1 if j == n else 0
+            if left[j] != want or right[j] != want:
+                bad = f"element {n}, index {j}: counit sums ({left[j]}, {right[j]})"
+                break
+        if bad:
+            break
+    checks.append(CheckResult("counit law", not bad, bad))
+
+    return RegularityReport(limit, checks)
 
 
 def geometric_powers(base):

@@ -5,6 +5,7 @@ from itertools import takewhile
 import pytest
 
 from ktops.checks import (
+    _monomial_divisibility,
     check_coalgebra_conditions,
     check_congruence_condition,
     check_gamma_transfer,
@@ -655,3 +656,38 @@ def test_support_step_where_it_differs_from_the_conditions():
     # too lax on k(2): shift 1 is admitted at l = 3 and fails there
     assert next(admissible_shifts(K2, 3)) == 1
     assert not check_congruence_condition(K2, 1, 1, 3)
+
+
+def _k3_with_c1_c3_tripled():
+    # c_1 and c_3 of k(3) times 3: at slot 3 the coordinate on c_1 has a 3 in
+    # its denominator, so 3 | D and 3 | A at index 3, where A / D itself is a
+    # 3-adic unit: only A / gcd(A, D) tells
+    stock = K3.coalgebra
+
+    def basis(n):
+        d, mono = stock.monomial_form(n)
+        return (d, {k: 3 * m for k, m in mono.items()}) if n in (1, 3) else (d, mono)
+
+    return SpectrumSpec("k(3) 3 c_1 3 c_3", "k", 2, CoalgebraSpec(step=1, basis=basis, prime=3))
+
+
+@pytest.mark.parametrize("name", ["k(2)", "K(2)", "k(3)", "K(3)", "binomial", "tripled"])
+def test_monomial_divisibility_on_integers_matches_the_valuation(name):
+    # the unit part without a product form tests p | A / D on the integer
+    # coordinates; the Fraction route reads nu >= 1 off basis_coords.  On
+    # k(2) every denominator D is 1, on K(2) a power of 3; k(3) and K(3)
+    # fail at index 1, and the binomial coalgebra at 3 at indices 1 and 2
+    sp = {"binomial": lambda: SpectrumSpec("binomial", "k", 2, binomial_coalgebra(3)),
+          "tripled": _k3_with_c1_c3_tripled}.get(name, lambda: make_spectrum(name))()
+    C = sp.coalgebra
+    for index in range(1, 25):
+        bound = max(20, index)
+        want = next((slot for slot in C.monomial_slots(bound)
+                     if index < len(C.basis_coords(slot)) and C.basis_coords(slot)[index]
+                     and nu(sp.prime, C.basis_coords(slot)[index]) < 1), None)
+        assert _monomial_divisibility(sp, index) == (want, bound), (name, index)
+    dens = {C._int_coords(slot)[0] for slot in C.monomial_slots(24)}
+    if name == "k(2)":
+        assert dens == {1}
+    if name == "K(2)":
+        assert all(3 ** nu(3, d) == d for d in dens) and dens != {1}

@@ -14,8 +14,8 @@ from ktops.coalgebra import (
 )
 from ktops.laurent import LaurentPoly
 from ktops.rationals import nu
-from ktops.spectra import InterleavedCoalgebra, make_spectrum
-from oracles import coproduct_by_solve, newton_coords, spy_tables
+from ktops.spectra import InterleavedCoalgebra, make_spectrum, spectrum_names
+from oracles import coproduct_by_solve, newton_coords, regularity_by_fractions, spy_tables
 
 THETA_NAMES = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
                "k(7)", "G(7)", "ko(2)", "KO(2)")
@@ -147,7 +147,9 @@ def test_counit_law_catches_wrong_integral_entry():
     # (1, 0) only the right one; k(2) and K(2) read their tables from the
     # monomial-sum kernel.  The counit of the binomial coalgebra is e_0 +
     # e_1 and that of the periodic monomial one is 1 everywhere, so an
-    # entry doped in support row 1, or in support column 1, fails there
+    # entry doped in support row 1, or in support column 1, fails there.
+    # The check reads the tables _gamma_table builds, so the doped entry is
+    # handed to its maker in place of the built one
     n = 3
     cases = [(lambda name=name: make_spectrum(name).coalgebra, ((0, 1), (1, 0)))
              for name in ("k(3)", "KO(2)", "G(5)", "k(2)", "K(2)")]
@@ -156,9 +158,16 @@ def test_counit_law_catches_wrong_integral_entry():
     for make, entries in cases:
         for r, c in entries:
             C = make()
-            g = [list(row) for row in C.coproduct_matrix(n)]
+            g = [list(row) for row in make().coproduct_matrix(n)]
             g[r][c] += 1
-            C._gamma[n] = tuple(tuple(row) for row in g)
+
+            def doped(t, maker, zero, build=C._gamma_table, v=g[r][c], r=r, c=c):
+                table = [list(row) for row in build(t, maker, zero)]
+                if t == n:
+                    table[r][c] = maker(v.numerator, v.denominator)
+                return tuple(map(tuple, table))
+
+            C._gamma_table = doped
             report = verify_regularity(C, 5)
             failed = {ch.name: ch.counterexample for ch in report.checks if not ch.ok}
             eps = [C.counit_value(i) for i in range(n + 1)]
@@ -407,3 +416,58 @@ def test_elimination_matches_the_node_formula(C, node, top):
     # breaks that form
     for k in range(top + 1):
         assert list(C.basis_coords(k)) == newton_coords(node, k, k), k
+
+
+def _scaled(name, index, scale, prime):
+    # the stock basis with one element scaled, as a plain CoalgebraSpec; below,
+    # each scale that is not a unit of the ground ring makes it irregular
+    good = make_spectrum(name).coalgebra
+
+    def basis(n):
+        d, mono = good.monomial_form(n)
+        if n != index:
+            return d, mono
+        return d * scale.denominator, {k: m * scale.numerator for k, m in mono.items()}
+
+    return CoalgebraSpec(step=good.step, basis=basis, prime=prime, periodic=good.periodic,
+                         name=f"{name} c_{index} * {scale}")
+
+
+def _regularity_cases():
+    # 35 coalgebras, 15 of them irregular: the stock twelve, the example user
+    # coalgebras, theta forms on negative bases, a base divisible by p and
+    # one over Z, and k(3) with one element scaled
+    cases = [(name, lambda name=name: make_spectrum(name).coalgebra)
+             for name in dict.fromkeys(spectrum_names(3) + spectrum_names(5))]
+    cases += [("binomial at 3", lambda: binomial_coalgebra(3)),
+              ("binomial over Z", binomial_coalgebra),
+              ("monomial periodic", lambda: monomial_coalgebra(2, 3, True))]
+    cases += [(f"theta{key}", lambda key=key: ThetaCoalgebra(*key))
+              for key in ((-3, 1, 2, True), (-2, 1, 3, False), (3, 1, 3, True), (2, 1, None, False))]
+    cases += [(f"k(3) c_{index} * {scale} at {prime}", lambda args=(index, scale, prime): _scaled("k(3)", *args))
+              for index in (2, 4) for scale in (Fraction(3), Fraction(1, 3), Fraction(2), Fraction(1, 9))
+              for prime in (3, None)]
+    return [pytest.param(make, id=label) for label, make in cases]
+
+
+@pytest.mark.parametrize("make", _regularity_cases())
+def test_regularity_on_integers_matches_the_fraction_route(make):
+    # each route on a fresh coalgebra, so neither reads a memo of the other;
+    # the integer route writes no Fraction table
+    C = make()
+    report = verify_regularity(C, 12)
+    assert report == regularity_by_fractions(make(), 12), C.name
+    assert C._gamma == {} and C._coords == {}, C.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([None, 2, 3, 5]), st.integers(-10**6, 10**6),
+       st.integers(-10**6, 10**6).filter(bool), st.integers(0, 40))
+def test_integral_pair_agrees_with_in_ground_ring(prime, num, den, shift):
+    # the unreduced pair, with long runs of p (or 2) in its denominator,
+    # against in_ground_ring on its Fraction and against the valuation
+    den *= (prime or 2) ** shift
+    C = monomial_coalgebra(step=1, prime=prime)
+    x = Fraction(num, den)
+    want = x.denominator == 1 if prime is None else (num == 0 or nu(prime, x) >= 0)
+    assert C._integral(num, den) is C.in_ground_ring(x) is want

@@ -4,7 +4,8 @@ Both come from one loop per table route, which hands every nonzero entry
 to a maker as integers, (num, den) or num alone.  coproduct_text must
 write exactly what str writes for each Fraction of coproduct_matrix, and
 every zero of coproduct_matrix must be the one shared Fraction(0), which
-verify_regularity skips by identity.
+the oracle regularity_by_fractions (tests/oracles.py) skips by identity.
+verify_regularity reads a third view, integer pairs from the same loop.
 """
 import contextlib
 import sys
