@@ -565,13 +565,13 @@ class ThetaCoalgebra(BandedCoalgebra):
         b**(t_i + t_j - t_n) Q'_n(i, j), t_k = k (E_k - E), and each
         entry is made from Q'_n(i, j) times that power of b, an integer,
         or from Q'_n(i, j) over it, so make takes no gcd or one against
-        that power only; for b < 0 an odd power is a negative denominator,
-        whose sign make moves to the numerator.  Q is symmetric: row i
-        keeps j >= i, and Q_n(i, i-1) is read as Q_n(i-1, i).  Only the
-        band j >= max(i, n - i) of row i is read, where _newton_step
-        writes; below it every entry is zero.  Only the previous raw table
-        is kept, in _raw, at its own scale, at most E; _gamma holds the
-        Fractions.
+        that power only; for b < 0 an odd power is a negative denominator:
+        Fraction and _fraction_text move its sign up, _pair keeps it, as
+        its readers are sign-blind.  Q is symmetric: row i keeps j >= i,
+        and Q_n(i, i-1) is read as Q_n(i-1, i).  Only the band j >= max(i,
+        n - i) of row i is read, where _newton_step writes; below it every
+        entry is zero.  Only the previous raw table is kept, in _raw, at
+        its own scale, at most E; _gamma holds the Fractions.
         """
         b, e = self.base, self.scale(n)
         if self._raw is None or self._raw[0] > n:

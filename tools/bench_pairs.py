@@ -1,6 +1,6 @@
 """Alternating parent/change runs of perfbench/run.py, summarised into one JSON file.
 
-    python3 tools/bench_pairs.py --out BENCH_<n>.json --workload verdicts --pairs 10 --seed 1
+    python3 tools/bench_pairs.py --out BENCH_<n>.json --workload verdicts --seed 1
 
 The change is the working tree of this repository.  The parent, a git
 revision (--parent, HEAD by default, so run it before committing; use
@@ -10,9 +10,10 @@ registered.  Before every run the __pycache__ directories of that side are
 removed and the run gets PYTHONDONTWRITEBYTECODE=1, so each side compiles
 its own sources, as a fresh checkout does.
 
-Pair k runs seed --seed + k on both sides with the same --seconds, the
-parent first on even k and the change first on odd k, each workload in
-turn.  The output holds, per workload and end-to-end metric of
+There are PAIRS = 10 pairs, the fewest a claimed gain is judged on.
+Pair k runs seed --seed + k on both sides for the run_seconds that
+BENCHMARK.json declares, the parent first on even k and the change first
+on odd k, each workload in turn.  The output holds, per workload and end-to-end metric of
 BENCHMARK.json, the parent's median and quartiles, the change's median
 and quartiles, and the pairs the change won (strictly better in the
 direction BENCHMARK.json gives; ties count for neither side); then every
@@ -37,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cold-tables", "warm-algebra", "verdicts")
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> str:
@@ -114,14 +116,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
     ap.add_argument("--workload", choices=WORKLOADS + ("all",), default="verdicts")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=45)
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -134,20 +133,20 @@ def main(argv=None) -> int:
         settings = {
             "parent": args.parent, "parent_commit": parent_commit,
             "change": "working tree", "change_head": head,
-            "workloads": list(workloads), "pairs": args.pairs, "seconds": args.seconds,
-            "seeds": [args.seed + k for k in range(args.pairs)],
-            "first_side": ["parent" if k % 2 == 0 else "change" for k in range(args.pairs)],
+            "workloads": list(workloads), "pairs": PAIRS, "seconds": seconds,
+            "seeds": [args.seed + k for k in range(PAIRS)],
+            "first_side": ["parent" if k % 2 == 0 else "change" for k in range(PAIRS)],
             "python": platform.python_version(), "cpus": len(os.sched_getaffinity(0)),
             "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
         }
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             seed = args.seed + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for w in workloads:
                 pair = {"pair": k, "seed": seed, "first": order[0]}
                 for side in order:
                     t = time.perf_counter()
-                    pair[side] = run(trees[side], w, seed, args.seconds)
+                    pair[side] = run(trees[side], w, seed, seconds)
                     pair[side]["wall_s"] = round(time.perf_counter() - t, 1)
                     if "metrics" not in pair[side]:
                         code = 1
