@@ -46,7 +46,7 @@ from itertools import combinations, islice
 from math import gcd
 from typing import NamedTuple
 
-from .coalgebra import ThetaCoalgebra
+from .coalgebra import ThetaCoalgebra, _require_prime
 from .rationals import _int_valuation, nu
 from .spectra import SpectrumSpec, admissible_shifts
 
@@ -223,8 +223,8 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
 def _monomial_divisibility(spec: SpectrumSpec, index: int) -> tuple[int | None, int]:
     """(slot, bound), bound = max(20, index): the first slot resolvable by indices <= bound
     whose index-th coordinate A / D p does not divide, read as p not dividing A / gcd(A, D), or None."""
-    coalg, p = spec.coalgebra, spec.prime
-    bound = max(_TABLE_BOUND, index)
+    coalg = spec.coalgebra
+    p, bound = _require_prime(coalg), max(_TABLE_BOUND, index)
     for slot in coalg.monomial_slots(bound):
         d, nz = coalg._int_coords(slot)
         a = dict(nz).get(index, 0)
@@ -245,7 +245,7 @@ def _gamma_congruence(spec: SpectrumSpec, condition: str, m: int, n: int, l: int
     the tables max(m, n)..m + n are built; on any other coalgebra every
     table up to the bound is.  The records are the same either way.
     """
-    bound = max(_TABLE_BOUND, m + n)
+    p, bound = _require_prime(spec.coalgebra), max(_TABLE_BOUND, m + n)
     gamma = spec.coalgebra.coproduct_entry
 
     def verdict(ok, witness=None):
@@ -258,7 +258,7 @@ def _gamma_congruence(spec: SpectrumSpec, condition: str, m: int, n: int, l: int
         g = v - 1 if t == m + n else v
         if not g:
             continue
-        val = nu(spec.prime, g)
+        val = nu(p, g)
         if min_val is None or val < min_val:
             min_val = val
         if val < l:

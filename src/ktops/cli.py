@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import checks, dual, spectra
+from .rationals import as_fraction
 
 FORMATS = ("json", "tsv", "pretty")
 
@@ -167,7 +168,7 @@ def _cmd_product(args) -> Report:
 
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        return tuple(map(as_fraction, text.split(",")))
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"bad --coeffs value: {e}")
 

@@ -92,6 +92,13 @@ class NotRegularError(ValueError):
     pass
 
 
+def _require_prime(spec: CoalgebraSpec) -> int:
+    """The prime of spec, for a job defined only p-locally; a coalgebra over Z is refused by name."""
+    if spec.prime is None:
+        raise ValueError(f"this needs a p-local coalgebra; {spec.name or 'the coalgebra'} has no prime")
+    return spec.prime
+
+
 class CoalgebraSpec:
     """A choice of ground ring, exponent step and basis polynomials.
 
@@ -115,7 +122,6 @@ class CoalgebraSpec:
         self.name = name
         self._mono: dict = {}
         self._icoords: dict = {}
-        self._coords: dict = {}
         self._gamma: dict = {}
 
     def __repr__(self):
@@ -257,17 +263,13 @@ class CoalgebraSpec:
         """Coordinates of the monomial w**(rk) in the basis.
 
         The tuple has length resolving_index(k) + 1; regularity asks
-        every entry to lie in the ground ring.
+        every entry to lie in the ground ring.  A view of _int_coords, unmemoized.
         """
-        if k in self._coords:
-            return self._coords[k]
         d, nz = self._int_coords(k)
         coords = [_ZERO] * (self.resolving_index(k) + 1)
         for i, a in nz:
             coords[i] = Fraction(a, d)
-        coords = tuple(coords)
-        self._coords[k] = coords
-        return coords
+        return tuple(coords)
 
     def coproduct_matrix(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
         """Structure constants G with Delta(c_n) = sum_{i,j} G[i][j] c_i (x) c_j.

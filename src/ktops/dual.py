@@ -40,9 +40,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
-from .coalgebra import CoalgebraSpec
+from .coalgebra import CoalgebraSpec, _require_prime
 from .laurent import LaurentPoly
-from .rationals import _int_valuation, as_fraction, multiplicative_order
+from .rationals import _is_unit_pair, as_fraction, multiplicative_order
 
 Pair = tuple[int, int]
 
@@ -173,12 +173,6 @@ class UnitVerdict(NamedTuple):
         return self.unit
 
 
-def _require_prime(spec: CoalgebraSpec) -> int:
-    if spec.prime is None:
-        raise ValueError("this operation needs a p-local coalgebra")
-    return spec.prime
-
-
 def _pairings(spec: CoalgebraSpec, a: DualElement, count: int, start: int = 0) -> list[Pair]:
     """The pairings pi_i = <a, w**(r k_i)> for k_i = extending_slot(i), start <= i < count.
 
@@ -244,11 +238,6 @@ def _from_pairings(spec: CoalgebraSpec, pi: list[Pair], count: int) -> Iterator[
         yield Fraction(acc, d * den)
 
 
-def _is_unit_pair(p: int, x: int, d: int) -> bool:
-    """Whether x / d is a unit of the p-local integers: x != 0 and nu_p(x) == nu_p(d)."""
-    return x != 0 and _int_valuation(p, x) == _int_valuation(p, d)
-
-
 def expand(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> DualElement:
     """Coefficients of an operation polynomial in the dual basis.
 
@@ -305,17 +294,14 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
     P mod p evaluated at (beta**r)**j mod p: one period of j, the order
     of beta**r mod p, gives an exact verdict.  For a truncated element
     only the monomials resolvable below the precision can be checked,
-    so the verdict is a bounded one.
+    so the verdict is a bounded one.  The type of a picks the route; mode
+    selects nothing and must be "auto" or the route's name, "exact" or "truncated".
     """
     p = _require_prime(spec)
-    if mode not in ("auto", "exact", "truncated"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if isinstance(a, AdamsPoly) else "truncated"
-
-    if mode == "exact":
-        if not isinstance(a, AdamsPoly):
-            raise ValueError("the exact unit test needs the operation-polynomial form")
+    route = "exact" if isinstance(a, AdamsPoly) else "truncated"
+    if mode not in ("auto", route):
+        raise ValueError(f"mode {mode!r} does not match {type(a).__name__}'s route, {route!r}")
+    if route == "exact":
         beta = a.beta
         if beta.denominator != 1 or beta.numerator % p == 0:
             raise ValueError(
@@ -335,8 +321,6 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
             x = x * base % p
         return UnitVerdict(unit=True, exact=True, period=t)
 
-    if isinstance(a, AdamsPoly):
-        raise ValueError("the truncated unit test needs a truncated element")
     n = a.precision
     for i, (x, d) in enumerate(_pairings(spec, a, n)):
         if not _is_unit_pair(p, x, d):

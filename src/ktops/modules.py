@@ -35,7 +35,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .coalgebra import CoalgebraSpec, ThetaCoalgebra
+from .coalgebra import CoalgebraSpec, ThetaCoalgebra, _require_prime
 from .rationals import _int_valuation, as_fraction, is_prime
 from .spectra import SpectrumSpec, admissible_shifts
 
@@ -415,11 +415,7 @@ def character_module(spec: CoalgebraSpec, slot: int) -> FGModule:
     coordinate of that monomial on basis index i.  Zero from the slot's
     resolving index onward, hence discrete.
     """
-    if spec.prime is None:
-        raise ValueError("a character module needs a p-local coalgebra")
-    coords = spec.basis_coords(slot)
-    mats = tuple(((c,),) for c in coords)
-    return FGModule(spec.prime, 1, (), mats)
+    return FGModule(_require_prime(spec), 1, (), tuple(((c,),) for c in spec.basis_coords(slot)))
 
 
 def comodule_on_basis(spec: CoalgebraSpec, n: int) -> FGModule:
@@ -429,15 +425,10 @@ def comodule_on_basis(spec: CoalgebraSpec, n: int) -> FGModule:
     the structure constant G[m, i -> j]; triangularity kills indices
     above n, so the level is n + 1.
     """
-    if spec.prime is None:
-        raise ValueError("the stock comodule needs a p-local coalgebra")
-    d = n + 1
-    mats = []
-    for i in range(d):
-        mats.append(
-            tuple(tuple(spec.coproduct_entry(m, i, j) for j in range(d)) for m in range(d))
-        )
-    return FGModule(spec.prime, d, (), tuple(mats))
+    p, d = _require_prime(spec), n + 1
+    mats = (tuple(tuple(spec.coproduct_entry(m, i, j) for j in range(d)) for m in range(d))
+            for i in range(d))
+    return FGModule(p, d, (), tuple(mats))
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +490,7 @@ def _json_list(v) -> list | tuple:
 def _json_rational(v) -> Fraction:
     if type(v) not in (str, int, Fraction):
         raise TypeError(f"{v!r} is not a rational written as a string or an integer")
-    return Fraction(v)
+    return as_fraction(v)
 
 
 def module_to_json(mod: FGModule) -> str:

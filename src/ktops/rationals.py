@@ -10,10 +10,16 @@ from math import gcd
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce an int, string like '3/4', or Fraction to a Fraction."""
+    """Coerce an int, Fraction, or string to a Fraction: the one reader of text.
+    A string is an integer, a/b or a plain decimal, blanks around allowed; an
+    exponent ('1e5000') is refused, as Fraction would build 10**5000 from it."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"{x!r} has an exponent; write it as an integer, a/b or a plain decimal")
         return Fraction(x)
     if isinstance(x, float):
         raise TypeError("floating point values are not allowed; use Fraction")
@@ -62,10 +68,17 @@ def nu(p: int, x) -> int:
     return _int_valuation(p, abs(x.numerator)) - _int_valuation(p, x.denominator)
 
 
+def _is_unit_pair(p: int, x: int, d: int) -> bool:
+    """Whether x / d, d != 0, is a unit of the p-local integers: x != 0 and nu_p(x) == nu_p(d)."""
+    return x != 0 and _int_valuation(p, x) == _int_valuation(p, d)
+
+
 def is_p_local_unit(p: int, x) -> bool:
     """True when x is invertible in the p-local integers: x != 0 and nu(p, x) == 0."""
     x = as_fraction(x)
-    return x != 0 and nu(p, x) == 0
+    if x:
+        _check_prime(p)
+    return _is_unit_pair(p, x.numerator, x.denominator)
 
 
 def multiplicative_order(a: int, modulus: int) -> int:

@@ -457,7 +457,7 @@ def test_regularity_on_integers_matches_the_fraction_route(make):
     C = make()
     report = verify_regularity(C, 12)
     assert report == regularity_by_fractions(make(), 12), C.name
-    assert C._gamma == {} and C._coords == {}, C.name
+    assert C._gamma == {}, C.name
 
 
 @settings(max_examples=300, deadline=None)
