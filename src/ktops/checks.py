@@ -197,7 +197,7 @@ def check_congruence_condition(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
         raise ValueError("shift and index must be non-negative")
     C = spec.coalgebra
     if not isinstance(C, ThetaCoalgebra):
-        return _gamma_congruence(spec, "congruence", m, n, l)
+        return _gamma_congruence(spec, m, n, l)
     u = m * C.scale(m) + n * C.scale(n) - (m + n) * C.scale(m + n)
     gap = C.gap_valuation
     vals = [gap(u)] if u else []
@@ -233,7 +233,7 @@ def _monomial_divisibility(spec: SpectrumSpec, index: int) -> tuple[int | None, 
     return None, bound
 
 
-def _gamma_congruence(spec: SpectrumSpec, condition: str, m: int, n: int, l: int) -> ConditionVerdict:
+def _gamma_congruence(spec: SpectrumSpec, m: int, n: int, l: int) -> ConditionVerdict:
     """nu(Gamma[m,n->t] - delta_{t,m+n}) >= l read off the coalgebra's
     coproduct_entry, the diagonal t = m + n first and then t = 0, 1, ...
     up to the bound max(20, m + n), which `checked` reports; a bounded
@@ -249,7 +249,7 @@ def _gamma_congruence(spec: SpectrumSpec, condition: str, m: int, n: int, l: int
     gamma = spec.coalgebra.coproduct_entry
 
     def verdict(ok, witness=None):
-        return ConditionVerdict(spec.name, condition, ok, False, m, n, level=l,
+        return ConditionVerdict(spec.name, "congruence", ok, False, m, n, level=l,
                                 witness=witness, min_valuation=min_val, checked=bound)
 
     min_val: int | None = None
@@ -287,7 +287,7 @@ def check_coalgebra_conditions(spec: SpectrumSpec, m: int, n: int, l: int) -> Co
         if slot is not None:
             return ConditionVerdict(spec.name, "coalgebra", False, False, m, n, level=l,
                                     witness={"part": "unit", "slot": slot}, checked=bound)
-    return _gamma_congruence(spec, "coalgebra", m, n, l)
+    return _gamma_congruence(spec, m, n, l)._replace(condition="coalgebra")
 
 
 class SweepReport(NamedTuple):

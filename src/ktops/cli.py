@@ -12,7 +12,6 @@ Subcommands
 Every number is printed as an exact rational, never a decimal.  Exit
 codes: 0 all checks pass, 1 a check failed or stdout was closed early,
 2 usage or input error.
-The default --format may be set via the KTOPS_FORMAT variable.
 Each subcommand returns one Report, a NamedTuple, rendered in one of
 three formats.  Structure constants print from their integer form:
 gamma's record holds the text of each table, CoalgebraSpec.coproduct_text,
@@ -256,16 +255,14 @@ def _add_spectrum_arg(p):
 def build_parser() -> argparse.ArgumentParser:
     """The ktops argument parser, built once per process.
 
-    Parsing leaves the parser unchanged, so every run shares it.  The
-    --format default depends on the environment at each call, so it is
-    None here and resolved in run.
+    Parsing leaves the parser unchanged, so every run shares it.
     """
     parser = argparse.ArgumentParser(
         prog="ktops",
         description="exact tables and discreteness checks for operation algebras",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=None)
+    common.add_argument("--format", choices=FORMATS, default="pretty")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -327,15 +324,11 @@ def run(argv=None, out=None) -> int:
     except (ValueError, dual.NotIntegralError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    fmt = args.format
-    if fmt is None:
-        env_fmt = os.environ.get("KTOPS_FORMAT", "")
-        fmt = env_fmt if env_fmt in FORMATS else "pretty"
     # exact values of any size are printed in full, so the digit limit is
     # lifted for rendering; it stays lifted on return, for the caller to
     # read the printed values back
     _set_digit_limit(0)
-    return report.emit(fmt, out)
+    return report.emit(args.format, out)
 
 
 def main() -> None:

@@ -79,7 +79,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .laurent import LaurentPoly, times_linear
-from .rationals import _int_valuation, is_prime, multiplicative_order
+from .rationals import _check_prime, _int_valuation, multiplicative_order
 
 
 _ZERO = Fraction(0)
@@ -113,8 +113,8 @@ class CoalgebraSpec:
                  periodic: bool = False, name: str = ""):
         if step < 1:
             raise ValueError("the exponent step must be a positive integer")
-        if prime is not None and not is_prime(prime):
-            raise ValueError(f"{prime!r} is not a prime")
+        if prime is not None:
+            _check_prime(prime)
         self.step = step
         self.basis = basis
         self.prime = prime

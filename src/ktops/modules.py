@@ -36,7 +36,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .coalgebra import CoalgebraSpec, ThetaCoalgebra, _require_prime
-from .rationals import _int_valuation, as_fraction, is_prime
+from .rationals import _check_prime, _int_valuation, as_fraction
 from .spectra import SpectrumSpec, admissible_shifts
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -67,8 +67,7 @@ class FGModule:
                  matrices: tuple[Matrix, ...]):
         torsion_orders = tuple(int(t) for t in torsion_orders)
         matrices = tuple(_freeze(m) for m in matrices)
-        if not is_prime(prime):
-            raise ValueError(f"{prime!r} is not a prime")
+        _check_prime(prime)
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
         for t in torsion_orders:

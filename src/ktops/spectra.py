@@ -32,14 +32,14 @@ from typing import Iterator, NamedTuple
 from .coalgebra import BandedCoalgebra, CoalgebraSpec, ThetaCoalgebra, _node_basis
 from .dual import AdamsPoly
 from .laurent import LaurentPoly
-from .rationals import check_primitive_root, is_prime, least_primitive_root
+from .rationals import _check_prime, check_primitive_root, is_prime, least_primitive_root
 
 _NAME = re.compile(r"^(KO|ko|K|k|G|g)(?:\((\d+)\))?$")
 
-# the largest prime make_spectrum takes: primality, q and the node order go by
-# trial division, O(sqrt p); the slowest of 3,000 primes below 10**12 took 3.8 s
-# in `ktops check k(p) --l 1`, one below 3 * 10**12 7.7 s (Python 3.11, one Xeon core)
-_PRIME_BOUND = 10**12
+# the most bits, read as (p - 1) * bitlen(q), of the node base q**(p-1) of G(p)
+# and g(p): the slowest CLI command at --n 1 took 3.5 s at 1,000,016 (p = 500009,
+# q = 3), `basis G(1000003) --n 1` 5.5 s at 2,000,004 (Python 3.11, one Xeon core)
+_BASE_BITS = 10**6
 
 # the node base 9 = q**2 of ko(2) and KO(2), q pinned to 3: support_step
 # reads the admissible steps of k(2) and K(2) off it
@@ -140,10 +140,7 @@ def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
     generator; 2-locally it is pinned to 3.
     """
     family, p = parse_name(name)
-    if p > _PRIME_BOUND:
-        raise ValueError(f"the prime is above the bound {_PRIME_BOUND:,} for trial division")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
+    _check_prime(p)
     periodic = family in ("K", "G", "KO")
     if family in ("KO", "ko") and p != 2:
         raise ValueError("the real theories are 2-local only")
@@ -158,7 +155,7 @@ def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
     else:
         if q is None:
             q = least_primitive_root(p)
-        if not check_primitive_root(p, q):
+        elif not check_primitive_root(p, q):
             raise ValueError(f"q = {q} does not generate the units mod {p}**2")
 
     canonical = f"{family}({p})"
@@ -168,6 +165,8 @@ def make_spectrum(name: str, q: int | None = None) -> SpectrumSpec:
         if family in ("K", "k"):
             step, base = 1, q
         elif family in ("G", "g"):
+            if (p - 1) * q.bit_length() > _BASE_BITS:
+                raise ValueError(f"the node base q**(p-1) is above the bound of {_BASE_BITS:,} bits")
             step, base = p - 1, q ** (p - 1)
         else:
             step, base = 2, q * q

@@ -114,6 +114,15 @@ prime divisors of phi(modulus).  The route here steps through the powers:
 * order_by_powers: a, a**2, ... mod the modulus until 1; the unit
   oracles above read their period from it.
 
+Primality (ktops.rationals.is_prime) asks whether n is its own only prime
+divisor, and least_primitive_root tests p and factors p - 1 once for all
+candidates.  The routes here are the loops the library once ran:
+
+* is_prime_by_odd_divisors: 2, then every odd d with d*d <= n, stopping
+  at the first divisor;
+* least_primitive_root_by_scan: check_primitive_root on each candidate
+  q = 2, 3, ..., which tests p and factors p - 1 anew every time.
+
 Module tables (ktops.modules) are validated on integer matrices over one
 p-unit denominator.  The route here checks the same axioms, in the same
 order, one Fraction operation at a time:
@@ -143,7 +152,7 @@ from ktops.dual import (
 from ktops.laurent import LaurentPoly, times_linear
 from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
 from ktops.checks import ConditionVerdict, _monomial_divisibility
-from ktops.rationals import _int_valuation, is_p_local_unit, nu
+from ktops.rationals import _int_valuation, check_primitive_root, is_p_local_unit, nu
 from ktops.spectra import SpectrumSpec
 
 
@@ -556,6 +565,27 @@ def order_by_powers(a: int, modulus: int) -> int:
         x = x * a % modulus
         t += 1
     return t
+
+
+def is_prime_by_odd_divisors(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def least_primitive_root_by_scan(p: int) -> int:
+    q = 2
+    while True:
+        if q % p != 0 and check_primitive_root(p, q):
+            return q
+        q += 1
 
 
 def unit_condition_by_nodes(spec: SpectrumSpec, m: int, n: int) -> ConditionVerdict:

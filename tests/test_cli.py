@@ -105,31 +105,6 @@ def test_bad_flags_are_usage_error():
     assert code == 2
 
 
-def test_format_env_default(monkeypatch):
-    monkeypatch.setenv("KTOPS_FORMAT", "json")
-    code, text = capture(["val2", "--max", "8"])
-    assert code == 0
-    json.loads(text)  # parses as JSON because the env default applied
-    monkeypatch.setenv("KTOPS_FORMAT", "bogus")
-    code, text = capture(["val2", "--max", "8"])
-    assert code == 0  # bad env value falls back to pretty
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(text)
-
-
-def test_format_env_read_per_call(monkeypatch):
-    # the parser is built once per process, but each run reads the
-    # environment default anew
-    monkeypatch.setenv("KTOPS_FORMAT", "json")
-    _, first = capture(["val2", "--max", "4"])
-    monkeypatch.setenv("KTOPS_FORMAT", "tsv")
-    _, second = capture(["val2", "--max", "4"])
-    assert json.loads(first)["holds"] is True
-    assert second.splitlines()[0].split("\t") == ["check", "holds", "cells", "mismatches"]
-    code, third = capture(["val2", "--max", "4", "--format", "json"])
-    assert code == 0 and third == first  # an explicit flag beats the environment
-
-
 def test_huge_table_prints_in_full():
     # coordinates of c_12 reach 5,015 digits, past Python's default
     # int-to-str limit of 4,300; the output still prints them exactly

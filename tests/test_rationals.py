@@ -15,7 +15,7 @@ from ktops.rationals import (
     multiplicative_order,
     nu,
 )
-from oracles import order_by_powers
+from oracles import is_prime_by_odd_divisors, least_primitive_root_by_scan, order_by_powers
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 RATS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -79,6 +79,12 @@ def test_primality_small():
         assert is_prime(n) == (n in known)
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def test_is_prime_matches_the_odd_divisor_loop():
+    # is_prime reads the whole list of prime divisors; the oracle stops at the first one
+    for n in range(-3, 10**5):
+        assert is_prime(n) == is_prime_by_odd_divisors(n), n
 
 
 def test_multiplicative_order():
@@ -151,3 +157,14 @@ def test_primitive_root_test_is_the_order_definition():
 def test_primitive_root_at_a_large_prime():
     assert least_primitive_root(4001) == 3
     assert least_primitive_root(10007) == 5
+
+
+def test_least_primitive_root_matches_the_candidate_scan():
+    for p in filter(is_prime, range(3, 3000)):
+        assert least_primitive_root(p) == least_primitive_root_by_scan(p), p
+
+
+@pytest.mark.parametrize("p, q", [(999999929569, 61), (999999972409, 46), (999999944831, 43)])
+def test_least_primitive_root_near_the_prime_bound(p, q):
+    # the candidate scan tests p and factors p - 1 once per candidate, 61 times at the first
+    assert least_primitive_root(p) == q

@@ -2,7 +2,8 @@
 
 A library call raises a ValueError that names the reason; a CLI call
 exits 2 with that reason on one stderr line, no traceback and no stdout.
-The literal grammar, the prime bound and the refusal of a coalgebra
+The literal grammar, the prime bound at every entry that takes a
+prime, the G/g node-base bound and the refusal of a coalgebra
 without a prime are here too, as are the failure branches of
 verify_regularity, each against the Fraction route of tests/oracles.py.
 """
@@ -38,8 +39,15 @@ from ktops.modules import (
     torsion_annihilator,
     trivial_module,
 )
-from ktops.rationals import as_fraction, is_p_local_unit, multiplicative_order
-from ktops.spectra import SpectrumSpec, admissible_shifts, make_spectrum, support_step
+from ktops.rationals import (
+    as_fraction,
+    check_primitive_root,
+    is_p_local_unit,
+    least_primitive_root,
+    multiplicative_order,
+    nu,
+)
+from ktops.spectra import SpectrumSpec, admissible_shifts, make_spectrum, spectrum_names, support_step
 from oracles import regularity_by_fractions
 
 K3 = make_spectrum("k(3)")
@@ -47,14 +55,15 @@ C3 = K3.coalgebra
 X = LaurentPoly.variable()
 HUGE_PRIME = "1000000000000000000000000000000000000000000000000000000000007"  # 61 digits
 ABOVE_THE_BOUND = "the prime is above the bound 1,000,000,000,000 for trial division"
+BASE_ABOVE_THE_BOUND = "the node base q**(p-1) is above the bound of 1,000,000 bits"
 NO_PRIME = SpectrumSpec("x", "b", 1, binomial_coalgebra())
 THETA_NO_PRIME = SpectrumSpec("t", "b", 1, ThetaCoalgebra(3, 1))
 P_LOCAL = "this needs a p-local coalgebra; binomial has no prime"
 EXPONENT = "has an exponent; write it as an integer, a/b or a plain decimal"
 
 
-def _table(entry) -> str:
-    return json.dumps({"prime": 3, "free_rank": 1, "torsion_orders": [], "matrices": [[[entry]]]})
+def _table(entry, prime=3) -> str:
+    return json.dumps({"prime": prime, "free_rank": 1, "torsion_orders": [], "matrices": [[[entry]]]})
 
 
 LIBRARY = {
@@ -92,6 +101,9 @@ LIBRARY = {
     "report depth 0": (lambda: condition_report(K3, 0), "the depth must be a positive integer"),
     "modulus below 2": (lambda: multiplicative_order(3, 1), "modulus must be at least 2"),
     "prime above the bound": (lambda: make_spectrum(f"k({HUGE_PRIME})"), ABOVE_THE_BOUND),
+    # (p - 1) * bitlen(q) is read before q**(p-1) is built: 2,000,004 and 1,000,098
+    "G node base above the bound": (lambda: make_spectrum("G(1000003)"), BASE_ABOVE_THE_BOUND),
+    "g node base above the bound by q": (lambda: make_spectrum("g(333367)", q=5), BASE_ABOVE_THE_BOUND),
     # a coalgebra over Z, refused by name wherever a job needs the prime
     "unit cell without a prime": (lambda: check_unit_condition(NO_PRIME, 0, 1), P_LOCAL),
     "congruence cell without a prime": (lambda: check_congruence_condition(NO_PRIME, 1, 1, 1), P_LOCAL),
@@ -114,6 +126,35 @@ def test_library_refusal_names_its_reason(call, reason):
     with pytest.raises(ValueError) as e:
         call()
     assert reason in str(e.value)
+
+
+def test_a_node_base_below_the_bound_is_built():
+    # 333366 * bitlen(3) = 666,732 bits, where q = 5 reads 1,000,098
+    assert make_spectrum("g(333367)").base == 3**333366
+
+
+# every entry that takes a prime refuses one above the bound before any trial division
+HUGE = int(HUGE_PRIME)
+BOUNDED = {
+    "FGModule": lambda: FGModule(HUGE, 1, (), (((1,),),)),
+    "module_from_json": lambda: module_from_json(_table(1, prime=HUGE)),
+    "binomial_coalgebra": lambda: binomial_coalgebra(HUGE),
+    "nu": lambda: nu(HUGE, 3),
+    "is_p_local_unit": lambda: is_p_local_unit(HUGE, 3),
+    "check_primitive_root": lambda: check_primitive_root(HUGE, 2),
+    "least_primitive_root": lambda: least_primitive_root(HUGE),
+    "multiplicative_order": lambda: multiplicative_order(2, HUGE),
+    "spectrum_names": lambda: spectrum_names(HUGE),
+}
+
+
+@pytest.mark.parametrize("call", BOUNDED.values(), ids=BOUNDED.keys())
+def test_every_prime_entry_refuses_a_prime_above_the_bound(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as e:
+        call()
+    assert time.perf_counter() - start < 1
+    assert str(e.value) == ABOVE_THE_BOUND
 
 
 @pytest.mark.parametrize("text", ["1e5000", "1E3", "2.5e-1"])
@@ -149,6 +190,7 @@ CLI = {
     "--coeffs 1E3": (["invert", "k(3)", "--coeffs", "1,1E3"], f"bad --coeffs value: '1E3' {EXPONENT}"),
     "--coeffs 2.5e-1": (["invert", "k(3)", "--coeffs", "2.5e-1"], f"bad --coeffs value: '2.5e-1' {EXPONENT}"),
     "prime above the bound": (["basis", f"k({HUGE_PRIME})", "--n", "1"], ABOVE_THE_BOUND),
+    "node base above the bound": (["check", "G(999999999959)", "--l", "1"], BASE_ABOVE_THE_BOUND),
 }
 
 
@@ -168,7 +210,9 @@ def test_cli_reads_literals_without_an_exponent():
 
 
 @pytest.mark.parametrize("argv", [["basis", f"k({HUGE_PRIME})", "--n", "1"],
-                                  ["invert", "k(3)", "--coeffs", "1e5000"]], ids=["huge prime", "1e5000"])
+                                  ["check", "G(999999999959)", "--l", "1"],
+                                  ["invert", "k(3)", "--coeffs", "1e5000"]],
+                         ids=["huge prime", "huge node base", "1e5000"])
 def test_absurd_input_is_refused_at_once_in_a_fresh_process(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     start = time.perf_counter()

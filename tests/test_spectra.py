@@ -3,6 +3,7 @@ from itertools import islice
 
 import pytest
 
+from ktops import rationals
 from ktops.checks import condition_report
 from ktops.coalgebra import BandedCoalgebra, CoalgebraSpec, ThetaCoalgebra, binomial_coalgebra, monomial_coalgebra
 from ktops.dual import AdamsPoly, expand
@@ -268,6 +269,19 @@ def test_admissible_shifts_increasing_multiples():
     k5 = make_spectrum("k(5)")
     first = list(islice(admissible_shifts(k5, 2), 4))
     assert first == [20, 40, 60, 80]
+
+
+@pytest.mark.parametrize("family", ["k", "K", "g", "G"])
+def test_make_spectrum_factors_p_and_p_minus_1_a_fixed_number_of_times(family, monkeypatch):
+    # least Adams parameters 2, 3 and 69 (p = 5, 7, 110881), and q given
+    factored, prime_divisors = [], rationals._prime_divisors
+    monkeypatch.setattr(rationals, "_prime_divisors", lambda n: factored.append(n) or prime_divisors(n))
+    counts = set()
+    for p, q in [(5, None), (7, None), (110881, None), (110881, 69), (7, 5)]:
+        factored.clear()
+        make_spectrum(f"{family}({p})", q)
+        counts.add((factored.count(p), factored.count(p - 1)))
+    assert counts == {(3, 1)}
 
 
 def test_spectrum_names_roundtrip():
