@@ -79,7 +79,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .laurent import LaurentPoly, times_linear
-from .rationals import _check_prime, _int_valuation, multiplicative_order
+from .rationals import _check_prime, _int_valuation, _order_mod_prime
 
 
 _ZERO = Fraction(0)
@@ -490,7 +490,7 @@ class ThetaCoalgebra(BandedCoalgebra):
             raise ValueError(f"node base {b} is not a unit at the prime {p}")
         if p == 2 and b % 4 != 1:
             raise ValueError(f"node base {b} is not 1 mod 4 at the prime 2")
-        o, v = multiplicative_order(b, p), 1
+        o, v = _order_mod_prime(b, p), 1
         while pow(b, o, p ** (v + 1)) == 1:
             v += 1
         return o, v

@@ -1,38 +1,29 @@
 """The topological dual algebra of a regular coalgebra.
 
-Elements of the dual are infinite sums sum_n r_n a_n where a_n is the
-functional picking the n-th basis coordinate.  A DualElement stores the
-first N coefficients, which pins the element down modulo the ideal of
-functionals vanishing on basis indices below N; all operations below
-are exact on that coset.  An AdamsPoly is the other way of presenting
-an element: a polynomial P evaluated at the operation that sends f(w)
-to f(beta), so that pairing with f gives sum_j p_j f(beta**j).
+Elements of the dual are infinite sums sum_n r_n a_n, a_n the functional
+picking the n-th basis coordinate.  A DualElement stores the first N
+coefficients, which fix the element modulo the functionals vanishing on
+basis indices below N; all operations below are exact on that coset.
+An AdamsPoly is a polynomial P in the operation f(w) -> f(beta), so that
+pairing with f gives sum_j p_j f(beta**j).
 
 Products, inverses and expansions run through the pairings with the
 grouplike monomials.  Since Delta(w**(rk)) = w**(rk) (x) w**(rk), pairing
-with w**(rk) is an algebra map:
+with w**(rk) is an algebra map, <a b, w**(rk)> = <a, w**(rk)> <b, w**(rk)>,
+and the counit pairs to 1 with every monomial.  At precision N the N
+pairings pi_i = <a, w**(r k_i)>, k_i = extending_slot(i), and the N
+coefficients determine each other: pi_i reads coefficients 0..i, and
+coefficient t is the pairing with c_t, whose slots all have resolving
+index <= t.  The Gamma-table contractions these replace are oracles in
+tests/oracles.py.
 
-    <a b, w**(rk)> = <a, w**(rk)> <b, w**(rk)>,
-
-and the identity (the counit) pairs to 1 with every monomial.  At
-precision N the N pairings pi_i = <a, w**(r k_i)>, k_i = extending_slot(i),
-and the N coefficients determine each other: pi_i reads coefficients
-0..i through the coordinates of w**(r k_i), and coefficient t is the
-pairing with c_t = (1/d_t) sum_k m_{t,k} w**(rk), whose slots all have
-resolving index <= t.  So a product multiplies pairings pointwise, an
-inverse takes their reciprocals, and an AdamsPoly's pairings are its
-values at beta**(r k_i).  The Gamma-table contractions these replace,
-and the pairing with a LaurentPoly, are oracles in tests/oracles.py.
-
-A pairing is carried as an integer pair (x, d), d > 0, standing for
-x / d and not reduced: a product multiplies pairs componentwise, an
-inverse swaps them, and an operation polynomial is evaluated only by
-integer Horner at beta**e = u / v (AdamsPoly.values), which reads its
-items and does no LaurentPoly arithmetic.  The back transform reduces
-each pair once and builds one Fraction per coefficient.
-
-AdamsPoly is immutable and compared by (beta, poly); UnitVerdict is an
-immutable NamedTuple compared by value.
+Pairings and coefficients are integer pairs (x, d), d > 0, for x / d,
+unreduced: every reader scales a pair to a common denominator or tests
+it in any terms, so no reader needs lowest terms.  A product multiplies
+pairings, an inverse swaps them, and an operation polynomial is
+evaluated by integer Horner at beta**e = u / v (AdamsPoly.values).  The
+back transform reduces each pairing; coefficients are reduced to
+Fractions only when .coeffs is read.
 """
 from __future__ import annotations
 
@@ -42,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .coalgebra import CoalgebraSpec, _require_prime
 from .laurent import LaurentPoly
-from .rationals import _is_unit_pair, as_fraction, multiplicative_order
+from .rationals import _is_unit_pair, _order_mod_prime, as_fraction
 
 Pair = tuple[int, int]
 
@@ -66,18 +57,43 @@ class NotInvertibleError(ValueError):
 
 
 class DualElement:
-    """A truncated coefficient vector in the dual topological basis."""
+    """A truncated coefficient vector in the dual topological basis.
 
-    __slots__ = ("coeffs",)
+    The library's results hold pairs (x, d), d > 0, unreduced; .coeffs
+    reduces them to Fractions on first read, and keeps those instead.
+    """
+
+    __slots__ = ("_held", "_coeffs")
 
     def __init__(self, coeffs: Iterable):
-        self.coeffs = tuple(as_fraction(v) for v in coeffs)
-        if not self.coeffs:
+        self._hold(None, tuple(map(as_fraction, coeffs)))
+
+    @classmethod
+    def _of_pairs(cls, pairs: Iterable[Pair]) -> "DualElement":
+        self = object.__new__(cls)
+        self._hold(tuple(pairs), None)
+        return self
+
+    def _hold(self, pairs, coeffs) -> None:
+        self._held, self._coeffs = pairs, coeffs
+        if not (pairs or coeffs):
             raise ValueError("a dual element needs precision at least 1")
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs, self._held = tuple(Fraction(x, d) for x, d in self._held), None
+        return self._coeffs
+
+    @property
+    def _pairs(self):
+        if self._coeffs is None:
+            return self._held
+        return [(c.numerator, c.denominator) for c in self._coeffs]
+
+    @property
     def precision(self) -> int:
-        return len(self.coeffs)
+        return len(self._held or self._coeffs)
 
     @classmethod
     def unit_vector(cls, n: int, precision: int) -> "DualElement":
@@ -176,15 +192,13 @@ class UnitVerdict(NamedTuple):
 def _pairings(spec: CoalgebraSpec, a: DualElement, count: int, start: int = 0) -> list[Pair]:
     """The pairings pi_i = <a, w**(r k_i)> for k_i = extending_slot(i), start <= i < count.
 
-    Slot k_i is resolved by basis indices <= i, so pi_i reads only the
-    first i + 1 coefficients of a.  With the first count coefficients
-    over one denominator L, r_n = N_n / L, and the cached monomial
-    coordinates A_k / D_k, each pairing is the unreduced pair
-    (sum_n N_n A_(k, n), L D_k).
+    pi_i reads only the first i + 1 coefficients of a.  With them over
+    one denominator L, r_n = N_n / L, and the monomial coordinates
+    A_k / D_k, each pairing is the pair (sum_n N_n A_(k, n), L D_k).
     """
-    cs = a.coeffs[:count]
-    den = lcm(*(c.denominator for c in cs))
-    nums = [c.numerator * (den // c.denominator) for c in cs]
+    cs = a._pairs[:count]
+    den = lcm(*(d for _, d in cs))
+    nums = [x * (den // d) for x, d in cs]
     out = []
     for i in range(start, count):
         d, nz = spec._int_coords(spec.extending_slot(i))
@@ -192,26 +206,18 @@ def _pairings(spec: CoalgebraSpec, a: DualElement, count: int, start: int = 0) -
     return out
 
 
-def _from_pairings(spec: CoalgebraSpec, pi: list[Pair], count: int) -> Iterator[Fraction]:
+def _from_pairings(spec: CoalgebraSpec, pi: list[Pair], count: int) -> Iterator[Pair]:
     """The coefficients, in index order, of the element with pairings pi.
 
-    Each pairing is an integer pair (x, d), d > 0, standing for x / d,
-    and need not be reduced.  Coefficient t is the pairing against
-    c_t = (1/d_t) sum_k m_{t,k} w**(rk), that is
-    (1/d_t) sum_k m_{t,k} pi_{i(k)} with i(k) the resolving index of
-    slot k.  Every slot of window(t) has i(k) <= t, so the first count
-    pairings fix the first count coefficients.
+    Coefficient t is the pairing against c_t = (1/d_t) sum_k m_{t,k} w**(rk),
+    that is (1/d_t) sum_k m_{t,k} pi_{i(k)}, i(k) <= t the resolving
+    index of slot k.
 
-    Each pair is reduced once, and the pairings are read over their
-    running lcm L_t = f_0 f_1 ... f_t, f_i the factor pi_i's reduced
-    denominator adds.  Each is stored once, as the numerator b_i it has
-    over L_i; over L_t it is b_i f_(i+1) ... f_t.  So coefficient t is
-    acc / (d_t L_t), the one Fraction built per coefficient, with acc
-    built by one Horner pass over i <= t,
-
-        acc = acc f_i + m_(t, s_i) b_i,   s_i = extending_slot(i),
-
-    instead of rescaling every stored numerator each time L grows.
+    Each pairing is reduced and read over the running lcm
+    L_t = f_0 f_1 ... f_t, f_i the factor its denominator adds, as its
+    numerator b_i over L_i.  Coefficient t is the pair (acc, d_t L_t),
+    unreduced (the gcd is small; DualElement.coeffs reduces it),
+    acc = acc f_i + m_(t, s_i) b_i over i <= t, s_i = extending_slot(i).
     """
     den = 1
     fs: list[int] = []
@@ -235,27 +241,26 @@ def _from_pairings(spec: CoalgebraSpec, pi: list[Pair], count: int) -> Iterator[
             m = mono.get(s)
             if m:
                 acc += m * b
-        yield Fraction(acc, d * den)
+        yield acc, d * den
 
 
 def expand(spec: CoalgebraSpec, a: AdamsPoly, precision: int) -> DualElement:
     """Coefficients of an operation polynomial in the dual basis.
 
-    The n-th coefficient is the pairing against basis element n.  A
-    coefficient outside the ground ring means the element does not lie
-    in the dual algebra over that ring, which is an error rather than a
-    value.  The polynomial is evaluated once per monomial slot and the
-    coefficients are read off by the back transform.
+    The n-th coefficient is the pairing against basis element n; one
+    outside the ground ring is an error, as the element is then not in
+    the dual algebra over that ring.  P is evaluated once per monomial
+    slot and the coefficients read off by the back transform.
     """
     pi = a.values([spec.step * spec.extending_slot(i) for i in range(precision)])
     out = []
-    for n, v in enumerate(_from_pairings(spec, pi, precision)):
-        if not spec.in_ground_ring(v):
+    for n, (x, d) in enumerate(_from_pairings(spec, pi, precision)):
+        if not spec._integral(x, d):
             raise NotIntegralError(
-                f"coefficient {n} is {v}, not integral over the ground ring"
+                f"coefficient {n} is {Fraction(x, d)}, not integral over the ground ring"
             )
-        out.append(v)
-    return DualElement(out)
+        out.append((x, d))
+    return DualElement._of_pairs(out)
 
 
 def multiply(spec: CoalgebraSpec, a: DualElement, b: DualElement) -> DualElement:
@@ -268,7 +273,7 @@ def multiply(spec: CoalgebraSpec, a: DualElement, b: DualElement) -> DualElement
     """
     n = min(a.precision, b.precision)
     pi = [(x * y, d * e) for (x, d), (y, e) in zip(_pairings(spec, a, n), _pairings(spec, b, n))]
-    return DualElement(_from_pairings(spec, pi, n))
+    return DualElement._of_pairs(_from_pairings(spec, pi, n))
 
 
 def monomial_pairing(spec: CoalgebraSpec, a: DualElement, k: int) -> Fraction:
@@ -286,16 +291,13 @@ def monomial_pairing(spec: CoalgebraSpec, a: DualElement, k: int) -> Fraction:
 def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
     """Whether a is invertible in the dual algebra.
 
-    An element is a unit exactly when its pairing against every
-    monomial w**(rk) is a unit of the ground ring.  For an AdamsPoly
-    with integer base coprime to p those pairings are P evaluated at
-    powers of beta**r.  P has p-integral coefficients, so a value is a
-    unit exactly when its residue mod p is nonzero, and that residue is
-    P mod p evaluated at (beta**r)**j mod p: one period of j, the order
-    of beta**r mod p, gives an exact verdict.  For a truncated element
-    only the monomials resolvable below the precision can be checked,
-    so the verdict is a bounded one.  The type of a picks the route; mode
-    selects nothing and must be "auto" or the route's name, "exact" or "truncated".
+    It is one exactly when its pairing with every monomial w**(rk) is a
+    unit of the ground ring.  For an AdamsPoly with integer base coprime
+    to p those pairings are P at (beta**r)**j, a unit exactly when P mod p
+    at (beta**r)**j mod p is nonzero: one period of j is an exact verdict.
+    A truncated element checks the monomials resolvable below its
+    precision, a bounded verdict.  The type of a picks the route; mode
+    must be "auto" or the route's name, "exact" or "truncated".
     """
     p = _require_prime(spec)
     route = "exact" if isinstance(a, AdamsPoly) else "truncated"
@@ -311,7 +313,7 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
             if not spec.in_ground_ring(v):
                 raise NotIntegralError(f"coefficient {v} is not integral, unit test undefined")
         base = pow(int(beta), spec.step, p)
-        t = multiplicative_order(base, p)
+        t = _order_mod_prime(base, p)
         # P mod p, one residue a * b**-1 per coefficient a / b
         res = [(e, v.numerator * pow(v.denominator, -1, p)) for e, v in a.poly.items()]
         x = 1
@@ -331,26 +333,22 @@ def is_unit(spec: CoalgebraSpec, a, mode: str = "auto") -> UnitVerdict:
 def invert(spec: CoalgebraSpec, a: DualElement) -> DualElement:
     """The inverse of a unit, exact at a's precision.
 
-    Coefficient n of the inverse reads only coefficients <= n of a, so
-    truncating a first truncates the inverse.  The inverse pairs with
-    each monomial as the reciprocal of a's pairing.  Pairings are
-    checked in index order: step i resolves slot extending_slot(i), and
-    a pairing there that is not a unit of the ground ring is reported
-    with its step and slot as the pivot.  This is the divisor that
-    coefficient-by-coefficient elimination meets at step i, since the
-    last column of the step-i structure constants is the coordinate
-    vector of that slot's monomial.
+    Coefficient n of the inverse reads only coefficients <= n of a, and
+    its pairings are the reciprocals of a's.  Step i resolves slot
+    extending_slot(i); a pairing there that is not a unit of the ground
+    ring is reported as the pivot, the divisor that elimination meets at
+    step i (the last column of G_i is that monomial's coordinates).
     """
     p = _require_prime(spec)
     n = a.precision
-    for v in a.coeffs:
-        if not spec.in_ground_ring(v):
-            raise NotIntegralError(f"coefficient {v} is not integral over the ground ring")
+    for x, d in a._pairs:
+        if not spec._integral(x, d):
+            raise NotIntegralError(f"coefficient {Fraction(x, d)} is not integral over the ground ring")
     pi = _pairings(spec, a, n)
     for i, (x, d) in enumerate(pi):
         if not _is_unit_pair(p, x, d):
             raise NotInvertibleError(i, spec.extending_slot(i), Fraction(x, d))
-    return DualElement(_from_pairings(spec, [(d, x) if x > 0 else (-d, -x) for x, d in pi], n))
+    return DualElement._of_pairs(_from_pairings(spec, [(d, x) if x > 0 else (-d, -x) for x, d in pi], n))
 
 
 def algebra_one(spec: CoalgebraSpec, precision: int) -> DualElement:

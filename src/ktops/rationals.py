@@ -6,6 +6,7 @@ fractions.Fraction; no floating point is used anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import gcd
 
@@ -54,8 +55,17 @@ def is_prime(n: int) -> bool:
 
 
 def _check_prime(p: int) -> None:
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or not _tested_prime(p):
         raise ValueError(f"{p!r} is not a prime")
+
+
+# bounded memos: the gate trial-divides a p, and p - 1 is factored, once
+_tested_prime = lru_cache(64)(is_prime)
+
+
+@lru_cache(64)
+def _unit_primes(p: int) -> tuple[int, ...]:
+    return tuple(_prime_divisors(p - 1))
 
 
 def _int_valuation(p: int, n: int) -> int:
@@ -108,18 +118,27 @@ def multiplicative_order(a: int, modulus: int) -> int:
     t = modulus
     for r in _prime_divisors(modulus):
         t = t // r * (r - 1)
-    for r in _prime_divisors(t):
+    return _strip_order(a, modulus, t, _prime_divisors(t))
+
+
+def _order_mod_prime(a: int, p: int) -> int:
+    """multiplicative_order(a, p), p a prime through the gate, p not dividing a."""
+    return _strip_order(a % p, p, p - 1, _unit_primes(p))
+
+
+def _strip_order(a: int, modulus: int, t: int, primes) -> int:
+    for r in primes:
         while t % r == 0 and pow(a, t // r, modulus) == 1:
             t //= r
     return t
 
 
 def _generator_test(p: int):
-    """The test whether q generates the units mod p**2, p an odd prime; p - 1 is factored once."""
+    """The test whether q generates the units mod p**2, p an odd prime."""
     _check_prime(p)
     if p == 2:
         raise ValueError("primitive-root test is undefined for p = 2")
-    order, rs = p * (p - 1), [p, *_prime_divisors(p - 1)]
+    order, rs = p * (p - 1), [p, *_unit_primes(p)]
     return lambda q: all(pow(q, order // r, p * p) != 1 for r in rs)
 
 

@@ -106,7 +106,10 @@ Gamma tables coefficient by coefficient instead:
   P((beta**r)**j) over one period of j; the library reads their
   residues mod p;
 * monomial_pairing_by_coords: the pairing with w**(rk) summed over the
-  Fraction coordinates from basis_coords.
+  Fraction coordinates from basis_coords;
+* back_transform_by_reduction: the coefficients from the pairings, each
+  one reduced to a Fraction as it is made; the library's back transform
+  (ktops.dual._from_pairings) yields them as unreduced integer pairs.
 
 The multiplicative order (ktops.rationals.multiplicative_order) strips the
 prime divisors of phi(modulus).  The route here steps through the powers:
@@ -137,7 +140,8 @@ import functools
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from typing import Callable
+from math import gcd
+from typing import Callable, Iterator
 
 from ktops.coalgebra import _ZERO, CheckResult, CoalgebraSpec, NotRegularError, RegularityReport
 from ktops.dual import (
@@ -855,6 +859,31 @@ def monomial_pairing_by_coords(spec: CoalgebraSpec, a: DualElement, k: int) -> F
             f"monomial slot {k} needs {len(coords)} coefficients; only {a.precision} known"
         )
     return sum((r * c for r, c in zip(a.coeffs, coords)), Fraction(0))
+
+
+def back_transform_by_reduction(spec: CoalgebraSpec, pi: list[tuple[int, int]], count: int) -> Iterator[Fraction]:
+    """The coefficients of the element with pairings pi, pairs (x, d), d > 0,
+    in any terms: coefficient t is (1/d_t) sum_k m_{t,k} pi_{i(k)}, summed
+    over the running lcm L_t of the reduced pairings by one Horner pass,
+    and built as one reduced Fraction acc / (d_t L_t) per coefficient."""
+    den = 1
+    fs: list[int] = []
+    nums: list[int] = []
+    slots: list[int] = []
+    for t in range(count):
+        x, dx = pi[t]
+        g = gcd(x, dx)
+        x, dx = x // g, dx // g
+        f = dx // gcd(den, dx)
+        den *= f
+        fs.append(f)
+        nums.append(x * (den // dx))
+        slots.append(spec.extending_slot(t))
+        d, mono = spec.monomial_form(t)
+        acc = 0
+        for f, b, s in zip(fs, nums, slots):
+            acc = acc * f + mono.get(s, 0) * b
+        yield Fraction(acc, d * den)
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:

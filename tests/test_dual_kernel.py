@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ktops.coalgebra import binomial_coalgebra, monomial_coalgebra
 from ktops.dual import (
@@ -24,6 +24,7 @@ from ktops.laurent import LaurentPoly
 from ktops.rationals import is_p_local_unit
 from ktops.spectra import dual_theta_basis, make_spectrum, spectrum_names
 from oracles import (
+    back_transform_by_reduction,
     expand_by_value_on,
     invert_by_elimination,
     is_unit_by_fractions,
@@ -182,14 +183,68 @@ def test_adams_values_match_fraction_evaluation(beta):
 )
 def test_back_transform_inverts_pairings(name, coeffs, scales):
     # the back transform reads the coefficients off the pairings, reduced
-    # or carried with a further common factor in each pair
+    # or carried with a further common factor in each pair, as unreduced
+    # pairs (x, d), d > 0, equal to the oracle's reduced Fractions
     C, _, _ = _algebra(name)
     a = DualElement(Fraction(x, d) for x, d in coeffs)
     n = a.precision
     pi = _pairings(C, a, n)
-    assert list(_from_pairings(C, pi, n)) == list(a.coeffs)
     loose = [(x * g, d * g) for (x, d), g in zip(pi, scales)]
-    assert list(_from_pairings(C, loose, n)) == list(a.coeffs)
+    for pairings in (pi, loose):
+        got = list(_from_pairings(C, pairings, n))
+        assert all(d > 0 for _, d in got)
+        assert [Fraction(x, d) for x, d in got] == list(back_transform_by_reduction(C, pairings, n))
+        assert [Fraction(x, d) for x, d in got] == list(a.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(THETA + ["k(2)"]),
+    digits=st.lists(st.integers(-2, 2), min_size=1, max_size=TOP),
+    b=st.lists(st.integers(-9, 9), min_size=TOP, max_size=TOP),
+)
+def test_chained_inverse_on_unreduced_pairs(name, digits, b):
+    # an inverse holds its coefficients as unreduced pairs whose
+    # denominators p divides; inverting, multiplying and the unit and
+    # pairing reads take it as it is, and agree with the Fraction oracles
+    C = make_spectrum(name).coalgebra
+    p, prec = C.prime, len(digits)
+    one = algebra_one(C, prec)
+    a = DualElement(c + p * x for c, x in zip(one.coeffs, digits))
+    b = DualElement(b[:prec])
+    inv = invert(C, a)
+    assume(any(d % p == 0 for _, d in inv._pairs))
+    assert invert(C, inv) == a
+    assert multiply(C, inv, a) == one
+    product = multiply(C, inv, b)
+    verdict = is_unit(C, inv, mode="truncated")
+    pairings = [monomial_pairing(C, inv, k) for k in C.monomial_slots(prec - 1)]
+    want = invert_by_elimination(C, a)
+    assert inv.coeffs == want.coeffs
+    assert product == multiply_by_contraction(C, want, b)
+    assert verdict == is_unit(C, DualElement(inv.coeffs), mode="truncated") and verdict.unit
+    assert pairings == [monomial_pairing_by_coords(C, want, k) for k in C.monomial_slots(prec - 1)]
+
+
+@pytest.mark.parametrize("name", ["k(3)", "G(5)", "KO(2)", "k(2)"])
+def test_a_library_element_reads_as_its_coefficients(name):
+    # equality, hash and repr read the reduced coefficients, whether the
+    # element holds unreduced pairs from the library or Fractions
+    sp = make_spectrum(name)
+    C, p, prec = sp.coalgebra, sp.prime, 10
+    one = algebra_one(C, prec)
+    a = DualElement(c + p * (-1) ** n for n, c in enumerate(one.coeffs))
+    made = [lambda: invert(C, a), lambda: multiply(C, a, a)]
+    if sp.has_theta_form:
+        made.append(lambda: expand(C, dual_theta_basis(sp, 3), prec))
+    for make in made:
+        x = make()
+        text, h = repr(x), hash(x)
+        y = DualElement(x.coeffs)
+        assert make() == y and y == make()
+        assert (hash(y), repr(y)) == (h, text)
+        assert hash(make()) == h and repr(make()) == text
+        assert len({make(), y}) == 1
 
 
 def test_exact_unit_residues_match_fraction_oracle():

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 from itertools import islice
 
@@ -5,6 +6,7 @@ import pytest
 
 from ktops import rationals
 from ktops.checks import condition_report
+from ktops.cli import run
 from ktops.coalgebra import BandedCoalgebra, CoalgebraSpec, ThetaCoalgebra, binomial_coalgebra, monomial_coalgebra
 from ktops.dual import AdamsPoly, expand
 from ktops.laurent import LaurentPoly
@@ -271,17 +273,33 @@ def test_admissible_shifts_increasing_multiples():
     assert first == [20, 40, 60, 80]
 
 
+def _spy_prime_divisors(monkeypatch) -> list[int]:
+    """Every n that rationals._prime_divisors is asked for, on empty prime memos."""
+    factored, prime_divisors = [], rationals._prime_divisors
+    monkeypatch.setattr(rationals, "_prime_divisors", lambda n: factored.append(n) or prime_divisors(n))
+    rationals._tested_prime.cache_clear()
+    rationals._unit_primes.cache_clear()
+    return factored
+
+
 @pytest.mark.parametrize("family", ["k", "K", "g", "G"])
 def test_make_spectrum_factors_p_and_p_minus_1_a_fixed_number_of_times(family, monkeypatch):
     # least Adams parameters 2, 3 and 69 (p = 5, 7, 110881), and q given
-    factored, prime_divisors = [], rationals._prime_divisors
-    monkeypatch.setattr(rationals, "_prime_divisors", lambda n: factored.append(n) or prime_divisors(n))
     counts = set()
     for p, q in [(5, None), (7, None), (110881, None), (110881, 69), (7, 5)]:
-        factored.clear()
+        factored = _spy_prime_divisors(monkeypatch)
         make_spectrum(f"{family}({p})", q)
         counts.add((factored.count(p), factored.count(p - 1)))
-    assert counts == {(3, 1)}
+    assert counts == {(1, 1)}
+
+
+def test_a_check_near_the_prime_bound_trial_divides_p_once(monkeypatch):
+    # make_spectrum, the generator test, CoalgebraSpec and the order of the
+    # node base each need p prime or p - 1 factored; one division of each
+    p = 999999929569
+    factored = _spy_prime_divisors(monkeypatch)
+    assert run(["check", f"k({p})", "--l", "1", "--format", "json"], out=io.StringIO()) == 0
+    assert (factored.count(p), factored.count(p - 1)) == (1, 1)
 
 
 def test_spectrum_names_roundtrip():
