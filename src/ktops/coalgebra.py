@@ -201,12 +201,12 @@ class CoalgebraSpec:
 
     def _integral(self, num: int, den: int) -> bool:
         """Whether num / den, den != 0 in any terms, lies in the ground ring:
-        over Z when den divides num; over Z_(p) when p does not divide den,
-        or else not the reduced denominator, by one gcd."""
+        over Z when den divides num; over Z_(p) when num is 0, p does not
+        divide den, or p**nu_p(den) divides num, with no gcd."""
         p = self.prime
         if p is None:
             return num % den == 0
-        return den % p != 0 or den // gcd(num, den) % p != 0
+        return not num or den % p != 0 or num % p ** _int_valuation(p, den) == 0
 
     def counit_value(self, n: int) -> Fraction:
         """Value of the counit on basis element n (evaluation at w = 1)."""

@@ -7,24 +7,12 @@ topological basis element, with everything from index K onward acting
 as zero.  Such a table is discrete by construction; validity means the
 unit acts as the identity (the counit law sum_n eps(c_n) M_n = 1) and
 the matrices satisfy the same relations as the basis elements
-themselves, both read against each row's torsion modulus.  Everything
-is checked by validate_module; to_comodule only validates and wraps.
-validate_module works on integer matrices: each law is scaled by p-adic
-units and by the lcm L of its denominators, torsion rows mod p**(e + nu_p(L)).
-On a theta-form coalgebra whose node base is a unit at its prime the k**2
-relations of a level-k table follow from k Newton steps
-M_(n+1) = (sigma_(n+1)/sigma_n) M_n (A - y_n), A = y_0 + M_1/sigma_1, M_k = 0,
-which validate_module checks instead.  When step n is the first to fail,
-relation (1, n) is the first failing relation, at the step's first failing
-entry, so that one relation names the cell; _newton_steps holds both proofs.
+themselves, both read against each row's torsion modulus.
+validate_module checks it all; to_comodule only validates and wraps.
 
 Columns index source generators and rows index targets, so column g of
 M_i is the image of generator g.  Free generators come first, then the
 torsion generators in the order of torsion_orders.
-
-FGModule is immutable and compared by its four defining fields;
-ModuleVerdict, CoactionTable and AnnihilatorSearch are immutable
-NamedTuples compared by value.
 """
 from __future__ import annotations
 
@@ -57,10 +45,8 @@ def _zero(d: int) -> Matrix:
 class FGModule:
     """An action table on a finitely generated p-local module.
 
-    row_exponents[r] is e with torsion order p**e on a torsion row r,
-    None on a free row.  Immutable, and compared and hashed by prime,
-    free_rank, torsion_orders and matrices; row_exponents is derived
-    from them.
+    row_exponents[r] is e with torsion order p**e on a torsion row r, None
+    on a free row.  Immutable, compared and hashed by the other four fields.
     """
 
     def __init__(self, prime: int, free_rank: int, torsion_orders: tuple[int, ...],
@@ -118,13 +104,9 @@ class FGModule:
 
 
 def _malformed(mod: FGModule) -> tuple[str, dict] | None:
-    """The first flaw in the shape or integrality of an action table.
-
-    (reason, cell) naming matrix i when it is not square of the module's
-    dimension, or its entry (r, c) when that is not p-locally integral;
-    None when every matrix is well formed.  Matrices are scanned in
-    order, each for its shape before its entries.
-    """
+    """(reason, cell) for the first matrix i, in order, that is not square
+    of the module's dimension or has an entry (r, c) that is not
+    p-locally integral, shape before entries; None when all are sound."""
     d, p = mod.dimension, mod.prime
     for i, m in enumerate(mod.matrices):
         if len(m) != d or any(len(row) != d for row in m):
@@ -149,29 +131,29 @@ class ModuleVerdict(NamedTuple):
 def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     """Check the module axioms of an action table against a coalgebra.
 
-    In order: shape and integrality; the counit law
-    sum_n eps(c_n) M_n = 1, which says the unit of the dual algebra acts
-    as the identity; the torsion-column constraints; then every relation
-    M_i M_j = sum_n G[i,j -> n] M_n for i, j below the level.  The counit
-    law and the relations are compared exactly on free rows and modulo
-    the row's torsion order on torsion rows.  The first failure is
-    reported with its cell.
+    In order: shape and integrality; the counit law sum_n eps(c_n) M_n = 1
+    (the unit acts as the identity); the torsion columns; then every
+    relation M_i M_j = sum_n G[i,j -> n] M_n, i, j below the level k.
+    Laws compare exactly on free rows and modulo the torsion order on
+    torsion rows.  The first failure is reported with its cell.
 
     Past the integrality scan the work is on integers: A_n = D M_n, D the
-    lcm of the entry denominators (a p-adic unit), and each law is
-    multiplied by the lcm L of its coefficient denominators:
-    sum_n (L eps_n) A_n = L D 1 and L A_i A_j = D sum_n (L G[i,j -> n]) A_n.
-    L may hold p on a coalgebra without a prime, so a torsion row of
-    order p**e compares modulo p**(e + nu_p(L)).  A failed relation
-    reports its sides unscaled, as lhs/D**2 and rhs/(L D).
+    lcm of the entry denominators (a p-adic unit), and each law is scaled
+    by the lcm L of its coefficient denominators: sum_n (L eps_n) A_n =
+    L D 1 and L A_i A_j = D sum_n (L G[i,j -> n]) A_n.  L may hold p on a
+    coalgebra without a prime, so a torsion row of order p**e compares
+    modulo p**(e + nu_p(L)).
 
-    The k**2 relations (k the level) are the definition, and
-    _relation_scan checks them all on every coalgebra but one kind: on a
-    ThetaCoalgebra with a prime that does not divide its base, k Newton
-    steps decide the same verdict.  When step n is the first to fail,
-    the first failing relation is (1, n), at the step's first failing
-    entry, and _relation_scan reads that one relation for the cell
-    (_newton_steps holds both proofs).
+    The k**2 relations are the definition; three routes decide them, each
+    proven in its helper:
+
+    * on a ThetaCoalgebra whose prime does not divide its base, k Newton
+      steps M_(n+1) = (sigma_(n+1)/sigma_n) M_n (A - y_n) (_newton_steps);
+      when step n is the first to fail, relation (1, n) names the cell;
+    * on any other coalgebra, a table without torsion rows by the
+      idempotents of its coaction (_idempotents_hold); when one fails, so
+      does a relation, and the full scan names the cell;
+    * every other table by all k**2 relations (_relation_scan).
     """
     p = mod.prime
     if spec.prime not in (None, p):
@@ -206,6 +188,8 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
     if isinstance(spec, ThetaCoalgebra) and spec.prime is not None and spec.base % p:
         n = _newton_steps(spec, mod, den, a)
         return ModuleVerdict(True) if n is None else _relation_scan(spec, mod, den, a, [(1, n)])
+    if not mod.torsion_orders and _idempotents_hold(spec, mod, den, a):
+        return ModuleVerdict(True)
     return _relation_scan(spec, mod, den, a, product(range(k), repeat=2))
 
 
@@ -240,10 +224,9 @@ def _combination(a: list, ws: list[int], r: int, d: int) -> list[int]:
 
 
 def _relation_scan(spec: CoalgebraSpec, mod: FGModule, den: int, a: list, pairs: Iterable) -> ModuleVerdict:
-    """The relations M_i M_j = sum_n G[i,j -> n] M_n for the index pairs
-    (i, j) below the level in pairs, in order, on the integer table (D, A)
-    of _integer_table; the first failure with its cell and both sides
-    unscaled."""
+    """The relations (i, j) for the pairs in order, on the integer table
+    (D, A); the first failure with its cell
+    and both sides unscaled, as lhs/D**2 and rhs/(L D)."""
     p, d, k, exps = mod.prime, mod.dimension, mod.level, mod.row_exponents
     gammas = [spec.coproduct_matrix(n) for n in range(k)]
     cols = [list(zip(*m)) for m in a]
@@ -262,24 +245,67 @@ def _relation_scan(spec: CoalgebraSpec, mod: FGModule, den: int, a: list, pairs:
     return ModuleVerdict(True)
 
 
+def _idempotents_hold(spec: CoalgebraSpec, mod: FGModule, den: int, a: list) -> bool:
+    """Whether a table with no torsion rows that passed the integrality and
+    counit scans satisfies every relation: N_k**2 = N_k for every k.
+
+    With (d_n, m_n) = monomial_form(n), the coaction rho(x) = sum_n M_n x
+    (x) c_n is sum_k N_k x (x) w**(rk), N_k = sum_n (m_(n,k) / d_n) M_n,
+    k over the extending slots below the level.  Proof, over Q, as free
+    rows compare exactly:
+
+    * the relations are the coefficients of c_i (x) c_j in (rho (x) 1) rho
+      = (1 (x) Delta) rho, so they hold exactly when rho is coassociative;
+    * these w**(rk) are grouplike and span the c_n (regularity), so that
+      reads N_k N_l = delta_kl N_k, and the counit law sum_k N_k = 1;
+    * idempotents summing to 1 are orthogonal in characteristic 0: trace
+      is rank, so the ranks sum to the dimension, the images form a
+      direct sum, and N_l x = x gives N_k x = 0 for k != l.
+
+    On integers B_k = sum_n m_(n,k) (L / d_n) A_n = L D N_k, L the lcm of
+    the d_n, and the test is B_k**2 = L D B_k.  A torsion row compares
+    modulo p**e while p may divide a d_n, so it keeps the relation scan.
+    """
+    k, d = mod.level, mod.dimension
+    forms = [spec.monomial_form(n) for n in range(k)]
+    big = lcm(*(dn for dn, _ in forms))
+    weights = {}
+    for n, (dn, mono) in enumerate(forms):
+        for slot, m in mono.items():
+            weights.setdefault(slot, [0] * k)[n] = m * (big // dn)
+    big *= den
+    for ws in weights.values():
+        b = [_combination(a, ws, r, d) for r in range(d)]
+        sparse = [[(c, v) for c, v in enumerate(row) if v] for row in b]
+        if any(_add_product(row, sparse, [0] * d) != [big * v for v in row] for row in b):
+            return False
+    return True
+
+
+def _add_product(row: list[int], sparse: list, acc: list[int]) -> list[int]:
+    """acc plus row times the matrix whose rows are sparse [(c, v), ...]."""
+    for s, v in enumerate(row):
+        if v:
+            for c, w in sparse[s]:
+                acc[c] += v * w
+    return acc
+
+
 def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> int | None:
     """The first of k Newton steps that a table which passed the counit and
-    torsion-column scans fails, or None when every step holds, that is
-    when the table satisfies every relation of a theta-form coalgebra.
+    torsion-column scans fails, or None when all hold.
 
     C has a prime p that does not divide its base b.  With A = y_0 + M_1 /
     sigma_1 (y_0 = sigma_1 = 1), the steps are
 
         M_(n+1) = (sigma_(n+1) / sigma_n) M_n (A - y_n),   n < k,   M_k = 0,
 
-    compared as the relations are: exactly on free rows, modulo p**e on a
-    torsion row of order p**e.  They hold exactly when all k**2 relations
-    do.  Proof, in End(M) of the module M, where the torsion-column scan
-    makes each M_n a well-defined endomorphism and row-wise comparison
-    is equality of endomorphisms:
+    compared as the relations are.  They hold exactly when all k**2
+    relations do.  Proof, in End(M), where the torsion-column scan makes
+    each M_n an endomorphism and row-wise comparison is equality:
 
-    * the counit is eps(c_n) = delta_n0, since c_n vanishes at the node
-      w = 1 for n >= 1, so the counit law reads M_0 = 1;
+    * eps(c_n) = delta_n0, as c_n vanishes at the node w = 1 for n >= 1,
+      so the counit law reads M_0 = 1;
     * on the dual basis a_n = sigma_n theta_n(T) (coalgebra.ThetaCoalgebra),
       theta_n (T - y_0) = theta_(n+1) + (y_n - y_0) theta_n gives the band
       a_n a_1 = (y_n - y_0) a_n + (sigma_n / sigma_(n+1)) a_(n+1), so the
@@ -289,12 +315,10 @@ def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> int | 
       in Q[T], with every coefficient p-local (b is a p-adic unit), so it
       holds at A in End(M): every relation (i, j) holds.
 
-    When step n is the first to fail, relation (1, n) is the first failing
-    relation of the scan in the order i, then j, at the step's first failing
-    entry (r, c), row by row:
+    When step n is the first to fail, relation (1, n) is the scan's first
+    failing relation (order i, then j), at the step's first failing entry:
 
-    * the relations (0, j) hold, since a_0 is the unit (eps(c_n) =
-      delta_n0) and the counit law gave M_0 = 1;
+    * the relations (0, j) hold, as a_0 is the unit and M_0 = 1;
     * step 0, M_1 = M_0 (A - y_0), always holds, so n >= 1;
     * steps 0 .. n-1 make M_t = sigma_t theta_t(A) for t <= n.  So the
       relations (1, j) with j < n hold, their targets being at most n by
@@ -303,11 +327,10 @@ def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> int | 
       sigma_n / sigma_(n+1), entry by entry modulo each row's order, so
       its failing entries are those of step n.
 
-    On integers (ThetaCoalgebra), with A_n = D M_n and the nodes y'_l =
-    b**E y_l of C.nodes(k, .), E = C.scale(k), step n reads D b**E A_(n+1)
-    = b**g_n A_n (b**E A_1 + D (y'_0 - y'_n)), b**g_n = sigma_(n+1) /
-    sigma_n.  D, b**E and b**g_n are p-adic units, and each step checks
-    against the table's own A_(n+1), so no entry grows.
+    On integers, with the nodes y'_l = b**E y_l of C.nodes(k, .), E =
+    C.scale(k), step n reads D b**E A_(n+1) = b**g_n A_n (b**E A_1 +
+    D (y'_0 - y'_n)), b**g_n = sigma_(n+1) / sigma_n, all p-adic units;
+    each step checks against the table's own A_(n+1), so no entry grows.
     """
     p, d, k, exps = mod.prime, mod.dimension, mod.level, mod.row_exponents
     b = C.base
@@ -321,11 +344,7 @@ def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> int | 
     for n in range(k):
         g, shift = b ** (t[n + 1] - t[n]), den * (ys[0] - ys[n])
         for r, row in enumerate(mats[n]):
-            acc = [shift * v for v in row]
-            for s, v in enumerate(row):
-                if v:
-                    for c, w in one[s]:
-                        acc[c] += v * w
+            acc = _add_product(row, one, [shift * v for v in row])
             lhs = [den * unit * x for x in mats[n + 1][r]]
             if _miss(lhs, [g * x for x in acc], qs[r]) is not None:
                 return n
@@ -333,12 +352,9 @@ def _newton_steps(C: ThetaCoalgebra, mod: FGModule, den: int, a: list) -> int | 
 
 
 class CoactionTable(NamedTuple):
-    """The coaction rho(x_g) = sum_n (M_n x_g) (x) c_n of a valid table.
-
-    Column g of M_n is the coefficient of c_n in rho(x_g), so the table
-    is held as its module; only to_comodule builds one, after
-    validate_module has checked the counit law and coassociativity.
-    """
+    """The coaction rho(x_g) = sum_n (M_n x_g) (x) c_n of a valid table,
+    held as its module: column g of M_n is the coefficient of c_n in
+    rho(x_g).  Only to_comodule builds one, after validate_module."""
 
     module: FGModule
 
@@ -348,11 +364,7 @@ class CoactionTable(NamedTuple):
 
 
 def to_comodule(mod: FGModule, spec: CoalgebraSpec) -> CoactionTable:
-    """Turn a valid action table into its coaction table.
-
-    The sum rho(x) = sum_n a_n x (x) c_n has only the first K terms
-    since everything later acts as zero.  Refuses invalid input.
-    """
+    """The coaction table of a valid action table; refuses an invalid one."""
     verdict = validate_module(mod, spec)
     if not verdict.ok:
         raise ValueError(f"not a valid module table: {verdict.reason}")
@@ -364,15 +376,11 @@ class AnnihilatorSearch(NamedTuple):
 
 
 def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> AnnihilatorSearch:
-    """The first depth-s admissible shift that kills the torsion.
-
-    Walks m through the admissible shifts in increasing order and
-    returns the first m whose matrix vanishes on the torsion block (mod
-    the row orders).  Past the table's level everything acts as zero, so
-    the walk ends at the latest at the first shift at or past the level.
-    Raises ValueError, naming the matrix and the entry, on a table that
-    is not square or not p-locally integral, and, naming both primes, on
-    a spectrum of another prime.
+    """The first depth-s admissible shift m whose matrix vanishes on the
+    torsion block (mod the row orders); at the latest the first shift at
+    or past the level, where everything acts as zero.  Raises ValueError,
+    naming the matrix and entry, on a table that is not square or not
+    p-locally integral, and, naming both primes, on another prime.
     """
     if s < 1:
         raise ValueError("the torsion exponent must be a positive integer")
@@ -407,23 +415,15 @@ def trivial_module(prime: int, free_rank: int = 1, torsion_orders: Sequence[int]
 
 
 def character_module(spec: CoalgebraSpec, slot: int) -> FGModule:
-    """Rank one, with each basis element acting by its monomial pairing.
-
-    The monomial w**(r*slot) is grouplike, so pairing against it is an
-    algebra map to the ground ring; the action of a_i is the scalar
-    coordinate of that monomial on basis index i.  Zero from the slot's
-    resolving index onward, hence discrete.
-    """
+    """Rank one, a_i acting by the coordinate of the grouplike w**(r*slot)
+    on index i (pairing with it is an algebra map); zero from the slot's
+    resolving index on, hence discrete."""
     return FGModule(_require_prime(spec), 1, (), tuple(((c,),) for c in spec.basis_coords(slot)))
 
 
 def comodule_on_basis(spec: CoalgebraSpec, n: int) -> FGModule:
-    """The span of basis elements 0..n as a module over the dual.
-
-    Action of a_i on generator j lands on generator m with coefficient
-    the structure constant G[m, i -> j]; triangularity kills indices
-    above n, so the level is n + 1.
-    """
+    """The span of basis elements 0..n: a_i sends generator j to m with
+    coefficient G[m, i -> j]; triangularity makes the level n + 1."""
     p, d = _require_prime(spec), n + 1
     mats = (tuple(tuple(spec.coproduct_entry(m, i, j) for j in range(d)) for m in range(d))
             for i in range(d))
@@ -447,9 +447,8 @@ def module_from_dict(data: dict) -> FGModule:
     """Rebuild a module table from the layout module_to_dict writes.
 
     Raises ValueError naming the first key that is missing or ill-typed:
-    prime and free_rank are integers, torsion_orders a list of integers,
-    matrices a list of matrices, each a list of rows of rationals
-    written as strings or integers.
+    prime and free_rank are integers, torsion_orders a list of them,
+    matrices lists of rows of rationals written as strings or integers.
     """
     if not isinstance(data, dict):
         raise ValueError("a module table must be an object with keys "

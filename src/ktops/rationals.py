@@ -71,6 +71,8 @@ def _unit_primes(p: int) -> tuple[int, ...]:
 def _int_valuation(p: int, n: int) -> int:
     if n == 0:
         raise ValueError("valuation of zero is undefined")
+    if p == 2:  # the lowest set bit, one pass over n
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p

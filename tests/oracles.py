@@ -111,6 +111,13 @@ Gamma tables coefficient by coefficient instead:
   one reduced to a Fraction as it is made; the library's back transform
   (ktops.dual._from_pairings) yields them as unreduced integer pairs.
 
+The integrality gate on an unreduced pair (ktops.coalgebra.CoalgebraSpec
+._integral) compares p-valuations: p**nu_p(den) must divide num.  The
+route here reduces the pair first, as the library once did:
+
+* integral_by_gcd: num / den in Z, or in Z_(p) when p does not divide
+  den or its reduced denominator den / gcd(num, den).
+
 The multiplicative order (ktops.rationals.multiplicative_order) strips the
 prime divisors of phi(modulus).  The route here steps through the powers:
 
@@ -884,6 +891,14 @@ def back_transform_by_reduction(spec: CoalgebraSpec, pi: list[tuple[int, int]], 
         for f, b, s in zip(fs, nums, slots):
             acc = acc * f + mono.get(s, 0) * b
         yield Fraction(acc, d * den)
+
+
+def integral_by_gcd(prime: int | None, num: int, den: int) -> bool:
+    """Whether num / den, den != 0, lies in Z (prime None) or in Z_(prime),
+    by one gcd on the pair when the prime divides den."""
+    if prime is None:
+        return num % den == 0
+    return den % prime != 0 or den // gcd(num, den) % prime != 0
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -15,7 +15,7 @@ from ktops.coalgebra import (
 from ktops.laurent import LaurentPoly
 from ktops.rationals import nu
 from ktops.spectra import InterleavedCoalgebra, make_spectrum, spectrum_names
-from oracles import coproduct_by_solve, newton_coords, regularity_by_fractions, spy_tables
+from oracles import coproduct_by_solve, integral_by_gcd, newton_coords, regularity_by_fractions, spy_tables
 
 THETA_NAMES = ("k(3)", "K(3)", "g(3)", "G(3)", "k(5)", "K(5)", "g(5)", "G(5)",
                "k(7)", "G(7)", "ko(2)", "KO(2)")
@@ -462,12 +462,25 @@ def test_regularity_on_integers_matches_the_fraction_route(make):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([None, 2, 3, 5]), st.integers(-10**6, 10**6),
-       st.integers(-10**6, 10**6).filter(bool), st.integers(0, 40))
-def test_integral_pair_agrees_with_in_ground_ring(prime, num, den, shift):
-    # the unreduced pair, with long runs of p (or 2) in its denominator,
-    # against in_ground_ring on its Fraction and against the valuation
+       st.integers(-10**6, 10**6).filter(bool), st.integers(0, 200), st.integers(0, 200))
+def test_integral_pair_agrees_with_in_ground_ring(prime, num, den, up, shift):
+    # the unreduced pair, with long runs of p (or 2) in its numerator and
+    # denominator, against in_ground_ring on its Fraction, against the
+    # valuation and against the reducing gcd form
+    num *= (prime or 2) ** up
     den *= (prime or 2) ** shift
     C = monomial_coalgebra(step=1, prime=prime)
     x = Fraction(num, den)
     want = x.denominator == 1 if prime is None else (num == 0 or nu(prime, x) >= 0)
-    assert C._integral(num, den) is C.in_ground_ring(x) is want
+    assert C._integral(num, den) is C.in_ground_ring(x) is integral_by_gcd(prime, num, den) is want
+
+
+@pytest.mark.parametrize("prime, num, den, want", [
+    (2, 0, 2**300, True), (None, 0, -7, True), (3, 0, -81, True),
+    (2, 3 * 2**64, -(2**64) * 5, True), (2, 3 * 2**63, -(2**64) * 5, False),
+    (2, -(2**1000), 2**1000 * 3, True), (2, 2**999, -(2**1000), False),
+    (5, 7, -3, True), (None, 12, -4, True), (None, 12, -8, False), (None, -(2**80), 2**79, True),
+])
+def test_integral_pair_edge_cases(prime, num, den, want):
+    C = monomial_coalgebra(step=1, prime=prime)
+    assert C._integral(num, den) is integral_by_gcd(prime, num, den) is want

@@ -286,7 +286,9 @@ _SWEEP = {
     "g(5)": make_spectrum("g(5)").coalgebra,
     "KO(2)": make_spectrum("KO(2)").coalgebra,
     "k(2)": make_spectrum("k(2)").coalgebra,
+    "K(2)": make_spectrum("K(2)").coalgebra,
     "G(5)": make_spectrum("G(5)").coalgebra,
+    "theta(3,1,p=3)": ThetaCoalgebra(3, 1, prime=3),
     "binomial(3)": binomial_coalgebra(3),
     "monomial(1,3)": monomial_coalgebra(1, 3),
     "monomial(1,3)-periodic": monomial_coalgebra(1, 3, periodic=True),
@@ -312,7 +314,7 @@ def test_validate_agrees_with_fraction_oracle_on_corruptions(name):
             _assert_agrees(bad, spec)
 
 
-@pytest.mark.parametrize("name", ["k(3)", "KO(2)", "k(2)", "G(5)"])
+@pytest.mark.parametrize("name", ["k(3)", "KO(2)", "k(2)", "K(2)", "G(5)"])
 def test_validate_agrees_with_fraction_oracle_at_size_six(name):
     spec = _SWEEP[name]
     assert _assert_agrees(comodule_on_basis(spec, 6), spec)
@@ -350,6 +352,26 @@ def test_trivial_module_refuses_level_below_one(level):
 THETA_SWEEP = ("k(3)", "K(3)", "g(5)", "G(5)", "KO(2)")
 
 
+def _spy_scan(monkeypatch) -> list:
+    """Record the pairs of every _relation_scan call, then run it."""
+    calls = []
+    scan = modules._relation_scan
+
+    def spy(*args):
+        calls.append(list(args[4]))
+        return scan(*args[:4], calls[-1])
+
+    monkeypatch.setattr(modules, "_relation_scan", spy)
+    return calls
+
+
+def _refuse_scan(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("the relation scan ran on a valid table")
+
+    monkeypatch.setattr(modules, "_relation_scan", refuse)
+
+
 @pytest.mark.parametrize("name", THETA_SWEEP)
 def test_newton_steps_agree_with_relation_scan_on_corruptions(name):
     # on every table that passes the scans before the relations, the steps
@@ -377,10 +399,7 @@ def test_newton_steps_agree_with_relation_scan_on_corruptions(name):
 
 @pytest.mark.parametrize("name", THETA_SWEEP + ("ko(2)",))
 def test_theta_tables_validate_without_the_relation_scan(name, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the relation scan ran on a valid theta-form table")
-
-    monkeypatch.setattr(modules, "_relation_scan", refuse)
+    _refuse_scan(monkeypatch)
     C = make_spectrum(name).coalgebra
     p = C.prime
     tables = [comodule_on_basis(C, 12), trivial_module(p, 1, (p, p**3), 5),
@@ -394,15 +413,7 @@ def test_theta_tables_validate_without_the_relation_scan(name, monkeypatch):
 def test_failed_theta_tables_read_one_relation(name, monkeypatch):
     # on a unit node base a failed Newton step n sends only the pair (1, n)
     # to the relation scan, never the full scan
-    calls = []
-    scan = modules._relation_scan
-
-    def spy(*args):
-        pairs = list(args[4])
-        calls.append(pairs)
-        return scan(*args[:4], pairs)
-
-    monkeypatch.setattr(modules, "_relation_scan", spy)
+    calls = _spy_scan(monkeypatch)
     C = make_spectrum(name).coalgebra
     p = C.prime
     failed = 0
@@ -417,23 +428,104 @@ def test_failed_theta_tables_read_one_relation(name, monkeypatch):
     assert failed > 20, failed
 
 
-@pytest.mark.parametrize("spec", [
-    ThetaCoalgebra(3, 1, prime=3),
-    ThetaCoalgebra(2, 1),
-    make_spectrum("k(2)").coalgebra,
-], ids=["base-divisible-by-p", "no-prime", "k(2)"])
-def test_other_coalgebras_take_the_relation_scan(spec, monkeypatch):
-    calls = []
-    scan = modules._relation_scan
+# ----------------------------------------------------------------------
+# the idempotents of the coaction against the relation scan
+# ----------------------------------------------------------------------
 
-    def spy(*args):
-        calls.append(args[1].level)
-        return scan(*args)
+def _shifted(n: int) -> tuple[int, dict[int, int]]:
+    """c_0 = 1 and c_n = w**n - 1: a user basis that is no Newton basis."""
+    return (1, {0: 1}) if n == 0 else (1, {n: 1, 0: -1})
 
-    monkeypatch.setattr(modules, "_relation_scan", spy)
-    p = spec.prime or 3
+
+# coalgebras without the Newton route, each with a p-local coalgebra whose
+# tables are its own (None: the coalgebra itself) to build stock tables on
+OTHERS = {
+    "base-divisible-by-p": (ThetaCoalgebra(3, 1, prime=3), None),
+    "no-prime": (ThetaCoalgebra(2, 1), ThetaCoalgebra(2, 1, prime=3)),
+    "k(2)": (make_spectrum("k(2)").coalgebra, None),
+    "K(2)": (make_spectrum("K(2)").coalgebra, None),
+    "binomial": (binomial_coalgebra(3), None),
+    "monomial-periodic": (monomial_coalgebra(1, 3, periodic=True), None),
+    "user": (CoalgebraSpec(step=1, basis=_shifted, prime=3), None),
+    "user-no-prime": (CoalgebraSpec(step=1, basis=_shifted), CoalgebraSpec(step=1, basis=_shifted, prime=3)),
+}
+
+
+def _conjugated_sum(spec, slots) -> FGModule:
+    """The character modules of two slots, summed and conjugated by the
+    unimodular [[1, 1], [0, 1]]: a free table that is no comodule or
+    character, valid when both characters are."""
+    x, y = (spec.basis_coords(s) for s in slots)
+    k = max(len(x), len(y))
+    x, y = x + (0,) * (k - len(x)), y + (0,) * (k - len(y))
+    return FGModule(spec.prime, 2, (), tuple(((u, v - u), (0, v)) for u, v in zip(x, y)))
+
+
+def _counit_kept(mod: FGModule, spec, deltas):
+    """mod with entry (r, c) of one M_i, i >= 1, moved by one delta and that
+    of M_0 by -eps(c_i) delta, so the counit law holds as it did."""
+    for i in range(1, mod.level):
+        for r, c, delta in product(range(mod.dimension), range(mod.dimension), deltas):
+            mats = [list(map(list, mat)) for mat in mod.matrices]
+            mats[i][r][c] += delta
+            mats[0][r][c] -= spec.counit_value(i) * delta
+            yield FGModule(mod.prime, mod.free_rank, mod.torsion_orders, tuple(mats))
+
+
+@pytest.mark.parametrize("name", list(OTHERS))
+def test_torsion_tables_take_the_relation_scan(name, monkeypatch):
+    # every torsion table that reaches the relations gets the full scan
+    spec, stock = OTHERS[name]
+    stock = stock or spec
+    calls = _spy_scan(monkeypatch)
+    p = stock.prime
+    char = character_module(stock, stock.monomial_slots(3)[2])
     tables = [trivial_module(p, 1, (p,), 2), trivial_module(p, 2, (p * p,), 3),
-              FGModule(p, 0, (p,), (((1,),), ((2,),)))]
+              FGModule(p, 0, (p,), (((1,),), ((2,),))), FGModule(p, 0, (p**2,), char.matrices)]
+    tables += _counit_kept(FGModule(p, 1, (p,), trivial_module(p, 2, (), 3).matrices), spec, (1, p))
+    verdicts = [_assert_agrees(t, spec) for t in tables]
+    scanned = [t for t, v in zip(tables, verdicts) if v.ok or v.reason.startswith("relation")]
+    assert calls == [list(product(range(t.level), repeat=2)) for t in scanned]
+    assert len(scanned) > 10 and any(v.ok for v in verdicts), len(scanned)
+
+
+@pytest.mark.parametrize("name", list(OTHERS))
+def test_free_tables_validate_without_the_relation_scan(name, monkeypatch):
+    spec, stock = OTHERS[name]
+    stock = stock or spec
+    p = stock.prime
+    slots = stock.monomial_slots(8)
+    tables = [comodule_on_basis(stock, 8), trivial_module(p, 3, (), 4), _conjugated_sum(stock, slots[3:5])]
+    tables += [character_module(stock, s) for s in slots]
+    _refuse_scan(monkeypatch)
     for t in tables:
-        _assert_agrees(t, spec)
-    assert calls == [t.level for t in tables]
+        assert validate_module(t, spec), (name, module_to_json(t))
+
+
+@pytest.mark.parametrize("name", ["k(2)", "K(2)"])
+def test_free_tables_of_size_24_validate_without_the_relation_scan(name, monkeypatch):
+    _refuse_scan(monkeypatch)
+    spec = OTHERS[name][0]
+    assert validate_module(comodule_on_basis(spec, 24), spec)
+    for s in spec.monomial_slots(24)[::4]:
+        assert validate_module(character_module(spec, s), spec), s
+
+
+@pytest.mark.parametrize("name", list(OTHERS))
+def test_failed_free_tables_take_one_full_scan(name, monkeypatch):
+    # a failed idempotent sends the whole product to the relation scan once,
+    # so the reason and the cell are the scan's and the oracle's
+    spec, stock = OTHERS[name]
+    stock = stock or spec
+    calls = _spy_scan(monkeypatch)
+    failed = 0
+    for m in (comodule_on_basis(stock, 3), _conjugated_sum(stock, stock.monomial_slots(3)[1:3])):
+        for t in [*_corruptions(m, (1, 3, -2)), *_counit_kept(m, spec, (1, Fraction(1, 2)))]:
+            calls.clear()
+            v = _assert_agrees(t, spec)
+            if v.reason.startswith("relation"):
+                assert calls == [list(product(range(t.level), repeat=2))], (v, calls)
+                failed += 1
+            else:
+                assert calls == [], (v, calls)
+    assert failed > 20, failed

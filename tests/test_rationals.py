@@ -53,6 +53,16 @@ def test_integer_valuation_of_zero_rejected():
     assert _int_valuation(3, -18) == 2
 
 
+@given(PRIMES, st.integers(-10**6, 10**6).filter(bool), st.integers(0, 300))
+def test_integer_valuation_counts_the_divisions(p, unit, e):
+    # the 2-adic bit count and the division loop against stripping p by hand
+    n, want = unit * p**e, e
+    while unit % p == 0:
+        unit //= p
+        want += 1
+    assert _int_valuation(p, n) == want
+
+
 @given(PRIMES, RATS, RATS)
 def test_valuation_is_multiplicative(p, x, y):
     if x == 0 or y == 0:
