@@ -1,22 +1,18 @@
 """Sparse Laurent polynomials over Q.
 
 A LaurentPoly is an immutable map exponent -> Fraction with zero
-coefficients stripped.  Exponents may be negative; evaluation at 0 of a
-polynomial with negative exponents raises PoleError.  The monic node
+coefficients stripped.  Exponents may be negative.  The monic node
 products prod (X - y_i) that the operation bases are written in are
 built on integer coefficient lists by times_linear, one linear factor
 at a time.  The library only builds, reads and renders a LaurentPoly;
-its arithmetic and evaluation serve callers and the test oracles.
+its arithmetic serves callers and the test oracles, which also hold its
+evaluation.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .rationals import as_fraction
-
-
-class PoleError(ZeroDivisionError):
-    pass
 
 
 def times_linear(t: list[int], y: int) -> list[int]:
@@ -138,15 +134,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return out
-
-    def __call__(self, x) -> Fraction:
-        x = as_fraction(x)
-        if x == 0 and self._c and min(self._c) < 0:
-            raise PoleError("evaluation at zero hits a pole")
-        total = Fraction(0)
-        for e, v in self._c.items():
-            total += v * x**e
-        return total
 
     def __str__(self):
         return self.render()

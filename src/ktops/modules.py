@@ -51,9 +51,12 @@ class FGModule:
 
     def __init__(self, prime: int, free_rank: int, torsion_orders: tuple[int, ...],
                  matrices: tuple[Matrix, ...]):
-        torsion_orders = tuple(int(t) for t in torsion_orders)
-        matrices = tuple(_freeze(m) for m in matrices)
+        torsion_orders = tuple(torsion_orders)
         _check_prime(prime)
+        for what, v in (("free rank", free_rank), *(("torsion order", t) for t in torsion_orders)):
+            if type(v) is not int:
+                raise ValueError(f"{what} {v!r} is not an integer")
+        matrices = tuple(_freeze(m) for m in matrices)
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
         for t in torsion_orders:
@@ -410,8 +413,9 @@ def trivial_module(prime: int, free_rank: int = 1, torsion_orders: Sequence[int]
     if level < 1:
         raise ValueError("the level must be a positive integer")
     d = free_rank + len(torsion_orders)
-    mats = [_identity(d)] + [_zero(d) for _ in range(level - 1)]
-    return FGModule(prime, free_rank, tuple(torsion_orders), tuple(mats))
+    # built as FGModule reads them, after it has checked the sizes
+    mats = (_identity(d) if i == 0 else _zero(d) for i in range(level))
+    return FGModule(prime, free_rank, tuple(torsion_orders), mats)
 
 
 def character_module(spec: CoalgebraSpec, slot: int) -> FGModule:

@@ -26,6 +26,12 @@ the reference here is the Fraction form they replace:
   the integers the library's node formula must give;
 * theta: the monic product prod_{i=1..n} (X - z_i) as a LaurentPoly.
 
+The library builds, reads and renders a LaurentPoly but never evaluates
+one; the oracles below that need a value take it here:
+
+* evaluate: f(x) summed monomial by monomial over Fractions; PoleError
+  at x = 0 when f has a negative exponent.
+
 Every stock basis, and the binomial one, is a Newton basis on integer
 nodes z_l, l >= 0 (ktops.coalgebra._node_basis).  The fraction-free
 elimination finds the coordinates of a monomial in it; the route here
@@ -97,7 +103,7 @@ Gamma tables coefficient by coefficient instead:
 * invert_by_elimination: the inverse solved coefficient by coefficient,
   with the step-i pivot taken from the last column of G_i;
 * value_on: an operation polynomial paired with a LaurentPoly, P at
-  beta**e summed over its monomials w**e, by LaurentPoly evaluation;
+  beta**e summed over its monomials w**e, by evaluate;
   the library evaluates P only by integer Horner (AdamsPoly.values);
 * pair: a dual element paired with a LaurentPoly, by value_on or, for a
   truncated element, by linearity over its monomial pairings;
@@ -163,7 +169,7 @@ from ktops.dual import (
 from ktops.laurent import LaurentPoly, times_linear
 from ktops.modules import FGModule, Matrix, ModuleVerdict, _identity, _malformed
 from ktops.checks import ConditionVerdict, _monomial_divisibility
-from ktops.rationals import _int_valuation, check_primitive_root, is_p_local_unit, nu
+from ktops.rationals import _int_valuation, as_fraction, check_primitive_root, is_p_local_unit, nu
 from ktops.spectra import SpectrumSpec
 
 
@@ -376,6 +382,18 @@ def theta(n: int, z) -> LaurentPoly:
     return out
 
 
+class PoleError(ZeroDivisionError):
+    pass
+
+
+def evaluate(f: LaurentPoly, x) -> Fraction:
+    """f at x, one monomial at a time; PoleError at 0 if f has a negative exponent."""
+    x = as_fraction(x)
+    if x == 0 and f and f.low < 0:
+        raise PoleError("evaluation at zero hits a pole")
+    return sum((v * x**e for e, v in f.items()), Fraction(0))
+
+
 class NotDivisibleError(ValueError):
     pass
 
@@ -420,7 +438,7 @@ def newton_coeffs(f: LaurentPoly, z, count: int) -> list[Fraction]:
     out = []
     cur = f
     for k in range(count):
-        v = cur(z(k + 1))
+        v = evaluate(cur, z(k + 1))
         out.append(v)
         cur = exact_divide(cur - LaurentPoly({0: v}), x - LaurentPoly({0: z(k + 1)}))
         if cur.is_zero:
@@ -804,7 +822,7 @@ def invert_by_elimination(spec: CoalgebraSpec, a: DualElement) -> DualElement:
 
 def value_on(a: AdamsPoly, f: LaurentPoly) -> Fraction:
     """a paired with a Laurent polynomial: sum over monomials of P(beta**e)."""
-    return sum((v * a.poly(a.beta**e) for e, v in f.items()), Fraction(0))
+    return sum((v * evaluate(a.poly, a.beta**e) for e, v in f.items()), Fraction(0))
 
 
 def pair(spec: CoalgebraSpec, a, f: LaurentPoly) -> Fraction:
@@ -852,7 +870,7 @@ def is_unit_by_fractions(spec: CoalgebraSpec, a: AdamsPoly) -> UnitVerdict:
     base = int(beta) ** spec.step
     t = order_by_powers(base, p)
     for j in range(t):
-        v = a.poly(Fraction(base) ** j)
+        v = evaluate(a.poly, Fraction(base) ** j)
         if not is_p_local_unit(p, v):
             return UnitVerdict(unit=False, exact=True, witness=j, period=t)
     return UnitVerdict(unit=True, exact=True, period=t)

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from ktops import cli
 from ktops.coalgebra import verify_regularity
 from ktops.dual import AdamsPoly, expand, is_unit
-from ktops.laurent import LaurentPoly, PoleError
+from ktops.laurent import LaurentPoly
 from ktops.spectra import dual_theta_basis, make_spectrum
 from oracles import (
     NotDivisibleError,
+    PoleError,
     alternating_powers,
+    evaluate,
     exact_divide,
     geometric_powers,
     newton_coeffs,
@@ -44,8 +46,8 @@ def test_arithmetic_oracle():
     w = LaurentPoly.variable()
     f = (w - 1) * (w - 2)
     assert f == LaurentPoly({2: 1, 1: -3, 0: 2})
-    assert f(3) == Fraction(2)
-    assert f(1) == 0
+    assert evaluate(f, 3) == Fraction(2)
+    assert evaluate(f, 1) == 0
     assert f == w ** 2 - 3 * w + 2
     assert LaurentPoly.monomial(-1) * w == LaurentPoly.one()
 
@@ -53,7 +55,7 @@ def test_arithmetic_oracle():
 def test_negative_exponent_evaluation_at_zero():
     f = LaurentPoly.monomial(-1)
     with pytest.raises(PoleError):
-        f(0)
+        evaluate(f, 0)
 
 
 def test_negative_power_rejected():
@@ -76,8 +78,8 @@ def test_ring_axioms(f, g, h):
 def test_evaluation_is_ring_map(f, g, x):
     if x == 0 and ((f and f.low < 0) or (g and g.low < 0)):
         return
-    assert (f * g)(x) == f(x) * g(x)
-    assert (f + g)(x) == f(x) + g(x)
+    assert evaluate(f * g, x) == evaluate(f, x) * evaluate(g, x)
+    assert evaluate(f + g, x) == evaluate(f, x) + evaluate(g, x)
 
 
 def test_exact_divide_roundtrip():
@@ -138,7 +140,7 @@ def test_theta_coords_oracle():
 
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-              "__neg__", "__pow__", "__call__")
+              "__neg__", "__pow__")
 
 
 def test_library_routes_do_no_laurent_arithmetic(monkeypatch):

@@ -60,6 +60,7 @@ NO_PRIME = SpectrumSpec("x", "b", 1, binomial_coalgebra())
 THETA_NO_PRIME = SpectrumSpec("t", "b", 1, ThetaCoalgebra(3, 1))
 P_LOCAL = "this needs a p-local coalgebra; binomial has no prime"
 EXPONENT = "has an exponent; write it as an integer, a/b or a plain decimal"
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def _table(entry, prime=3) -> str:
@@ -70,6 +71,11 @@ LIBRARY = {
     "step below 1": (lambda: CoalgebraSpec(0, C3.basis), "the exponent step must be a positive integer"),
     "coalgebra prime": (lambda: CoalgebraSpec(1, C3.basis, prime=4), "4 is not a prime"),
     "negative basis index": (lambda: monomial_coalgebra().monomial_form(-1), "basis indices start at 0"),
+    "basis element 0 not 1": (lambda: CoalgebraSpec(1, lambda n: (2, {n: 1}), prime=3).monomial_form(0),
+                              "basis element 0 must be the constant 1"),
+    "negative dual basis index": (lambda: C3.dual_basis(-1), "basis indices start at 0"),
+    "degree of zero": (lambda: LaurentPoly().degree, "the zero polynomial has no degree"),
+    "lowest exponent of zero": (lambda: LaurentPoly().low, "the zero polynomial has no lowest exponent"),
     "no coefficients": (lambda: DualElement(()), "a dual element needs precision at least 1"),
     "operation base 0": (lambda: AdamsPoly(0, X), "the operation base must be nonzero"),
     "negative power": (lambda: AdamsPoly(3, LaurentPoly.monomial(-1)),
@@ -84,6 +90,12 @@ LIBRARY = {
                                      "mode 'fast' does not match AdamsPoly's route, 'exact'"),
     "module prime": (lambda: FGModule(4, 1, (), (((1,),),)), "4 is not a prime"),
     "negative rank": (lambda: FGModule(3, -1, (), (((1,),),)), "free rank must be non-negative"),
+    "float torsion order": (lambda: trivial_module(3, 1, [9.7], 2), "torsion order 9.7 is not an integer"),
+    "string torsion order": (lambda: trivial_module(3, 1, ["9"], 2), "torsion order '9' is not an integer"),
+    "bool free rank": (lambda: FGModule(3, True, (), (((1,),),)), "free rank True is not an integer"),
+    "float free rank": (lambda: FGModule(3, 1.5, (), (((1,),),)), "free rank 1.5 is not an integer"),
+    "torsion order not a power of p": (lambda: FGModule(3, 0, (4,), (((1,),),)),
+                                       "torsion order 4 is not a positive power of 3"),
     "empty table": (lambda: FGModule(3, 1, (), ()), "an action table needs at least the identity matrix"),
     "module prime mismatch": (lambda: to_comodule(trivial_module(5), C3),
                               "not a valid module table: prime mismatch between module and coalgebra"),
@@ -99,6 +111,9 @@ LIBRARY = {
     "support step depth 0": (lambda: support_step(K3, 0), "the depth must be a positive integer"),
     "admissible shifts depth 0": (lambda: admissible_shifts(K3, 0), "the depth must be a positive integer"),
     "report depth 0": (lambda: condition_report(K3, 0), "the depth must be a positive integer"),
+    "table cell depth 0": (lambda: check_coalgebra_conditions(K3, 1, 1, 0), "the depth must be a positive integer"),
+    "congruence cell negative shift": (lambda: check_congruence_condition(K3, -1, 1, 1),
+                                       "shift and index must be non-negative"),
     "modulus below 2": (lambda: multiplicative_order(3, 1), "modulus must be at least 2"),
     "prime above the bound": (lambda: make_spectrum(f"k({HUGE_PRIME})"), ABOVE_THE_BOUND),
     # (p - 1) * bitlen(q) is read before q**(p-1) is built: 2,000,004 and 1,000,098
@@ -214,13 +229,26 @@ def test_cli_reads_literals_without_an_exponent():
                                   ["invert", "k(3)", "--coeffs", "1e5000"]],
                          ids=["huge prime", "huge node base", "1e5000"])
 def test_absurd_input_is_refused_at_once_in_a_fresh_process(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=SRC)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "ktops.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["rationals", "laurent", "coalgebra", "dual", "spectra", "checks", "modules", "cli"])
+def test_each_submodule_imports_alone_without_site_packages(name):
+    # the package re-exports nothing: a submodule loads what it imports
+    # itself, and the CLI never loads the module tables
+    code = f"import sys, ktops.{name}; print(*sorted(m for m in sys.modules if m.startswith('ktops')))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert f"ktops.{name}" in loaded
+    assert name == "modules" or "ktops.modules" not in loaded, loaded
 
 
 # verify_regularity's failure branches, each report against the Fraction route

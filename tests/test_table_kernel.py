@@ -11,6 +11,7 @@ from ktops.spectra import make_spectrum, spectrum_names
 from oracles import (
     coords_by_clearing,
     coproduct_by_fraction_loop,
+    evaluate,
     geometric_powers,
     monomial_coords_by_clearing,
     pair,
@@ -53,7 +54,7 @@ def test_coproduct_matches_fraction_loop_oracle(name):
 
 def _theta_element(b, step, n):
     num = theta(n, geometric_powers(b))
-    return LaurentPoly({e * step: v for e, v in num.items()}) * (1 / num(Fraction(b) ** n))
+    return LaurentPoly({e * step: v for e, v in num.items()}) * (1 / evaluate(num, Fraction(b) ** n))
 
 
 @pytest.mark.parametrize("name", [n for n in SPECTRA if make_spectrum(n).base is not None])
