@@ -13,9 +13,10 @@ Every number is printed as an exact rational, never a decimal.  Exit
 codes: 0 all checks pass, 1 a check failed or stdout was closed early,
 2 usage or input error.
 Each subcommand returns one Report, a NamedTuple, rendered in one of
-three formats.  Structure constants print from their integer form:
-gamma's record holds the text of each table, CoalgebraSpec.coproduct_text,
-and makes no Fraction.
+three formats.  Both table subcommands print from integer forms and make
+no Fraction: gamma's record holds the text of each table,
+CoalgebraSpec.coproduct_text, and basis's the text of each element's
+monomial form and of its monomial's coordinates, from _int_coords.
 """
 from __future__ import annotations
 
@@ -28,7 +29,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import checks, dual, spectra
-from .rationals import as_fraction
+from .laurent import _terms_text
+from .rationals import _fraction_text, as_fraction
 
 FORMATS = ("json", "tsv", "pretty")
 
@@ -42,10 +44,9 @@ class Report(NamedTuple):
     """One subcommand's exit code and JSON record, with its renderers.
 
     The record holds exact values, written with str in every format:
-    Fractions and polynomials, and the gamma tables, which the record
-    already holds as that text (CoalgebraSpec.coproduct_text).  tsv and
-    pretty are functions of the record, called only when their format is
-    asked for.
+    Fractions, or the text str writes for them, which the basis and gamma
+    records hold, printed from integer forms.  tsv and pretty are
+    functions of the record, called only when their format is asked for.
     """
 
     code: int
@@ -74,16 +75,18 @@ def _cmd_basis(args) -> Report:
     C = sp.coalgebra
     if args.n < 0:
         raise ValueError("--n must be non-negative")
+    # the input is read, and the record is text, so the digit limit is
+    # lifted now rather than in run
+    _set_digit_limit(0)
     elements = []
     for n in range(args.n + 1):
         d, lam = C.monomial_form(n)
         elements.append({
             "n": n,
-            "poly": C.basis_poly(n),
-            # monomial_form is on ints; Fractions print as strings in JSON too
-            "denominator": Fraction(d),
-            "monomial_coeffs": {str(k): Fraction(v) for k, v in sorted(lam.items())},
-            "coords_of_monomial": C.basis_coords(n),
+            "poly": _terms_text(d, {C.step * k: m for k, m in lam.items()}),
+            "denominator": str(d),
+            "monomial_coeffs": {str(k): str(m) for k, m in sorted(lam.items())},
+            "coords_of_monomial": C._coords_view(n, _fraction_text, "0"),
         })
     record = {"spectrum": sp.name, "q": sp.q, "n": args.n, "basis": elements}
     return Report(0, record, _basis_tsv, functools.partial(_basis_pretty, sp.step))

@@ -23,7 +23,9 @@ tables are derived from the basis and memoized:
 * monomial_form(n): basis(n) reduced to d_n > 0 and gcd({m_k}, d_n) = 1,
   with its shape checked against the window of n;
 * basis_coords(k): the coordinates of the monomial w**(rk) in the
-  basis (exact rationals; regularity asks them to be integral);
+  basis (exact rationals; regularity asks them to be integral), one
+  view of the integer form _int_coords(k); `ktops basis` prints another,
+  their text, with no Fraction made;
 * coproduct_matrix(n): the structure constants of the comultiplication,
   i.e. the matrix G with Delta(c_n) = sum G[i][j] c_i (x) c_j.
 
@@ -79,7 +81,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .laurent import LaurentPoly, times_linear
-from .rationals import _check_prime, _int_valuation, _order_mod_prime
+from .rationals import _check_prime, _fraction_text, _int_valuation, _order_mod_prime
 
 
 _ZERO = Fraction(0)
@@ -111,6 +113,8 @@ class CoalgebraSpec:
 
     def __init__(self, step: int, basis: Basis, prime: int | None = None,
                  periodic: bool = False, name: str = ""):
+        if type(step) is not int:
+            raise ValueError(f"the exponent step {step!r} is not an integer")
         if step < 1:
             raise ValueError("the exponent step must be a positive integer")
         if prime is not None:
@@ -265,10 +269,15 @@ class CoalgebraSpec:
         The tuple has length resolving_index(k) + 1; regularity asks
         every entry to lie in the ground ring.  A view of _int_coords, unmemoized.
         """
+        return self._coords_view(k, Fraction, _ZERO)
+
+    def _coords_view(self, k: int, make: Callable[[int, int], object], zero) -> tuple:
+        """The coordinates of w**(rk), entry i being make(A_i, D), or zero;
+        with _fraction_text and "0" it is the text the CLI prints."""
         d, nz = self._int_coords(k)
-        coords = [_ZERO] * (self.resolving_index(k) + 1)
+        coords = [zero] * (self.resolving_index(k) + 1)
         for i, a in nz:
-            coords[i] = Fraction(a, d)
+            coords[i] = make(a, d)
         return tuple(coords)
 
     def coproduct_matrix(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -603,18 +612,6 @@ class ThetaCoalgebra(BandedCoalgebra):
                         powers[s] = b ** abs(s)
                     g[i][j] = g[j][i] = make(v * powers[s]) if s >= 0 else make(v, powers[s])
         return tuple(tuple(row) for row in g)
-
-
-def _fraction_text(num: int, den: int = 1) -> str:
-    """str(Fraction(num, den)), den != 0, by one gcd and one format."""
-    if den != 1:
-        g = gcd(num, den)
-        if den < 0:
-            g = -g
-        num, den = num // g, den // g
-        if den != 1:
-            return f"{num}/{den}"
-    return str(num)
 
 
 def _node_basis(node: Callable[[int], int], periodic: bool) -> Basis:

@@ -6,18 +6,45 @@ products prod (X - y_i) that the operation bases are written in are
 built on integer coefficient lists by times_linear, one linear factor
 at a time.  The library only builds, reads and renders a LaurentPoly;
 its arithmetic serves callers and the test oracles, which also hold its
-evaluation.
+evaluation.  It renders through _terms_text, on integers over one
+denominator, which also writes the basis polynomials that the CLI prints
+from their integer forms.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .rationals import as_fraction
+from .rationals import _fraction_text, as_fraction
 
 
 def times_linear(t: list[int], y: int) -> list[int]:
     """The integer coefficients of t(X) * (X - y), constant term first."""
     return [u - y * v for u, v in zip([0] + t, t + [0])]
+
+
+def _terms_text(den: int, nums: dict[int, int]) -> str:
+    """sum_e (nums[e] / den) w**e as text, top exponent first: the one
+    renderer of a polynomial, for LaurentPoly and the basis the CLI
+    prints from integer forms.  den > 0 and no numerator is zero.  Each
+    term is a sign and the reduced |nums[e]| / den, times w or w^e unless
+    e is 0, with a coefficient 1 left out; the sign of the first term is
+    written only when it is -, as "-w^2 + 1/3".
+    """
+    if not nums:
+        return "0"
+    terms = []
+    for e in sorted(nums, reverse=True):
+        m = nums[e]
+        mag = abs(m)
+        if not e:
+            body = _fraction_text(mag, den)
+        else:
+            pw = "w" if e == 1 else f"w^{e}"
+            body = pw if mag == den else f"{_fraction_text(mag, den)}*{pw}"
+        terms.append(("- " if m < 0 else "+ ") + body)
+    text = " ".join(terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 class LaurentPoly:
@@ -139,25 +166,10 @@ class LaurentPoly:
         return self.render()
 
     def render(self) -> str:
-        """The polynomial in the variable w, top exponent first."""
-        if not self._c:
-            return "0"
-        parts = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
-            sign = "-" if v < 0 else "+"
-            mag = abs(v)
-            if e == 0:
-                body = str(mag)
-            else:
-                pw = "w" if e == 1 else f"w^{e}"
-                body = pw if mag == 1 else f"{mag}*{pw}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        """The polynomial in the variable w, top exponent first, by _terms_text
+        over the lcm of the denominators."""
+        den = lcm(*(v.denominator for v in self._c.values()))
+        return _terms_text(den, {e: v.numerator * (den // v.denominator) for e, v in self._c.items()})
 
     def __repr__(self):
         return f"LaurentPoly({dict(sorted(self._c.items()))!r})"

@@ -197,9 +197,15 @@ def validate_module(mod: FGModule, spec: CoalgebraSpec) -> ModuleVerdict:
 
 
 def _integer_table(mod: FGModule) -> tuple[int, list[list[list[int]]]]:
-    """(D, [A_0, ...]) with A_n = D M_n, D the lcm of the entry denominators."""
-    den = lcm(*(v.denominator for m in mod.matrices for row in m for v in row))
-    return den, [[[v.numerator * (den // v.denominator) for v in row] for row in m]
+    """(D, [A_0, ...]) with A_n = D M_n, D the lcm of the entry denominators.
+
+    A table holds few distinct denominators among many entries, so the lcm
+    and the quotients D / q are taken once per distinct denominator q.
+    """
+    dens = {v.denominator for m in mod.matrices for row in m for v in row}
+    den = lcm(*dens)
+    scale = {q: den // q for q in dens}
+    return den, [[[v.numerator * scale[v.denominator] for v in row] for row in m]
                  for m in mod.matrices]
 
 
@@ -410,6 +416,8 @@ def torsion_annihilator(mod: FGModule, spec: SpectrumSpec, s: int) -> Annihilato
 
 def trivial_module(prime: int, free_rank: int = 1, torsion_orders: Sequence[int] = (), level: int = 1) -> FGModule:
     """Everything above index 0 acts as zero."""
+    if type(level) is not int:
+        raise ValueError(f"the level {level!r} is not an integer")
     if level < 1:
         raise ValueError("the level must be a positive integer")
     d = free_rank + len(torsion_orders)

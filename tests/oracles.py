@@ -139,6 +139,20 @@ candidates.  The routes here are the loops the library once ran:
 * least_primitive_root_by_scan: check_primitive_root on each candidate
   q = 2, 3, ..., which tests p and factors p - 1 anew every time.
 
+The p-adic valuation of an int (ktops.rationals._int_valuation) divides
+an odd p out by p, p**2, p**4, ... and back down.  The route here is the
+loop the library once ran:
+
+* valuation_by_division: divide by p one time at a time while p divides.
+
+The CLI prints a basis (ktops.cli, `ktops basis`) from the integer forms
+of its elements and coordinates, as text.  The route here builds the
+record the CLI once built, of Fractions and LaurentPolys, which str
+writes when the record is printed:
+
+* basis_record_by_fractions: basis_poly, Fraction denominators and slots,
+  and the Fraction coordinates of basis_coords.
+
 Module tables (ktops.modules) are validated on integer matrices over one
 p-unit denominator.  The route here checks the same axioms, in the same
 order, one Fraction operation at a time:
@@ -909,6 +923,32 @@ def back_transform_by_reduction(spec: CoalgebraSpec, pi: list[tuple[int, int]], 
         for f, b, s in zip(fs, nums, slots):
             acc = acc * f + mono.get(s, 0) * b
         yield Fraction(acc, d * den)
+
+
+def valuation_by_division(p: int, n: int) -> int:
+    """nu_p(n), n != 0, one division by p at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def basis_record_by_fractions(sp: SpectrumSpec, top: int) -> dict:
+    """The record of `ktops basis` for elements 0..top, built of Fractions
+    and LaurentPolys."""
+    C = sp.coalgebra
+    elements = []
+    for n in range(top + 1):
+        d, lam = C.monomial_form(n)
+        elements.append({
+            "n": n,
+            "poly": C.basis_poly(n),
+            "denominator": Fraction(d),
+            "monomial_coeffs": {str(k): Fraction(v) for k, v in sorted(lam.items())},
+            "coords_of_monomial": C.basis_coords(n),
+        })
+    return {"spectrum": sp.name, "q": sp.q, "n": top, "basis": elements}
 
 
 def integral_by_gcd(prime: int | None, num: int, den: int) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -10,6 +11,9 @@ import pytest
 
 from ktops import cli
 from ktops.cli import run
+from ktops.laurent import LaurentPoly
+from ktops.spectra import make_spectrum, spectrum_names
+from oracles import basis_record_by_fractions
 
 
 def capture(argv):
@@ -31,6 +35,36 @@ def test_basis_json_exact_rationals():
     assert data["spectrum"] == "k(3)"
     assert data["basis"][2]["denominator"] == "6"
     assert "." not in text  # never decimals
+
+
+BASIS_REQUESTS = [(name, None) for name in dict.fromkeys(spectrum_names(3) + spectrum_names(5) + spectrum_names(7))]
+# G(7)'s coordinates pass the int-to-str digit limit, 5,015 digits at element 12
+BASIS_REQUESTS.append(("G(7)", 38))
+
+
+@pytest.mark.parametrize("name, q", BASIS_REQUESTS)
+def test_basis_prints_what_the_fraction_record_prints(name, q):
+    # the record is built as text from the integer forms; the one built of
+    # Fractions and LaurentPolys must print the same bytes in every format
+    argv = ["basis", name, "--n", "12"] + (["--q", str(q)] if q else [])
+    sp = make_spectrum(name, q)
+    for fmt in cli.FORMATS:
+        code, text = capture(argv + ["--format", fmt])
+        want = io.StringIO()
+        oracle = cli.Report(0, basis_record_by_fractions(sp, 12), cli._basis_tsv,
+                            functools.partial(cli._basis_pretty, sp.step))
+        assert (code, text) == (oracle.emit(fmt, want), want.getvalue()), (name, fmt)
+
+
+def test_basis_request_makes_no_fraction_and_no_laurent_poly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis request built a Fraction or a LaurentPoly")
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(refuse))
+    monkeypatch.setattr(LaurentPoly, "__init__", refuse)
+    for name in ("k(3)", "K(2)", "G(5)", "ko(2)"):
+        for fmt in cli.FORMATS:
+            assert capture(["basis", name, "--n", "8", "--format", fmt])[0] == 0
 
 
 def test_json_output_is_canonical():

@@ -13,7 +13,11 @@ their integer form changes no byte.  The `basis k(2)|K(2) --n 40` and
 `gamma k(2) --n 16` digests were captured while the k(2) and K(2) bases
 were still read off the base-9 theta basis of ko(2), so they pin that
 building them on their own node sequence 1, -1, 3, -3, 9, ... changes
-no byte.
+no byte.  The `basis G(5)|K(3) --n 9` and `basis g(7) --q 17 --n 9`
+digests, odd-prime bases with negative exponents and fractional
+coordinates, were captured while the basis record was still built from
+Fractions and LaurentPolys, so they pin that printing it from the integer
+forms changes no byte.
 """
 import hashlib
 import io
@@ -38,6 +42,15 @@ GOLDEN = {
     ("basis K(2) --n 40", "json"): (0, "64c1c156d26b14937b48bef769ec925af7d7cf43e13409c9c3ab58404cc01502"),
     ("basis K(2) --n 40", "tsv"): (0, "21e521a57588f81864d56723d6f850e09230cebe2d719da0ca5c73f29cfe54dc"),
     ("basis K(2) --n 40", "pretty"): (0, "e66af67d8344495c2c9d0147e605f684fb328a9ae27382643ce441f5d291f582"),
+    ("basis G(5) --n 9", "json"): (0, "e2dcf5a1d212d9531290dc106eba9af25a9fb33a9af3730953b9a3821a30a5b4"),
+    ("basis G(5) --n 9", "tsv"): (0, "53cacc02ced1fca5fc4e7e9e8d39a8e6fd5c4764561ed1501a4fd592cc010554"),
+    ("basis G(5) --n 9", "pretty"): (0, "76020754c7e388c48958a8e3bcbb139765038430667a7a1a78f7b909db8bc79e"),
+    ("basis K(3) --n 9", "json"): (0, "0ca0fc7c91fc7e6eaed023a01a49cb3149690004b5d34854a1e0112e747a8af1"),
+    ("basis K(3) --n 9", "tsv"): (0, "ff748364d8547a2a2cdb4e9e1572e329d3a70c80c7abfd62ac110a465bbc64e5"),
+    ("basis K(3) --n 9", "pretty"): (0, "b5c5e031f291349dc472efe0be74e3a8900e16ba28a2be67aff275664db2206d"),
+    ("basis g(7) --q 17 --n 9", "json"): (0, "9196f7be92082ad858b459e316d9af95e11a3811215426f61154b6643c2a3bee"),
+    ("basis g(7) --q 17 --n 9", "tsv"): (0, "da1f0dc2ff2977d9560cac701d1f758993decacc8d054b985d4c00bdf22a4ad8"),
+    ("basis g(7) --q 17 --n 9", "pretty"): (0, "616dde50a23d664ed4bf6f32591964db1117cecc30da320fcb9dad03d7ee2a57"),
     ("gamma k(3) --n 4", "json"): (0, "c20894d9cc38c8ecb1373bbeb7b3682ffbe12d5c3c19223eddf2bda41550805d"),
     ("gamma k(3) --n 4", "tsv"): (0, "867a25ac432e3f4fa9e79636af00b9ae5599c87e7970d1115ce15ced1f50f034"),
     ("gamma k(3) --n 4", "pretty"): (0, "2d51c5bd8c3347b2d6cab84db47c5b0098fcc7409d2e50bdc5a84b808e59e555"),

@@ -169,3 +169,19 @@ def test_library_routes_do_no_laurent_arithmetic(monkeypatch):
     assert is_unit(sp.coalgebra, unit).unit
     for name in ("k(3)", "K(2)"):
         assert verify_regularity(make_spectrum(name).coalgebra, 12).ok
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ({}, "0"),
+    ({0: -1}, "-1"),
+    ({0: Fraction(-3, 6)}, "-1/2"),
+    ({1: 1}, "w"),
+    ({1: -1}, "-w"),
+    ({2: Fraction(-1, 3), 1: 1, 0: Fraction(5, 2), -1: -1}, "-1/3*w^2 + w + 5/2 - w^-1"),
+    ({4: Fraction(1, 15), 0: Fraction(-1, 15)}, "1/15*w^4 - 1/15"),
+    ({-4: 7, 3: Fraction(-2, 9)}, "-2/9*w^3 + 7*w^-4"),
+])
+def test_render_writes_each_term_reduced_over_one_denominator(coeffs, text):
+    # signs between terms, the sign of the first term only when it is -,
+    # each coefficient reduced, and no coefficient 1 before a power of w
+    assert str(LaurentPoly(coeffs)) == text

@@ -33,6 +33,21 @@ def test_trivial_module_valid():
         assert validate_module(m, spec)
 
 
+def test_integer_table_scales_each_entry_by_the_lcm():
+    # mixed and repeated denominators, integers, zeros, negatives, and a
+    # torsion row: D is the lcm of them all and A_n = D M_n entry by entry
+    F = Fraction
+    mats = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((F(1, 2), F(-3, 4), 0), (F(5, 2), 7, F(1, 8)), (0, 0, 3)),
+            ((F(-1, 4), F(1, 2), F(9, 8)), (0, F(1, 4), -2), (0, 0, F(6, 5))))
+    t = FGModule(3, 2, (9,), mats)
+    den, a = modules._integer_table(t)
+    assert den == 40
+    assert a == [[[int(v * den) for v in row] for row in m] for m in t.matrices]
+    assert all(Fraction(x, den) == v for m, am in zip(t.matrices, a)
+               for row, arow in zip(m, am) for v, x in zip(row, arow))
+
+
 def test_character_modules_valid():
     for slot in range(5):
         m = character_module(C3, slot)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ktops.rationals import (
     _int_valuation,
@@ -15,7 +15,7 @@ from ktops.rationals import (
     multiplicative_order,
     nu,
 )
-from oracles import is_prime_by_odd_divisors, least_primitive_root_by_scan, order_by_powers
+from oracles import is_prime_by_odd_divisors, least_primitive_root_by_scan, order_by_powers, valuation_by_division
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 RATS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -61,6 +61,19 @@ def test_integer_valuation_counts_the_divisions(p, unit, e):
         unit //= p
         want += 1
     assert _int_valuation(p, n) == want
+
+
+@given(st.sampled_from([3, 5, 7, 10007]), st.integers(-10**40, 10**40).filter(bool), st.integers(0, 200),
+       st.booleans())
+@example(p=3, unit=1, v=3, big=False)
+@example(p=3, unit=-2, v=4, big=False)
+@example(p=5, unit=7, v=7, big=True)
+@example(p=7, unit=1, v=8, big=False)
+def test_integer_valuation_agrees_with_one_division_at_a_time(p, unit, v, big):
+    # one p at a time up to 4, then p**4, p**8, ... and back down, on
+    # signed n of any valuation up to 200, some with a 90,000-bit cofactor
+    n = unit * p**v * (2**90000 + 1 if big else 1)
+    assert _int_valuation(p, n) == valuation_by_division(p, n)
 
 
 @given(PRIMES, RATS, RATS)

@@ -69,6 +69,9 @@ def _table(entry, prime=3) -> str:
 
 LIBRARY = {
     "step below 1": (lambda: CoalgebraSpec(0, C3.basis), "the exponent step must be a positive integer"),
+    "float step": (lambda: CoalgebraSpec(1.5, lambda n: (1, {n: 1}), prime=3),
+                   "the exponent step 1.5 is not an integer"),
+    "bool step": (lambda: monomial_coalgebra(step=True, prime=3), "the exponent step True is not an integer"),
     "coalgebra prime": (lambda: CoalgebraSpec(1, C3.basis, prime=4), "4 is not a prime"),
     "negative basis index": (lambda: monomial_coalgebra().monomial_form(-1), "basis indices start at 0"),
     "basis element 0 not 1": (lambda: CoalgebraSpec(1, lambda n: (2, {n: 1}), prime=3).monomial_form(0),
@@ -92,6 +95,8 @@ LIBRARY = {
     "negative rank": (lambda: FGModule(3, -1, (), (((1,),),)), "free rank must be non-negative"),
     "float torsion order": (lambda: trivial_module(3, 1, [9.7], 2), "torsion order 9.7 is not an integer"),
     "string torsion order": (lambda: trivial_module(3, 1, ["9"], 2), "torsion order '9' is not an integer"),
+    "bool level": (lambda: trivial_module(3, 1, (), True), "the level True is not an integer"),
+    "float level": (lambda: trivial_module(3, 1, (), level=2.5), "the level 2.5 is not an integer"),
     "bool free rank": (lambda: FGModule(3, True, (), (((1,),),)), "free rank True is not an integer"),
     "float free rank": (lambda: FGModule(3, 1.5, (), (((1,),),)), "free rank 1.5 is not an integer"),
     "torsion order not a power of p": (lambda: FGModule(3, 0, (4,), (((1,),),)),
